@@ -5,7 +5,7 @@
 # locally, the workflow's check jobs pass too.
 #
 #   ./ci.sh            # everything (fmt, clippy, build, test, asm,
-#                      # smoke, dse, load)
+#                      # smoke, dse, load, perfbench)
 #   ./ci.sh fmt        # rustfmt, check only
 #   ./ci.sh clippy     # clippy, warnings are errors
 #   ./ci.sh build      # release build, all targets
@@ -21,6 +21,9 @@
 #   ./ci.sh load       # loadgen chaos gate: open-loop load through a
 #                      # gateway over fault-injecting backends, zero
 #                      # lost/duplicated acks (SSIM_QUICK)
+#   ./ci.sh perfbench  # the repository benchmark's self-tests: short
+#                      # sweep, study and serve runs checked against
+#                      # their pinned output digests
 #   ./ci.sh deep       # deep bench tier (not part of `all`; manual or
 #                      # nightly): full §4.6 thread-scaling curve with
 #                      # parallel-efficiency gates, 8-backend fleet
@@ -143,6 +146,15 @@ do_load() {
   SSIM_QUICK=1 run_loadgen
 }
 
+do_perfbench() {
+  # The repository benchmark (perfbench/, its own cargo workspace) run
+  # as a test: a short sweep, study and serve run, traced and not, each
+  # checked against the output digests pinned in perfbench/src/pinned.rs
+  # and against the metric names BENCHMARK.json declares.
+  stage "perfbench self-tests (short runs vs pinned digests)"
+  cargo test --release --offline --manifest-path perfbench/Cargo.toml
+}
+
 do_deep() {
   # Deep bench tier — the full §4.6 design space across the
   # threads={1,4,8,16} curve (parallel efficiency gated at threads=4 on
@@ -174,6 +186,7 @@ case "${1:-all}" in
   asm)    do_asm ;;
   dse)    do_dse ;;
   load)   do_load ;;
+  perfbench) do_perfbench ;;
   deep)   do_deep ;;
   all)
     do_fmt
@@ -184,10 +197,11 @@ case "${1:-all}" in
     do_smoke
     do_dse
     do_load
+    do_perfbench
     stage "all stages passed"
     ;;
   *)
-    echo "usage: ./ci.sh [fmt|clippy|build|test|smoke|asm|dse|load|deep|all]" >&2
+    echo "usage: ./ci.sh [fmt|clippy|build|test|smoke|asm|dse|load|perfbench|deep|all]" >&2
     exit 2
     ;;
 esac

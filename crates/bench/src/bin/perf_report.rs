@@ -184,9 +184,7 @@ fn main() {
     let stage = |name: &str| snap.timer_total_s(name).unwrap_or(0.0);
     // Instructions-per-second per stage pairs each timer with its
     // instruction counter, so throughput regressions show up even when
-    // wall time moves with budget changes. On the fused path generation
-    // is attributed to `tracesim.time` (there is no separate phase), so
-    // `synth` here covers only runs that materialised a trace.
+    // wall time moves with budget changes.
     let ips = |instrs: &str, timer: &str| {
         snap.counter(instrs).unwrap_or(0) as f64 / stage(timer).max(1e-12)
     };

@@ -10,8 +10,8 @@
 //!   plus the frozen reference simulator,
 //! * the optimised unfused path — one shared lowering, materialised
 //!   traces, reused engine buffers, and
-//! * the fused path — generation streamed straight into the pipeline
-//!   through the ring buffer, no trace ever materialised.
+//! * the fused path — the walk writes packed words straight into the
+//!   simulator's buffer, no trace ever materialised.
 //!
 //! The reference workload is **gcc**, matching `synth_speed` (the
 //! largest SFG in the suite and the paper's hardest-to-model program).

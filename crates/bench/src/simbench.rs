@@ -13,8 +13,8 @@
 //! 2. **unfused** — one lowering shared across seeds, traces
 //!    materialised per seed, simulated by the optimised backend with
 //!    engine working buffers reused ([`SimEngine::simulate`]);
-//! 3. **fused** — same shared lowering, generation streamed straight
-//!    into the pipeline with no materialised trace
+//! 3. **fused** — same shared lowering, the walk writing packed words
+//!    straight into the simulator's buffer with no materialised trace
 //!    ([`SimEngine::simulate_fused`]).
 //!
 //! Every phase must produce the identical [`SimResult`] per seed — the

@@ -9,8 +9,8 @@
 //! 1. **reference** — `generate_reference`, the pre-compilation
 //!    interpreter (hash-probe walk, O(nodes) restart scan, `BTreeMap`
 //!    histogram draws);
-//! 2. **cold** — `generate_compiled`, lowering the profile afresh for
-//!    every trace (what a one-shot caller pays);
+//! 2. **cold** — `StatisticalProfile::generate`, lowering the profile
+//!    afresh for every trace (what a one-shot caller pays);
 //! 3. **compiled** — one `compile` then `CompiledSampler::generate`
 //!    per seed (the multi-seed / sweep shape the engine exists for).
 //!
@@ -164,7 +164,7 @@ pub fn measure_synth_speed(profile: &StatisticalProfile, r: u64, iters: u32) -> 
 
     // Warm-up + correctness pin: all three paths agree byte for byte.
     let reference = profile.generate_reference(r, 0);
-    assert_eq!(reference.instrs(), profile.generate_compiled(r, 0).instrs());
+    assert_eq!(reference.instrs(), profile.generate(r, 0).instrs());
 
     let steps0 = walk_steps();
     let t = Instant::now();
@@ -178,7 +178,7 @@ pub fn measure_synth_speed(profile: &StatisticalProfile, r: u64, iters: u32) -> 
     let t = Instant::now();
     let mut cold_instrs = 0u64;
     for seed in 0..iters {
-        cold_instrs += profile.generate_compiled(r, u64::from(seed)).len() as u64;
+        cold_instrs += profile.generate(r, u64::from(seed)).len() as u64;
     }
     let cold_s = t.elapsed().as_secs_f64();
 

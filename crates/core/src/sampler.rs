@@ -328,17 +328,18 @@ impl MacroOp {
 }
 
 /// Where emitted instructions go: a materialising sink (building a
-/// [`SyntheticTrace`]) or the fused engine's ring buffer. Positions are
-/// absolute stream indices; `has_dest_at` serves the dependency-retry
-/// probe, which looks at most [`MAX_DEP_DISTANCE`] instructions back.
+/// [`SyntheticTrace`]) or the simulation engine's packed-word buffer.
+/// Positions are trace indices; `has_dest_at` serves the
+/// dependency-retry probe, which looks at most [`MAX_DEP_DISTANCE`]
+/// instructions back.
 ///
-/// Routing both paths through one emit implementation is what makes the
-/// fused engine bit-identical by construction: there is a single RNG
-/// consumption order.
+/// Routing both paths through one walk and emit implementation is what
+/// makes the fused engine bit-identical by construction: there is a
+/// single RNG consumption order.
 pub(crate) trait EmitSink {
-    /// Total instructions emitted so far (the absolute stream length).
+    /// Total instructions emitted so far (the trace length).
     fn len(&self) -> usize;
-    /// Whether the instruction at absolute position `idx` defines a
+    /// Whether the instruction at trace position `idx` defines a
     /// register.
     fn has_dest_at(&self, idx: usize) -> bool;
     /// Appends one instruction.
@@ -656,48 +657,7 @@ impl CompiledSampler {
     /// artifact was lowered for. Unlike the interpreter, each call pays
     /// no reduction: the walk runs straight off the reusable tables.
     pub fn walk(&self, seed: u64) -> WalkReport {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut budget = self.budget;
-        let mut report = WalkReport::default();
-        if budget == 0 {
-            return report;
-        }
-        let mut occupancy = Occupancy::new(&self.initial);
-        'walk: loop {
-            report.restarts += 1;
-            report.checksum = report.checksum.rotate_left(5) ^ budget;
-            if budget == 0 {
-                break 'walk;
-            }
-            let point = rng.gen_range(0..budget);
-            let mut node = occupancy.select(point);
-            loop {
-                if self.node_total[node] == 0 {
-                    budget = budget.saturating_sub(occupancy.drain(node));
-                    if budget == 0 {
-                        break 'walk;
-                    }
-                    continue 'walk;
-                }
-                if occupancy.remaining(node) == 0 {
-                    continue 'walk;
-                }
-                occupancy.consume_one(node);
-                budget -= 1;
-                report.steps += 1;
-                let (lo, hi) = (
-                    self.edge_start[node] as usize,
-                    self.edge_start[node + 1] as usize,
-                );
-                let row = &self.edges[lo..hi];
-                let point = rng.gen_range(0..self.node_total[node]);
-                node = row[pick_edge(row, point)].target as usize;
-                if budget == 0 {
-                    break 'walk;
-                }
-            }
-        }
-        report
+        self.run_walk(seed, |_, _| {})
     }
 
     /// Generates one synthetic trace by random-walking the compiled
@@ -706,28 +666,99 @@ impl CompiledSampler {
     /// Byte-identical to
     /// [`StatisticalProfile::generate_reference`] for the same
     /// `(r, seed)`: the walk draws from the seeded RNG in exactly the
-    /// interpreter's sequence and inverts the same CDFs. The loop is
-    /// one [`StreamGen`] pumped into a materialising sink — the same
-    /// code the fused generate-and-simulate engine streams from, so the
-    /// two paths cannot drift.
+    /// interpreter's sequence and inverts the same CDFs. The fused
+    /// generate-and-simulate engine runs the same walk into its own
+    /// sink, so the two paths cannot drift.
     pub fn generate(&self, seed: u64) -> SyntheticTrace {
-        let _span = OBS_GENERATE_TIME.span();
         let mut trace = SyntheticTrace::default();
-        if self.budget == 0 {
-            return trace;
-        }
         trace.instrs.reserve(self.instr_hint);
         // Sideband producer index: one byte per emitted instruction
         // (`class.has_dest()`), so dependency-retry probes stay cache-
         // resident instead of striding the 48-byte instruction records.
         let mut has_dest: Vec<u8> = Vec::with_capacity(self.instr_hint);
-        let mut gen = StreamGen::new(self, seed);
         let mut sink = TraceSink {
             trace: &mut trace,
             has_dest: &mut has_dest,
         };
-        while gen.pump(&mut sink) {}
+        self.emit_walk(seed, &mut sink);
         trace
+    }
+
+    /// Runs the §2.2 walk for `seed` to completion, emitting every
+    /// traversed edge's block into `sink` — the one generation loop
+    /// behind [`CompiledSampler::generate`] and the fused engine.
+    /// Timed by the `synth.time` observability timer.
+    pub(crate) fn emit_walk<S: EmitSink>(&self, seed: u64, sink: &mut S) {
+        let _span = OBS_GENERATE_TIME.span();
+        let report = self.run_walk(seed, |edge, rng| self.emit_ctx(edge.ctx, sink, rng));
+        OBS_WALK_STEPS.add(report.steps);
+        OBS_WALK_RESTARTS.add(report.restarts);
+        OBS_INSTRS_EMITTED.add(sink.len() as u64);
+    }
+
+    /// The random walk of §2.2 over the compiled tables, run to
+    /// completion. `on_edge` sees each traversed edge with the RNG right
+    /// after its edge draw, so any draws it makes interleave with the
+    /// walk's in the interpreter's order.
+    #[inline]
+    fn run_walk(
+        &self,
+        seed: u64,
+        mut on_edge: impl FnMut(&CompiledEdge, &mut SmallRng),
+    ) -> WalkReport {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut budget = self.budget;
+        let mut report = WalkReport::default();
+        if budget == 0 {
+            return report;
+        }
+        let mut occupancy = Occupancy::new(&self.initial);
+        'walk: loop {
+            // ---- step 2: pick a start node by remaining occurrence.
+            report.restarts += 1;
+            report.checksum = report.checksum.rotate_left(5) ^ budget;
+            debug_assert_eq!(budget, occupancy.total());
+            if budget == 0 {
+                break 'walk;
+            }
+            let point = rng.gen_range(0..budget);
+            let mut node = occupancy.select(point);
+            // ---- steps 3-9: walk the id space.
+            loop {
+                if self.node_total[node] == 0 {
+                    // Dead end (every outgoing edge was pruned): per the
+                    // paper, accessing the node still consumes its
+                    // occurrence before restarting at step 1 — otherwise
+                    // start-node selection could land here forever.
+                    budget = budget.saturating_sub(occupancy.drain(node));
+                    if budget == 0 {
+                        break 'walk;
+                    }
+                    continue 'walk;
+                }
+                if occupancy.remaining(node) == 0 {
+                    // Occurrence budget exhausted: restart at step 2.
+                    continue 'walk;
+                }
+                occupancy.consume_one(node);
+                budget -= 1;
+                report.steps += 1;
+                // Pick an outgoing edge by transition probability.
+                let (lo, hi) = (
+                    self.edge_start[node] as usize,
+                    self.edge_start[node + 1] as usize,
+                );
+                let row = &self.edges[lo..hi];
+                let point = rng.gen_range(0..self.node_total[node]);
+                let edge = &row[pick_edge(row, point)];
+                on_edge(edge, &mut rng);
+                node = edge.target as usize;
+                if budget == 0 {
+                    break 'walk;
+                }
+            }
+        }
+        report
     }
 
     /// The hot successor of `node`: the target of its highest-count
@@ -781,123 +812,13 @@ impl CompiledSampler {
     /// Emits the block attached to edge-context `ctx_id` into `sink`
     /// ([`NO_CONTEXT`] emits nothing, mirroring the interpreter's miss).
     #[inline]
-    pub(crate) fn emit_ctx<S: EmitSink>(&self, ctx_id: u32, sink: &mut S, rng: &mut SmallRng) {
+    fn emit_ctx<S: EmitSink>(&self, ctx_id: u32, sink: &mut S, rng: &mut SmallRng) {
         let Some(ctx) = self.contexts.get(ctx_id as usize) else {
             return;
         };
         let start = self.macro_start[ctx_id as usize] as usize;
         let ops = &self.macro_ops[start..start + ctx.slots.len()];
         ctx.emit_into(ops, sink, rng);
-    }
-}
-
-/// The §2.2 random walk as a resumable state machine: the same RNG
-/// draws, in the same order, as [`CompiledSampler::generate`]'s loop —
-/// but pumpable block-by-block, so the fused engine can interleave
-/// generation with simulation without materialising the trace.
-///
-/// States: before a restart (`at_node == false`), at a node mid-walk,
-/// or done. The walk-report observability counters are flushed once,
-/// when the walk completes.
-pub(crate) struct StreamGen<'s> {
-    sampler: &'s CompiledSampler,
-    rng: SmallRng,
-    occupancy: Occupancy,
-    budget: u64,
-    node: usize,
-    at_node: bool,
-    done: bool,
-    walk_steps: u64,
-    walk_restarts: u64,
-}
-
-impl<'s> StreamGen<'s> {
-    pub(crate) fn new(sampler: &'s CompiledSampler, seed: u64) -> Self {
-        let budget = sampler.budget;
-        StreamGen {
-            sampler,
-            rng: SmallRng::seed_from_u64(seed),
-            occupancy: Occupancy::new(&sampler.initial),
-            budget,
-            node: 0,
-            at_node: false,
-            // A zero-budget walk emits nothing and (like `generate`'s
-            // early return) records no walk counters.
-            done: budget == 0,
-            walk_steps: 0,
-            walk_restarts: 0,
-        }
-    }
-
-    /// Advances the walk until at least one more instruction lands in
-    /// `sink` or the walk completes. Returns `false` once the walk is
-    /// done (instructions may still have been emitted by the final
-    /// call); subsequent calls are no-ops.
-    pub(crate) fn pump<S: EmitSink>(&mut self, sink: &mut S) -> bool {
-        if self.done {
-            return false;
-        }
-        let start = sink.len();
-        loop {
-            if !self.at_node {
-                // ---- step 2: pick a start node by remaining occurrence.
-                self.walk_restarts += 1;
-                debug_assert_eq!(self.budget, self.occupancy.total());
-                if self.budget == 0 {
-                    return self.complete(sink);
-                }
-                let point = self.rng.gen_range(0..self.budget);
-                self.node = self.occupancy.select(point);
-                self.at_node = true;
-            }
-            // ---- steps 3-9: walk the id space.
-            let node = self.node;
-            if self.sampler.node_total[node] == 0 {
-                // Dead end (every outgoing edge was pruned): per the
-                // paper, accessing the node still consumes its
-                // occurrence before restarting at step 1 — otherwise
-                // start-node selection could land here forever.
-                self.budget = self.budget.saturating_sub(self.occupancy.drain(node));
-                self.at_node = false;
-                if self.budget == 0 {
-                    return self.complete(sink);
-                }
-                continue;
-            }
-            if self.occupancy.remaining(node) == 0 {
-                // Occurrence budget exhausted: restart at step 2.
-                self.at_node = false;
-                continue;
-            }
-            self.occupancy.consume_one(node);
-            self.budget -= 1;
-            self.walk_steps += 1;
-            // Pick an outgoing edge by transition probability.
-            let (lo, hi) = (
-                self.sampler.edge_start[node] as usize,
-                self.sampler.edge_start[node + 1] as usize,
-            );
-            let row = &self.sampler.edges[lo..hi];
-            let point = self.rng.gen_range(0..self.sampler.node_total[node]);
-            let edge = &row[pick_edge(row, point)];
-            self.sampler.emit_ctx(edge.ctx, sink, &mut self.rng);
-            self.node = edge.target as usize;
-            if self.budget == 0 {
-                return self.complete(sink);
-            }
-            if sink.len() > start {
-                return true;
-            }
-        }
-    }
-
-    /// Flushes the walk counters exactly once and parks the generator.
-    fn complete<S: EmitSink>(&mut self, sink: &S) -> bool {
-        self.done = true;
-        OBS_WALK_STEPS.add(self.walk_steps);
-        OBS_WALK_RESTARTS.add(self.walk_restarts);
-        OBS_INSTRS_EMITTED.add(sink.len() as u64);
-        false
     }
 }
 

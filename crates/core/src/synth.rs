@@ -80,8 +80,8 @@ pub struct SyntheticInstr {
     pub anti_dep: [Option<u32>; 2],
 }
 
-/// A [`SyntheticInstr`] packed into one 64-bit word — the fused
-/// engine's ring-buffer element.
+/// A [`SyntheticInstr`] packed into one 64-bit word — the trace
+/// simulator's instruction format.
 ///
 /// The packing is lossless because generation clamps every dependency
 /// distance to [`MAX_DEP_DISTANCE`] (= 512, ten bits) and never emits a
@@ -346,16 +346,6 @@ impl StatisticalProfile {
     ///
     /// Panics if `r` is zero.
     pub fn generate(&self, r: u64, seed: u64) -> SyntheticTrace {
-        self.generate_compiled(r, seed)
-    }
-
-    /// Lowers the profile for `r` and generates one trace — the
-    /// compiled counterpart of [`StatisticalProfile::generate_reference`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is zero.
-    pub fn generate_compiled(&self, r: u64, seed: u64) -> SyntheticTrace {
         self.compile(r).generate(seed)
     }
 

@@ -1,21 +1,21 @@
 //! Synthetic trace simulation (§2.3 of the paper).
 //!
-//! Two entry points share one driver:
+//! Two entry points share one driver over a slice of packed
+//! instruction words:
 //!
-//! * [`simulate_trace`] — simulates a materialised [`SyntheticTrace`];
-//! * [`simulate_fused`] — streams synthetic instructions straight from
-//!   a [`CompiledSampler`] walk into the pipeline through a small ring
-//!   buffer, never materialising the trace. Bit-identical to
-//!   generate-then-simulate for the same `(sampler, seed, config)`
-//!   because both paths run the same emission code
-//!   (`sampler::StreamGen`) and the same driver, parameterised only
-//!   over where instructions are read from ([`InstrSource`]).
+//! * [`simulate_trace`] — simulates a materialised [`SyntheticTrace`],
+//!   packing it into words first;
+//! * [`simulate_fused`] — runs a [`CompiledSampler`] walk straight into
+//!   the packed words, never building a [`SyntheticTrace`].
+//!   Bit-identical to generate-then-simulate for the same
+//!   `(sampler, seed, config)` because both paths run the same walk and
+//!   emission code (`CompiledSampler::emit_walk`) and the same driver.
 //!
 //! Callers running many simulations (design-space sweeps, convergence
 //! studies) should hold a [`SimEngine`] and reuse its working memory
 //! across runs instead of calling the free functions in a loop.
 
-use crate::sampler::{EmitSink, StreamGen};
+use crate::sampler::EmitSink;
 use crate::synth::{PackedInstr, SyntheticInstr, SyntheticOutcome, SyntheticTrace};
 use crate::CompiledSampler;
 use ssim_uarch::{
@@ -71,15 +71,14 @@ pub fn simulate_trace(trace: &SyntheticTrace, cfg: &MachineConfig) -> SimResult 
     SimEngine::new().simulate(trace, cfg)
 }
 
-/// Generates and simulates in one fused pass: the compiled walk streams
-/// instructions directly into the pipeline through a ring buffer, so no
+/// Generates and simulates in one call: the compiled walk writes
+/// packed instruction words straight into the simulator's buffer, so no
 /// [`SyntheticTrace`] is ever materialised.
 ///
 /// The result — every field of [`SimResult`], bit for bit — equals
-/// `simulate_trace(&sampler.generate(seed), cfg)`. Generation work is
-/// attributed to the `tracesim.time` observability timer here (there is
-/// no separate generation phase), so the `synth.time` timer records
-/// nothing for fused runs; the `synth.walk_*` counters still do.
+/// `simulate_trace(&sampler.generate(seed), cfg)`. Generation is timed
+/// by the `synth.time` observability timer and simulation by
+/// `tracesim.time`, as on the generate-then-simulate path.
 ///
 /// # Panics
 ///
@@ -89,114 +88,14 @@ pub fn simulate_fused(sampler: &CompiledSampler, seed: u64, cfg: &MachineConfig)
     SimEngine::new().simulate_fused(sampler, seed, cfg)
 }
 
-/// Where the driver reads synthetic instructions from, addressed by
-/// absolute trace position. Instructions travel as [`PackedInstr`]
-/// words: fetch and dispatch test individual bit fields instead of
-/// materialising a [`SyntheticInstr`] per event. `fetch_at` is allowed
-/// to *produce* the instruction on demand (the fused path pumps the
-/// compiled walk); `retain_from` promises that positions below `idx`
-/// will never be fetched again (the rewind cursor can only move
-/// forward), letting a streaming source recycle its storage.
-trait InstrSource {
-    fn fetch_at(&mut self, idx: usize) -> Option<PackedInstr>;
-    fn retain_from(&mut self, idx: usize);
+/// [`EmitSink`] writing the walk's instructions as packed words plus
+/// the sideband producer-index bytes the dependency-retry probe reads.
+struct PackedSink<'e> {
+    words: &'e mut Vec<u64>,
+    has_dest: &'e mut Vec<u8>,
 }
 
-/// [`InstrSource`] over a trace pre-packed into words (see
-/// [`SimEngine::simulate`]).
-struct SliceSource<'t> {
-    words: &'t [u64],
-}
-
-impl InstrSource for SliceSource<'_> {
-    #[inline]
-    fn fetch_at(&mut self, idx: usize) -> Option<PackedInstr> {
-        self.words.get(idx).copied().map(PackedInstr)
-    }
-    #[inline]
-    fn retain_from(&mut self, _idx: usize) {}
-}
-
-/// A power-of-two ring of [`PackedInstr`] words addressed by absolute
-/// stream index — the fused engine's entire instruction storage.
-///
-/// `tail..head` is the retained window; the simulator keeps it no wider
-/// than the mispredict rewind distance (bounded by IFQ + RUU size plus
-/// one fetch group), so in steady state the ring never grows past a few
-/// hundred slots and stays cache-resident. `get` masks the absolute
-/// index instead of translating it, which keeps every driver-side
-/// position (cursor, rewind point) a plain monotone integer.
-#[derive(Debug, Default)]
-struct InstrRing {
-    buf: Vec<u64>,
-    /// Absolute index of the oldest retained element.
-    tail: usize,
-    /// Absolute index one past the newest element.
-    head: usize,
-}
-
-impl InstrRing {
-    const INITIAL_CAPACITY: usize = 1024;
-
-    fn reset(&mut self) {
-        self.tail = 0;
-        self.head = 0;
-    }
-
-    fn head(&self) -> usize {
-        self.head
-    }
-
-    fn get(&self, idx: usize) -> u64 {
-        debug_assert!(
-            self.tail <= idx && idx < self.head,
-            "ring read at {idx} outside retained window {}..{}",
-            self.tail,
-            self.head
-        );
-        self.buf[idx & (self.buf.len() - 1)]
-    }
-
-    fn push(&mut self, word: u64) {
-        if self.head - self.tail == self.buf.len() {
-            self.grow();
-        }
-        let mask = self.buf.len() - 1;
-        self.buf[self.head & mask] = word;
-        self.head += 1;
-    }
-
-    /// Doubles capacity, re-placing the live window under the new mask.
-    fn grow(&mut self) {
-        let old = std::mem::take(&mut self.buf);
-        let new_len = (old.len() * 2).max(Self::INITIAL_CAPACITY);
-        self.buf = vec![0u64; new_len];
-        if !old.is_empty() {
-            let (old_mask, new_mask) = (old.len() - 1, new_len - 1);
-            for idx in self.tail..self.head {
-                self.buf[idx & new_mask] = old[idx & old_mask];
-            }
-        }
-    }
-
-    /// Declares positions below `watermark` dead, freeing their slots.
-    fn retain_from(&mut self, watermark: usize) {
-        self.tail = self.tail.max(watermark.min(self.head));
-    }
-}
-
-/// [`EmitSink`] writing packed words into the ring plus the sideband
-/// producer-index bytes the dependency-retry probe reads.
-///
-/// The sideband `Vec` is full-length (one byte per emitted instruction,
-/// never truncated): the probe looks up to [`crate::MAX_DEP_DISTANCE`]
-/// positions back, which can reach below the ring's retained window.
-struct RingSink<'r> {
-    ring: &'r mut InstrRing,
-    has_dest: &'r mut Vec<u8>,
-}
-
-impl EmitSink for RingSink<'_> {
+impl EmitSink for PackedSink<'_> {
     #[inline]
     fn len(&self) -> usize {
         self.has_dest.len()
@@ -207,62 +106,35 @@ impl EmitSink for RingSink<'_> {
     }
     #[inline]
     fn push(&mut self, instr: SyntheticInstr, has_dest: u8) {
-        self.ring.push(PackedInstr::pack(&instr).0);
+        self.words.push(PackedInstr::pack(&instr).0);
         self.has_dest.push(has_dest);
-    }
-}
-
-/// [`InstrSource`] that pumps a compiled walk on demand: `fetch_at`
-/// past the generated prefix advances the walk until the position
-/// materialises (or the walk ends). Generation order is fixed by the
-/// walk, so fetching "early" (the driver's end-of-trace probe) only
-/// moves work forward — the RNG stream is untouched.
-struct RingSource<'s, 'e> {
-    gen: StreamGen<'s>,
-    ring: &'e mut InstrRing,
-    has_dest: &'e mut Vec<u8>,
-}
-
-impl InstrSource for RingSource<'_, '_> {
-    fn fetch_at(&mut self, idx: usize) -> Option<PackedInstr> {
-        while idx >= self.ring.head() {
-            let mut sink = RingSink {
-                ring: &mut *self.ring,
-                has_dest: &mut *self.has_dest,
-            };
-            let more = self.gen.pump(&mut sink);
-            // The final pump can both emit instructions and report the
-            // walk done — check the head again before giving up.
-            if !more && idx >= self.ring.head() {
-                return None;
-            }
-        }
-        Some(PackedInstr(self.ring.get(idx)))
-    }
-    #[inline]
-    fn retain_from(&mut self, idx: usize) {
-        self.ring.retain_from(idx);
     }
 }
 
 /// A reusable synthetic-simulation engine.
 ///
 /// Owns every working buffer the simulator needs — the core's RUU
-/// entry storage and timing wheel ([`CoreScratch`]) plus the fused
-/// path's instruction ring and producer-index sideband — so repeated
+/// entry storage and timing wheel ([`CoreScratch`]) plus the trace's
+/// packed words and the walk's producer-index sideband — so repeated
 /// [`SimEngine::simulate`] / [`SimEngine::simulate_fused`] calls
 /// (design-space sweeps simulate thousands of points) allocate nothing
 /// after warm-up. A fresh engine per call is exactly the free
 /// functions' behaviour; reuse changes no results, only allocation
 /// traffic.
+///
+/// The word buffer holds the whole trace: 8 bytes per synthetic
+/// instruction, plus one sideband byte on the fused path. Traces are
+/// short by design (1/R of the profiled stream), so this stays in the
+/// tens to hundreds of KiB.
 #[derive(Debug, Default)]
 pub struct SimEngine {
     scratch: CoreScratch,
-    ring: InstrRing,
-    has_dest: Vec<u8>,
-    /// The unfused path's trace, pre-packed into the same word format
-    /// the fused ring uses, so both paths share one driver currency.
+    /// The trace being simulated, one [`PackedInstr`] word per
+    /// instruction — the driver's only instruction storage.
     packed: Vec<u64>,
+    /// One byte per instruction, `class.has_dest()`, for the walk's
+    /// dependency-retry probe on the fused path.
+    has_dest: Vec<u8>,
 }
 
 impl SimEngine {
@@ -278,7 +150,6 @@ impl SimEngine {
     /// Panics if the machine configuration is invalid or the pipeline
     /// stops making forward progress.
     pub fn simulate(&mut self, trace: &SyntheticTrace, cfg: &MachineConfig) -> SimResult {
-        let scratch = std::mem::take(&mut self.scratch);
         // One packing pass up front; the driver then reads plain words.
         // Hand-built traces may carry dependency distances outside the
         // generator's range — those clamp to `1..=MAX_DEP_DISTANCE`,
@@ -290,16 +161,10 @@ impl SimEngine {
                 .iter()
                 .map(|i| PackedInstr::pack_clamped(i).0),
         );
-        let source = SliceSource {
-            words: &self.packed,
-        };
-        let (result, scratch) = TraceSim::new(cfg, source, scratch).run();
-        self.scratch = scratch;
-        result
+        self.run(cfg)
     }
 
-    /// Generates and simulates in one fused pass (see
-    /// [`simulate_fused`]).
+    /// Generates and simulates in one call (see [`simulate_fused`]).
     ///
     /// # Panics
     ///
@@ -311,23 +176,29 @@ impl SimEngine {
         seed: u64,
         cfg: &MachineConfig,
     ) -> SimResult {
-        self.ring.reset();
+        self.packed.clear();
         self.has_dest.clear();
-        let scratch = std::mem::take(&mut self.scratch);
-        let source = RingSource {
-            gen: StreamGen::new(sampler, seed),
-            ring: &mut self.ring,
+        let mut sink = PackedSink {
+            words: &mut self.packed,
             has_dest: &mut self.has_dest,
         };
-        let (result, scratch) = TraceSim::new(cfg, source, scratch).run();
+        sampler.emit_walk(seed, &mut sink);
+        self.run(cfg)
+    }
+
+    /// Runs the driver over the packed words.
+    fn run(&mut self, cfg: &MachineConfig) -> SimResult {
+        let scratch = std::mem::take(&mut self.scratch);
+        let (result, scratch) = TraceSim::new(cfg, &self.packed, scratch).run();
         self.scratch = scratch;
         result
     }
 }
 
-struct TraceSim<'a, S: InstrSource> {
+struct TraceSim<'a> {
     cfg: &'a MachineConfig,
-    source: S,
+    /// The trace, one [`PackedInstr`] word per instruction.
+    words: &'a [u64],
     cursor: usize,
     core: Core<'a>,
     /// Next stream position to dispatch. The IFQ holds exactly the
@@ -335,7 +206,7 @@ struct TraceSim<'a, S: InstrSource> {
     /// positions and a mispredict recovery empties the queue before
     /// rewinding, so the queue is always one contiguous range and two
     /// cursors replace any per-entry storage. Everything dispatch needs
-    /// is re-derived from the source by position (see
+    /// is re-derived from the trace by position (see
     /// [`TraceSim::dispatch`]).
     ifq_head: usize,
     ifq_meter: OccupancyMeter,
@@ -348,11 +219,11 @@ struct TraceSim<'a, S: InstrSource> {
     pending_seq: Option<u64>,
 }
 
-impl<'a, S: InstrSource> TraceSim<'a, S> {
-    fn new(cfg: &'a MachineConfig, source: S, scratch: CoreScratch) -> Self {
+impl<'a> TraceSim<'a> {
+    fn new(cfg: &'a MachineConfig, words: &'a [u64], scratch: CoreScratch) -> Self {
         TraceSim {
             cfg,
-            source,
+            words,
             cursor: 0,
             core: Core::with_scratch(cfg, scratch),
             ifq_head: 0,
@@ -375,7 +246,7 @@ impl<'a, S: InstrSource> TraceSim<'a, S> {
         let mut last_progress = (0u64, 0u64);
         loop {
             let committed = self.core.committed();
-            // Done when the machine has fully drained and the source is
+            // Done when the machine has fully drained and the trace is
             // exhausted. (A trace ending in a mispredict never stalls
             // here: resolution and the rewind both happen inside one
             // `cycle()` call, so `wrong_path` is `None` again by the
@@ -383,7 +254,7 @@ impl<'a, S: InstrSource> TraceSim<'a, S> {
             if self.wrong_path.is_none()
                 && self.ifq_len() == 0
                 && self.core.is_empty()
-                && self.source.fetch_at(self.cursor).is_none()
+                && self.cursor == self.words.len()
             {
                 break;
             }
@@ -393,15 +264,6 @@ impl<'a, S: InstrSource> TraceSim<'a, S> {
             let dispatched = self.dispatch();
             let cursor_before = self.cursor;
             self.fetch();
-            // Everything below both the rewind point and the dispatch
-            // cursor can never be read again (dispatch re-reads the
-            // source at `ifq_head..cursor`, and the rewind point can sit
-            // on either side of `ifq_head` while the mispredicted branch
-            // waits in the queue).
-            let watermark = self
-                .wrong_path
-                .map_or(self.ifq_head, |rw| rw.min(self.ifq_head));
-            self.source.retain_from(watermark);
             OBS_DISPATCH_PER_CYCLE.record(dispatched);
             OBS_ISSUE_OCCUPANCY.record(self.core.in_flight() as u64);
             self.core.advance();
@@ -497,7 +359,7 @@ impl<'a, S: InstrSource> TraceSim<'a, S> {
 
     /// Returns the number of instructions dispatched this cycle.
     ///
-    /// Dispatch re-reads each instruction from the source at `ifq_head`
+    /// Dispatch re-reads each instruction from the trace at `ifq_head`
     /// and rebuilds its [`DispatchInstr`] on the spot — everything the
     /// fetch stage knew is a pure function of the instruction's flags
     /// and its stream position: an entry is wrong-path iff it sits at or
@@ -513,10 +375,7 @@ impl<'a, S: InstrSource> TraceSim<'a, S> {
                 break;
             }
             let pos = self.ifq_head;
-            let w = self
-                .source
-                .fetch_at(pos)
-                .expect("IFQ positions were fetched");
+            let w = PackedInstr(self.words[pos]);
             let wrong_path = self.wrong_path.is_some_and(|rw| pos >= rw);
             let mispredict_marker = self.wrong_path == Some(pos + 1);
             let class = w.class();
@@ -593,12 +452,12 @@ impl<'a, S: InstrSource> TraceSim<'a, S> {
         }
         let mut budget = self.cfg.fetch_width();
         while budget > 0 && self.ifq_len() < self.cfg.ifq_size {
-            let Some(w) = self.source.fetch_at(self.cursor) else {
+            let Some(&w) = self.words.get(self.cursor) else {
                 break;
             };
             self.cursor += 1;
             let on_wrong_path = self.wrong_path.is_some();
-            let stop = self.fetch_one(w, on_wrong_path);
+            let stop = self.fetch_one(PackedInstr(w), on_wrong_path);
             budget -= 1;
             if stop {
                 break;
@@ -612,7 +471,7 @@ impl<'a, S: InstrSource> TraceSim<'a, S> {
     /// the IFQ range by the caller); returns `true` if fetch stops for
     /// this cycle. Only stall timing, statistics and activity accounting
     /// happen here — dispatch rebuilds the instruction's pipeline form
-    /// from the source when its turn comes.
+    /// from the trace when its turn comes.
     fn fetch_one(&mut self, w: PackedInstr, wrong_path: bool) -> bool {
         let now = self.core.now();
         self.core.activity_mut().record(Unit::Fetch, now);
@@ -858,33 +717,6 @@ mod tests {
     fn empty_trace_is_fine() {
         let r = simulate_trace(&SyntheticTrace::default(), &MachineConfig::baseline());
         assert_eq!(r.instructions, 0);
-    }
-
-    #[test]
-    fn ring_grows_and_masks_absolute_indices() {
-        let mut ring = InstrRing::default();
-        for i in 0..5_000u64 {
-            ring.push(i);
-        }
-        assert_eq!(ring.head(), 5_000);
-        for i in 0..5_000 {
-            assert_eq!(ring.get(i), i as u64);
-        }
-        // Retention frees slots: pushing past capacity reuses them
-        // without growing once the live window stays narrow.
-        ring.retain_from(4_990);
-        let cap_before = ring.buf.len();
-        for i in 5_000..200_000u64 {
-            ring.push(i);
-            ring.retain_from(i as usize - 8);
-            assert_eq!(ring.get(i as usize), i);
-            assert_eq!(ring.get(i as usize - 8), i - 8);
-        }
-        assert_eq!(ring.buf.len(), cap_before, "narrow window must not grow");
-        // Backwards watermarks never shrink the retained window.
-        let tail = ring.tail;
-        ring.retain_from(0);
-        assert_eq!(ring.tail, tail);
     }
 
     #[test]

@@ -56,9 +56,9 @@ fn profiled(seed: u64, k: usize) -> StatisticalProfile {
     )
 }
 
-/// The headline acceptance test: `generate_compiled` (and therefore
-/// `generate`) equals the pre-compilation path across a grid of
-/// `(r, seed)` pairs on a profiled workload.
+/// The headline acceptance test: `generate` (the compiled path) equals
+/// the pre-compilation path across a grid of `(r, seed)` pairs on a
+/// profiled workload.
 #[test]
 fn compiled_equals_reference_across_r_and_seed() {
     for k in [0usize, 1, 2] {
@@ -66,14 +66,12 @@ fn compiled_equals_reference_across_r_and_seed() {
         for r in [1u64, 5, 15, 50, 400] {
             for seed in [0u64, 1, 7, 12345] {
                 let reference = p.generate_reference(r, seed);
-                let compiled = p.generate_compiled(r, seed);
+                let compiled = p.generate(r, seed);
                 assert_eq!(
                     reference.instrs(),
                     compiled.instrs(),
                     "trace diverged at k={k} r={r} seed={seed}"
                 );
-                // The public entry point is the compiled path.
-                assert_eq!(p.generate(r, seed).instrs(), reference.instrs());
                 assert!(!reference.is_empty() || r > p.instructions());
             }
         }
@@ -128,7 +126,7 @@ fn walk_reports_match_across_r_and_seed() {
 #[test]
 fn compiled_empty_budget_matches_reference() {
     let p = profiled(1, 1);
-    assert!(p.generate_compiled(u64::MAX, 1).is_empty());
+    assert!(p.generate(u64::MAX, 1).is_empty());
     assert!(p.generate_reference(u64::MAX, 1).is_empty());
     assert_eq!(p.compile(u64::MAX).budget(), 0);
 }
@@ -143,7 +141,7 @@ proptest! {
     fn compiled_matches_reference(ws in 0u64..500, k in 0usize..=2, r in 2u64..80, seed in 0u64..1000) {
         let p = profiled(ws, k);
         let reference = p.generate_reference(r, seed);
-        let compiled = p.generate_compiled(r, seed);
+        let compiled = p.generate(r, seed);
         prop_assert_eq!(reference.instrs(), compiled.instrs());
     }
 }

@@ -1,10 +1,10 @@
 //! The fused engine's determinism contract: for every
-//! `(profile, r, seed, machine)`, streaming generation straight into
-//! the pipeline ([`ssim_core::simulate_fused`]) produces a [`SimResult`]
-//! **bit-identical** — every field, including the float occupancies and
-//! activity counters — to materialising the trace and simulating it,
-//! and both match the frozen pre-optimisation reference simulator
-//! ([`ssim_core::simulate_trace_reference`]).
+//! `(profile, r, seed, machine)`, having the walk write packed words
+//! straight into the simulator's buffer ([`ssim_core::simulate_fused`])
+//! produces a [`SimResult`] **bit-identical** — every field, including
+//! the float occupancies and activity counters — to materialising the
+//! trace and simulating it, and both match the frozen pre-optimisation
+//! reference simulator ([`ssim_core::simulate_trace_reference`]).
 //!
 //! The chain `reference == unfused == fused` is what lets the sweep
 //! infrastructure take the fused path without perturbing a single

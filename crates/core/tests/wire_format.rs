@@ -135,8 +135,8 @@ fn fixture_header_is_v1() {
 
 /// Freezes the compiled lowering artifacts — CSR edge tables, packed
 /// macro-op words, hot-successor chain layout — via
-/// `CompiledSampler::lowering_digest`. The fused engine streams
-/// instructions straight off these tables, so silent drift here would
+/// `CompiledSampler::lowering_digest`. Every generation path walks
+/// these tables directly, so silent drift here would
 /// change generated traces (and every downstream number) without any
 /// serialized byte moving. Like the byte fixture above, an intentional
 /// lowering change updates the pinned values in the same commit that

@@ -285,53 +285,15 @@ impl ArtifactStore {
     /// Simulates one design point, answering from the result cache when
     /// the identical `(profile, machine, R, seed)` was computed before.
     ///
-    /// `trace` must be the synthetic trace generated from
-    /// `artifact.sampler(r).generate(seed)` — the caller generates it
-    /// once per seed and reuses it across the machine points of a
-    /// sweep.
-    pub fn simulate_point(
-        &self,
-        artifact: &ProfileArtifact,
-        trace: &SyntheticTrace,
-        machine: &MachineConfig,
-        r: u64,
-        seed: u64,
-    ) -> PointResult {
-        let key = ResultKey {
-            profile: artifact.hash,
-            machine: machine_fingerprint(machine),
-            r,
-            seed,
-        };
-        if let Some(mut hit) = self.results.get(&key) {
-            OBS_RESULT_HITS.inc();
-            hit.cached = true;
-            return hit;
-        }
-        OBS_RESULT_MISSES.inc();
-        let sim = simulate_trace(trace, machine);
-        let point = PointResult {
-            cycles: sim.cycles,
-            instructions: sim.instructions,
-            ipc: sim.ipc(),
-            cached: false,
-        };
-        self.results.insert(key, point);
-        point
-    }
-
-    /// Simulates one design point on the fused generate-and-simulate
-    /// path: the synthetic instruction stream flows straight from the
-    /// compiled sampler into the pipeline, no trace is materialised,
-    /// and the worker thread's simulator buffers are reused across
-    /// points (`ssim_bench::with_engine`). Bit-identical to
-    /// [`ArtifactStore::simulate_point`] over
+    /// A miss runs the fused generate-and-simulate path on the worker
+    /// thread's reused simulator buffers (`ssim_bench::with_engine`);
+    /// the result is bit-identical to simulating
     /// `artifact.sampler(r).generate(seed)` — the engine's equivalence
-    /// suite pins this — so both paths share one [`ResultKey`] space.
+    /// suite pins this.
     ///
     /// On a cache hit the sampler is not even looked up, so a repeated
     /// point skips the lowering along with the simulation.
-    pub fn simulate_point_fused(
+    pub fn simulate_point(
         &self,
         artifact: &ProfileArtifact,
         machine: &MachineConfig,
@@ -439,9 +401,8 @@ mod tests {
         let store = isolated_store();
         let artifact = store.profile(&small_params()).unwrap();
         let machine = MachineConfig::baseline().with_width(4);
-        let trace = artifact.sampler(10).generate(3);
-        let first = store.simulate_point(&artifact, &trace, &machine, 10, 3);
-        let second = store.simulate_point(&artifact, &trace, &machine, 10, 3);
+        let first = store.simulate_point(&artifact, &machine, 10, 3);
+        let second = store.simulate_point(&artifact, &machine, 10, 3);
         assert!(!first.cached);
         assert!(second.cached);
         let direct = simulate_trace(&artifact.profile.generate(10, 3), &machine);
@@ -449,7 +410,7 @@ mod tests {
         assert_eq!(first.instructions, direct.instructions);
         assert_eq!(first.ipc.to_bits(), direct.ipc().to_bits());
         // A different machine is a different key.
-        let other = store.simulate_point(&artifact, &trace, &MachineConfig::baseline(), 10, 3);
+        let other = store.simulate_point(&artifact, &MachineConfig::baseline(), 10, 3);
         assert!(!other.cached);
     }
 
@@ -458,14 +419,12 @@ mod tests {
         let store = isolated_store();
         let artifact = store.profile(&small_params()).unwrap();
         let machine = MachineConfig::baseline().with_window(96);
-        let fused = store.simulate_point_fused(&artifact, &machine, 10, 5);
+        let fused = store.simulate_point(&artifact, &machine, 10, 5);
         assert!(!fused.cached);
-        let trace = artifact.sampler(10).generate(5);
-        // One key space: the materialised path answers from the cache
-        // entry the fused path just filled.
-        let hit = store.simulate_point(&artifact, &trace, &machine, 10, 5);
+        // A repeat answers from the entry the first call filled.
+        let hit = store.simulate_point(&artifact, &machine, 10, 5);
         assert!(hit.cached);
-        let direct = simulate_trace(&trace, &machine);
+        let direct = simulate_trace(&artifact.profile.generate(10, 5), &machine);
         assert_eq!(fused.cycles, direct.cycles);
         assert_eq!(fused.instructions, direct.instructions);
         assert_eq!(fused.ipc.to_bits(), direct.ipc().to_bits());

@@ -307,12 +307,19 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).unwrap();
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run of plain bytes up to the next
+                    // quote or backslash in one step. Both are ASCII, so
+                    // they never fall inside a multi-byte scalar and the
+                    // run of a `&str` input is valid UTF-8.
+                    let run = &self.bytes[self.pos..];
+                    let len = run
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(run.len());
+                    let text = std::str::from_utf8(&run[..len])
+                        .map_err(|_| format!("invalid UTF-8 at offset {}", self.pos))?;
+                    out.push_str(text);
+                    self.pos += len;
                 }
             }
         }
@@ -427,6 +434,32 @@ mod tests {
     fn deep_nesting_is_rejected_not_fatal() {
         let deep = "[".repeat(1000) + &"]".repeat(1000);
         assert!(Json::parse(&deep).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        use crate::proto::{Envelope, Request};
+        // A 1 MiB source (the server's default size cap) with multi-byte
+        // scalars and escapes spread through it.
+        let line = ".text ; é ∑ \"q\" \\ tab\t\n".repeat(1 << 16);
+        let source = line[..line.floor_char_boundary(1 << 20)].to_string();
+        let text = Envelope {
+            id: 1,
+            deadline_ms: None,
+            job: None,
+            req: Request::Assemble {
+                source: source.clone(),
+            },
+        }
+        .render();
+        let start = std::time::Instant::now();
+        let parsed = Envelope::parse(&text).unwrap();
+        let took = start.elapsed();
+        match parsed.req {
+            Request::Assemble { source: s } => assert_eq!(s, source),
+            other => panic!("wrong kind: {other:?}"),
+        }
+        assert!(took.as_secs_f64() < 2.0, "1 MiB string took {took:?}");
     }
 
     #[test]

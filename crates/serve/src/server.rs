@@ -467,7 +467,7 @@ impl Shared {
                 OBS_REQ_SIMULATE.inc();
                 let artifact = self.store.profile(profile)?;
                 let cfg = machine.resolve();
-                let point = self.store.simulate_point_fused(&artifact, &cfg, *r, *seed);
+                let point = self.store.simulate_point(&artifact, &cfg, *r, *seed);
                 let mut payload = vec![("profile_hash", Json::hex_u64(artifact.hash))];
                 if let Json::Obj(pairs) = point.to_json() {
                     for (k, v) in pairs {
@@ -628,7 +628,7 @@ impl Shared {
             let base = results.len();
             results.extend(ssim_par::par_map(batch, |&(m, s)| {
                 self.store
-                    .simulate_point_fused(&artifact, &configs[m], r, seeds[s])
+                    .simulate_point(&artifact, &configs[m], r, seeds[s])
             }));
             for (offset, point) in results[base..].iter().enumerate() {
                 emit(base + offset, point);

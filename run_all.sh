@@ -71,6 +71,9 @@ serve fleet bench
 # fault-injecting backends with the zero-lost/zero-duplicated ack gate;
 # writes results/BENCH_load.json for perf_report's "load" section.
 ./ci.sh load || exit 1
+# The repository benchmark's self-tests: short sweep, study and serve
+# runs checked against their pinned output digests.
+./ci.sh perfbench || exit 1
 # Surrogate-guided design-space planner vs exhaustive truth on the
 # quick §4.6 space; writes results/BENCH_dse.json for perf_report.
 run dse                       SSIM_QUICK=1
