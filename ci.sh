@@ -11,8 +11,9 @@
 #   ./ci.sh build      # release build, all targets
 #   ./ci.sh test       # full test suite
 #   ./ci.sh smoke      # serve + fleet loopback end-to-end, the
-#                      # fused-engine identity/throughput bench, and the
-#                      # 2-thread sweep-scaling smoke (SSIM_QUICK)
+#                      # fused-engine identity/throughput bench, the
+#                      # 2-thread sweep-scaling smoke, and the §4.6
+#                      # sweep diffed at 1 vs 2 threads (SSIM_QUICK)
 #   ./ci.sh asm        # assembler front-end: corpus assembles through
 #                      # the real CLI, native workloads re-emit to
 #                      # identical streams, parser fuzz smoke
@@ -72,7 +73,28 @@ do_smoke() {
   # record the curve without enforcing.
   stage "scaling (2-thread sweep smoke)"
   SSIM_QUICK=1 SSIM_THREADS=2 cargo run --release -q -p ssim-bench --bin scaling
+  # Thread determinism: the §4.6 exhibit must print the same bytes at
+  # 1 and 2 threads, so per-thread engine state (working buffers, the
+  # walk an engine keeps for its next point) can never leak into
+  # results.
+  stage "sec46_design_space (1 vs 2 threads, byte-identical)"
+  sec46_thread_diff
 }
+
+# Runs sec46_design_space at 1 and at 2 threads with quick budgets and
+# diffs the two reports. A subshell, so the EXIT trap always removes
+# the temp dir, pass or fail.
+sec46_thread_diff() (
+  set -euo pipefail
+  tmp="$(mktemp -d)"
+  trap 'rm -rf "$tmp"' EXIT
+  for t in 1 2; do
+    SSIM_QUICK=1 SSIM_PROFILE_INSTR=300000 SSIM_EDS_INSTR=200000 SSIM_SKIP=100000 \
+      SSIM_THREADS="$t" cargo run --release -q -p ssim-bench --bin sec46_design_space \
+      >"$tmp/threads$t.txt"
+  done
+  diff "$tmp/threads1.txt" "$tmp/threads2.txt"
+)
 
 do_asm() {
   # Assembler front-end gate. Three layers: every shipped corpus

@@ -90,7 +90,7 @@ fn main() {
     // The sec46 shape: one synthetic trace, many machine points. The
     // lowering goes through the sharded sampler cache like every sweep
     // bin, so this is the production path being measured.
-    let trace = ssim_bench::sampler_cached(&profiles[0], ssim_bench::DEFAULT_R).generate(1);
+    let sampler = ssim_bench::sampler_cached(&profiles[0], ssim_bench::DEFAULT_R);
     let points: Vec<MachineConfig> = [1usize, 2, 4, 8]
         .iter()
         .flat_map(|&w| {
@@ -103,13 +103,13 @@ fn main() {
     // points (the same shape the sweep bins use).
     let t = Instant::now();
     let serial = par_map_with(1, &points, |cfg| {
-        ssim_bench::with_engine(|e| e.simulate(&trace, cfg)).cycles
+        ssim_bench::with_engine(|e| e.simulate_fused(&sampler, 1, cfg)).cycles
     });
     let sweep_serial_s = t.elapsed().as_secs_f64();
 
     let t = Instant::now();
     let parallel = par_map_with(threads, &points, |cfg| {
-        ssim_bench::with_engine(|e| e.simulate(&trace, cfg)).cycles
+        ssim_bench::with_engine(|e| e.simulate_fused(&sampler, 1, cfg)).cycles
     });
     let sweep_parallel_s = t.elapsed().as_secs_f64();
 

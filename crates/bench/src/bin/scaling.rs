@@ -6,9 +6,9 @@
 //! For each thread count in the curve the binary sweeps the same
 //! point set over one shared synthetic trace (the `sec46_design_space`
 //! shape: one lowering via the sharded sampler cache, per-worker
-//! engine buffers, chunked work-stealing claims), records wall-clock,
-//! speedup vs the 1-thread run, and parallel efficiency
-//! (`speedup / threads`), and asserts the swept results are
+//! engines that walk the trace once, chunked work-stealing claims),
+//! records wall-clock, speedup vs the 1-thread run, and parallel
+//! efficiency (`speedup / threads`), and asserts the swept results are
 //! **byte-identical** across every thread count.
 //!
 //! Two tiers share the binary:
@@ -114,14 +114,7 @@ fn main() {
         .expect("at least one workload");
     let profile = profiled(&MachineConfig::baseline(), workload, &budget);
     let r = (profile.instructions() / 40_000).max(1);
-    let trace = ssim_bench::sampler_cached(&profile, r).generate(1);
-    println!(
-        "{} design points, workload {}, R = {r}, trace {} instrs, \
-         threads {thread_list:?} (host parallelism {avail}), best of {reps}",
-        points.len(),
-        workload.name(),
-        trace.len(),
-    );
+    let sampler = ssim_bench::sampler_cached(&profile, r);
 
     // Digest the full result set (cycles, instructions, IPC bits) so
     // "byte-identical across thread counts" is checked on everything a
@@ -132,7 +125,7 @@ fn main() {
         for _ in 0..reps {
             let t0 = Instant::now();
             let res = par_map_with(threads, &points, |cfg| {
-                let sim = ssim_bench::with_engine(|e| e.simulate(&trace, cfg));
+                let sim = ssim_bench::with_engine(|e| e.simulate_fused(&sampler, 1, cfg));
                 (sim.cycles, sim.instructions, sim.ipc().to_bits())
             });
             let wall = t0.elapsed().as_secs_f64();
@@ -156,6 +149,13 @@ fn main() {
     // Warm pass (untimed): page in the trace and code paths.
     let (baseline_res, _) = sweep(1);
     let baseline_digest = digest_of(&baseline_res);
+    println!(
+        "{} design points, workload {}, R = {r}, trace {} instrs, \
+         threads {thread_list:?} (host parallelism {avail}), best of {reps}",
+        points.len(),
+        workload.name(),
+        baseline_res[0].1, // every point commits the whole trace
+    );
 
     let mut curve: Vec<CurvePoint> = Vec::new();
     let mut wall_1t = f64::NAN;

@@ -34,17 +34,15 @@ fn main() {
         let program = w.program();
         let p = profiled(&MachineConfig::baseline(), w, &budget);
         let r = (p.instructions() / trace_target).max(1);
-        // One trace serves every design point, so materialise it once
-        // (off the shared compiled sampler) instead of regenerating
-        // per point on the fused path.
-        let trace = ssim_bench::sampler_cached(&p, r).generate(1);
+        let sampler = ssim_bench::sampler_cached(&p, r);
 
         // Statistical sweep of the whole space, fanned out across
         // cores; par_map preserves point order, so the sort below sees
         // the same tie-break order as the serial sweep did. Each worker
-        // thread reuses one engine's buffers across its points.
+        // thread's engine walks once and reuses the trace across its
+        // points.
         let mut evaluated: Vec<(f64, usize)> = par_map(&points, |cfg| {
-            let res = ssim_bench::with_engine(|e| e.simulate(&trace, cfg));
+            let res = ssim_bench::with_engine(|e| e.simulate_fused(&sampler, 1, cfg));
             edp_of(&res, cfg)
         })
         .into_iter()

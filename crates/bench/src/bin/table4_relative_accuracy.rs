@@ -11,7 +11,7 @@
 use ssim::prelude::*;
 use ssim::uarch::Unit;
 use ssim::workloads::Workload;
-use ssim_bench::{banner, par_map, profile_cached, workloads, Budget, DEFAULT_R};
+use ssim_bench::{banner, par_map, profile_cached, with_engine, workloads, Budget, DEFAULT_R};
 
 /// All metrics we can extract from one run.
 const METRICS: &[&str] = &[
@@ -155,11 +155,9 @@ fn run_axis(axis: &Axis, suite: &[&Workload], budget: &Budget) {
     let n_points = axis.points.len();
     let mut res: Vec<Vec<Vec<f64>>> = vec![vec![Vec::new(); n_points - 1]; METRICS.len()];
 
-    // One profile + one synthetic trace per workload when the locality
-    // structures are shared by all points. The trace depends only on
-    // the profile and the generation seed, so it is generated once here
-    // instead of once per design point.
-    let shared_traces: Vec<Option<SyntheticTrace>> = suite
+    // One profile + one compiled sampler per workload when the
+    // locality structures are shared by all points.
+    let shared_samplers: Vec<Option<_>> = suite
         .iter()
         .map(|w| {
             (!axis.reprofile).then(|| {
@@ -169,7 +167,7 @@ fn run_axis(axis: &Axis, suite: &[&Workload], budget: &Budget) {
                         .skip(budget.skip)
                         .instructions(budget.profile),
                 );
-                ssim_bench::sampler_cached(&p, DEFAULT_R).generate(1)
+                ssim_bench::sampler_cached(&p, DEFAULT_R)
             })
         })
         .collect();
@@ -186,8 +184,8 @@ fn run_axis(axis: &Axis, suite: &[&Workload], budget: &Budget) {
         let mut sim = ExecSim::new(cfg, &program);
         sim.skip(budget.skip);
         let eds = sim.run(budget.eds);
-        let ss = match &shared_traces[wi] {
-            Some(trace) => simulate_trace(trace, cfg),
+        let ss = match &shared_samplers[wi] {
+            Some(sampler) => with_engine(|e| e.simulate_fused(sampler, 1, cfg)),
             None => {
                 let p = profile_cached(
                     w,
@@ -195,7 +193,7 @@ fn run_axis(axis: &Axis, suite: &[&Workload], budget: &Budget) {
                         .skip(budget.skip)
                         .instructions(budget.profile),
                 );
-                simulate_trace(&p.generate(DEFAULT_R, 1), cfg)
+                with_engine(|e| e.simulate_fused(&p.compile(DEFAULT_R), 1, cfg))
             }
         };
         (metrics(&eds, cfg), metrics(&ss, cfg))

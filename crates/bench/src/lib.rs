@@ -221,6 +221,13 @@ thread_local! {
 /// Runs `f` with this thread's reusable [`SimEngine`], so sweep loops
 /// keep one set of simulator working buffers per worker thread instead
 /// of reallocating per design point.
+///
+/// The engine also keeps its last fused walk: consecutive
+/// `simulate_fused` calls on one thread with the same `(sampler, seed)`
+/// walk once and rerun only the driver. Sweeps get the most from this
+/// by ordering their points `(sampler, seed)`-major, so each
+/// [`par_map`] worker's contiguous chunk shares one walk. Results never
+/// depend on the order.
 pub fn with_engine<T>(f: impl FnOnce(&mut SimEngine) -> T) -> T {
     ENGINE.with(|e| f(&mut e.borrow_mut()))
 }

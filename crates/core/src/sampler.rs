@@ -40,6 +40,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use ssim_isa::InstrClass;
 use ssim_stats::CompiledHistogram;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 static OBS_COMPILE_TIME: ssim_obs::TimerStat = ssim_obs::TimerStat::new("sampler.compile_time");
 static OBS_TABLE_NODES: ssim_obs::Gauge = ssim_obs::Gauge::new("sampler.nodes");
@@ -453,7 +454,15 @@ pub struct CompiledSampler {
     /// Expected instruction count (plus slack), used to reserve the
     /// trace vector up front.
     instr_hint: usize,
+    /// Process-unique identity of this lowering, shared by its clones
+    /// (the tables are immutable, so a clone walks identically). Keys
+    /// the [`SimEngine`](crate::SimEngine)'s walk reuse; never part of
+    /// [`CompiledSampler::lowering_digest`].
+    pub(crate) id: u64,
 }
+
+/// Source of [`CompiledSampler::id`]s: one per lowering, never reused.
+static NEXT_SAMPLER_ID: AtomicU64 = AtomicU64::new(0);
 
 impl StatisticalProfile {
     /// Lowers the profile for reduction factor `r` into a reusable
@@ -643,6 +652,7 @@ impl CompiledSampler {
             hot_succ,
             budget,
             instr_hint,
+            id: NEXT_SAMPLER_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
 

@@ -13,7 +13,8 @@
 //!
 //! Callers running many simulations (design-space sweeps, convergence
 //! studies) should hold a [`SimEngine`] and reuse its working memory
-//! across runs instead of calling the free functions in a loop.
+//! across runs instead of calling the free functions in a loop (an
+//! engine also reuses its last fused walk; see [`SimEngine`]).
 
 use crate::sampler::EmitSink;
 use crate::synth::{PackedInstr, SyntheticInstr, SyntheticOutcome, SyntheticTrace};
@@ -32,6 +33,7 @@ static OBS_WRONG_PATH_INJECTED: ssim_obs::Counter =
     ssim_obs::Counter::new("tracesim.wrong_path_injected");
 static OBS_WRONG_PATH_SQUASHED: ssim_obs::Counter =
     ssim_obs::Counter::new("tracesim.wrong_path_squashed");
+static OBS_WALKS_REUSED: ssim_obs::Counter = ssim_obs::Counter::new("tracesim.walks_reused");
 static OBS_FETCH_OCCUPANCY: ssim_obs::LogHistogram =
     ssim_obs::LogHistogram::new("tracesim.fetch_ifq_occupancy");
 static OBS_DISPATCH_PER_CYCLE: ssim_obs::LogHistogram =
@@ -78,7 +80,9 @@ pub fn simulate_trace(trace: &SyntheticTrace, cfg: &MachineConfig) -> SimResult 
 /// The result — every field of [`SimResult`], bit for bit — equals
 /// `simulate_trace(&sampler.generate(seed), cfg)`. Generation is timed
 /// by the `synth.time` observability timer and simulation by
-/// `tracesim.time`, as on the generate-then-simulate path.
+/// `tracesim.time`, as on the generate-then-simulate path. A fresh
+/// engine walks on every call; hold a [`SimEngine`] to reuse the walk
+/// across machine points.
 ///
 /// # Panics
 ///
@@ -120,12 +124,26 @@ impl EmitSink for PackedSink<'_> {
 /// (design-space sweeps simulate thousands of points) allocate nothing
 /// after warm-up. A fresh engine per call is exactly the free
 /// functions' behaviour; reuse changes no results, only allocation
-/// traffic.
+/// and walk traffic.
 ///
 /// The word buffer holds the whole trace: 8 bytes per synthetic
 /// instruction, plus one sideband byte on the fused path. Traces are
 /// short by design (1/R of the profiled stream), so this stays in the
 /// tens to hundreds of KiB.
+///
+/// **Walk reuse.** The engine remembers which `(sampler, seed)` wrote
+/// its packed words. A [`SimEngine::simulate_fused`] call with the same
+/// pair skips the walk and reruns only the driver, so a sweep that
+/// visits every machine point of one `(sampler, seed)` in a row walks
+/// once. This is sound because the walk reads only the sampler's tables
+/// and the seed, never the [`MachineConfig`], and the driver only reads
+/// the words. The sampler half of the key is a process-unique id
+/// assigned at lowering and shared by clones — not an address (a freed
+/// sampler's address can come back holding another profile) and not a
+/// hash of the tables (not collision-resistant). The key is cleared
+/// before a walk starts and by [`SimEngine::simulate`], so a panic
+/// mid-walk or an unfused call never leaves a stale hit. Reuses count
+/// in the `tracesim.walks_reused` observability counter.
 #[derive(Debug, Default)]
 pub struct SimEngine {
     scratch: CoreScratch,
@@ -135,6 +153,9 @@ pub struct SimEngine {
     /// One byte per instruction, `class.has_dest()`, for the walk's
     /// dependency-retry probe on the fused path.
     has_dest: Vec<u8>,
+    /// `(sampler id, seed)` of the walk `packed` holds; `None` when
+    /// `packed` holds anything else (or nothing complete).
+    walked: Option<(u64, u64)>,
 }
 
 impl SimEngine {
@@ -154,6 +175,7 @@ impl SimEngine {
         // Hand-built traces may carry dependency distances outside the
         // generator's range — those clamp to `1..=MAX_DEP_DISTANCE`,
         // the range the wire format represents.
+        self.walked = None;
         self.packed.clear();
         self.packed.extend(
             trace
@@ -165,6 +187,10 @@ impl SimEngine {
     }
 
     /// Generates and simulates in one call (see [`simulate_fused`]).
+    /// If this engine's last call was `simulate_fused` with the same
+    /// `(sampler, seed)` — the same lowering or a clone of it — the walk
+    /// is skipped and only the driver runs (see the type docs); the
+    /// result is the same either way.
     ///
     /// # Panics
     ///
@@ -176,13 +202,20 @@ impl SimEngine {
         seed: u64,
         cfg: &MachineConfig,
     ) -> SimResult {
-        self.packed.clear();
-        self.has_dest.clear();
-        let mut sink = PackedSink {
-            words: &mut self.packed,
-            has_dest: &mut self.has_dest,
-        };
-        sampler.emit_walk(seed, &mut sink);
+        let key = (sampler.id, seed);
+        if self.walked == Some(key) {
+            OBS_WALKS_REUSED.inc();
+        } else {
+            self.walked = None;
+            self.packed.clear();
+            self.has_dest.clear();
+            let mut sink = PackedSink {
+                words: &mut self.packed,
+                has_dest: &mut self.has_dest,
+            };
+            sampler.emit_walk(seed, &mut sink);
+            self.walked = Some(key);
+        }
         self.run(cfg)
     }
 

@@ -9,14 +9,21 @@
 //! The chain `reference == unfused == fused` is what lets the sweep
 //! infrastructure take the fused path without perturbing a single
 //! published number.
+//!
+//! The engine's walk reuse (a fused call at the `(sampler, seed)` the
+//! engine last walked reruns only the driver) is held to the same
+//! contract: every result on a long-lived engine equals a fresh
+//! engine's, whatever mix of samplers, seeds, clones, re-lowerings and
+//! unfused calls came before it.
 
 use proptest::prelude::*;
 use ssim_core::{
-    profile, simulate_trace, simulate_trace_reference, BranchProfileMode, ProfileConfig, SimEngine,
-    StatisticalProfile,
+    profile, simulate_trace, simulate_trace_reference, BranchProfileMode, CompiledSampler,
+    ProfileConfig, SimEngine, StatisticalProfile,
 };
 use ssim_isa::{Assembler, Program, Reg};
 use ssim_uarch::MachineConfig;
+use std::sync::OnceLock;
 
 /// The machine grid the equivalence chain is checked on: the paper's
 /// baseline plus narrower / smaller-window / in-order variants, which
@@ -120,6 +127,91 @@ fn fused_empty_budget_matches_unfused() {
     assert_eq!(fused.cycles, 1);
 }
 
+/// Reduction factor of the walk-reuse tests: ~3k-instruction traces.
+const REUSE_R: u64 = 20;
+
+/// Profiles of two workloads for the walk-reuse tests, built once per
+/// test binary.
+fn reuse_profiles() -> &'static [StatisticalProfile; 2] {
+    static PROFILES: OnceLock<[StatisticalProfile; 2]> = OnceLock::new();
+    PROFILES.get_or_init(|| {
+        ["gcc", "bzip2"].map(|name| {
+            let w = ssim_workloads::by_name(name).expect("suite workload");
+            profile(
+                &w.program(),
+                &ProfileConfig::new(&MachineConfig::baseline())
+                    .order(1)
+                    .instructions(60_000),
+            )
+        })
+    })
+}
+
+/// What a fresh engine returns for `(sampler, seed, cfg)`: the trace
+/// materialised and simulated on its own.
+fn fresh(sampler: &CompiledSampler, seed: u64, cfg: &MachineConfig) -> ssim_uarch::SimResult {
+    simulate_trace(&sampler.generate(seed), cfg)
+}
+
+/// One engine through a schedule that mixes everything that could leave
+/// a stale walk behind: runs at one `(sampler, seed)` (the reuse path),
+/// calls that alternate samplers and seeds every time, an unfused call
+/// between two fused calls at the same key, a clone, and samplers
+/// dropped with another profile lowered in their place.
+#[test]
+fn walk_reuse_matches_fresh_engines_on_an_interleaved_schedule() {
+    let [gcc_p, bzip2_p] = reuse_profiles();
+    let cfgs = machines();
+    let gcc = gcc_p.compile(REUSE_R);
+    let bzip2 = bzip2_p.compile(REUSE_R);
+    let mut engine = SimEngine::new();
+    let check = |engine: &mut SimEngine, s: &CompiledSampler, seed: u64, c: usize, label: &str| {
+        assert_eq!(
+            engine.simulate_fused(s, seed, &cfgs[c]),
+            fresh(s, seed, &cfgs[c]),
+            "{label} seed={seed} cfg#{c}"
+        );
+    };
+
+    // (sampler, seed)-major: every machine after the first reuses.
+    for (name, s) in [("gcc", &gcc), ("bzip2", &bzip2)] {
+        for seed in [1u64, 2] {
+            for c in 0..cfgs.len() {
+                check(&mut engine, s, seed, c, name);
+            }
+        }
+    }
+    // Machine-major: the key changes on every call.
+    for c in 0..cfgs.len() {
+        for seed in [1u64, 2] {
+            for (name, s) in [("gcc", &gcc), ("bzip2", &bzip2)] {
+                check(&mut engine, s, seed, c, name);
+            }
+        }
+    }
+    // An unfused call overwrites the words, so the next fused call at
+    // the key before it must walk again.
+    check(&mut engine, &gcc, 1, 0, "before unfused");
+    let other = bzip2.generate(2);
+    assert_eq!(
+        engine.simulate(&other, &cfgs[1]),
+        simulate_trace(&other, &cfgs[1])
+    );
+    check(&mut engine, &gcc, 1, 2, "after unfused");
+    // A clone shares the tables, and so the walk.
+    let gcc_clone = gcc.clone();
+    check(&mut engine, &gcc_clone, 1, 3, "clone");
+    check(&mut engine, &gcc, 2, 3, "original after clone");
+    check(&mut engine, &gcc_clone, 2, 0, "clone after original");
+    // Samplers lowered one after another into the same stack slot,
+    // alternating profiles: each drop may free memory the next lowering
+    // reuses, so an address-keyed engine would replay a stale walk.
+    for (i, p) in [gcc_p, bzip2_p, gcc_p, bzip2_p].into_iter().enumerate() {
+        let s = p.compile(REUSE_R);
+        check(&mut engine, &s, 1, i % cfgs.len(), "relowered");
+    }
+}
+
 /// A small but branchy program driven by the given PRNG seed (xorshift
 /// over a table, with a data-dependent skip branch) — the same shape
 /// the compiled-sampler equivalence suite uses.
@@ -183,5 +275,49 @@ proptest! {
         prop_assert_eq!(&simulate_trace_reference(&trace, &cfg), &unfused);
         prop_assert_eq!(&unfused, &fused);
         prop_assert_eq!(&fused, &simulate_trace(&trace, &cfg));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Walk reuse over random schedules on one engine. Each op is
+    /// `(kind, slot, seed, machine)` over three sampler slots: kind 0
+    /// re-lowers the slot from the other profile (dropping the old
+    /// sampler), 1 is an unfused call on the slot's trace, 2 a fused
+    /// call through a fresh clone, anything else a fused call. Every
+    /// result must equal a fresh engine's.
+    #[test]
+    fn walk_reuse_matches_fresh_engines_on_random_schedules(
+        ops in prop::collection::vec((0u8..6, 0usize..3, 1u64..3, 0usize..4), 1..32),
+    ) {
+        let profiles = reuse_profiles();
+        let cfgs = machines();
+        let mut which = [0usize, 1, 0];
+        let mut slots: Vec<CompiledSampler> =
+            which.iter().map(|&p| profiles[p].compile(REUSE_R)).collect();
+        let mut engine = SimEngine::new();
+        for (kind, slot, seed, m) in ops {
+            let cfg = &cfgs[m];
+            match kind {
+                0 => {
+                    which[slot] ^= 1;
+                    slots[slot] = profiles[which[slot]].compile(REUSE_R);
+                }
+                1 => {
+                    let t = slots[slot].generate(seed);
+                    prop_assert_eq!(&engine.simulate(&t, cfg), &simulate_trace(&t, cfg));
+                }
+                2 => {
+                    let clone = slots[slot].clone();
+                    let got = engine.simulate_fused(&clone, seed, cfg);
+                    prop_assert_eq!(&got, &fresh(&clone, seed, cfg));
+                }
+                _ => {
+                    let got = engine.simulate_fused(&slots[slot], seed, cfg);
+                    prop_assert_eq!(&got, &fresh(&slots[slot], seed, cfg));
+                }
+            }
+        }
     }
 }

@@ -259,6 +259,13 @@ fn overload_returns_backpressure_not_blocking() {
         .call_retry(&Request::Profile(profile.clone()), None, 50)
         .unwrap();
     assert!(resp.ok);
+    // The worker replies before it counts the warm job finished, so
+    // wait for it to go idle: otherwise the warm job's in-flight count
+    // satisfies the blocker wait below while the blocker still sits in
+    // the queue, taking one of the burst's two slots.
+    util::wait_until("worker finishes the warm job", || {
+        server.queue_stats() == (0, 0)
+    });
 
     // Pin the single worker with a slow job — an uncached profiling
     // pass orders of magnitude longer than the submit loop below — so
