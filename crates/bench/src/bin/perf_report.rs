@@ -107,6 +107,9 @@ fn main() {
     });
     let sweep_serial_s = t.elapsed().as_secs_f64();
 
+    // At one thread the parallel pass runs on this thread too: start it
+    // from a fresh engine, or the serial pass's kept results answer it.
+    ssim_bench::with_engine(|e| *e = SimEngine::new());
     let t = Instant::now();
     let parallel = par_map_with(threads, &points, |cfg| {
         ssim_bench::with_engine(|e| e.simulate_fused(&sampler, 1, cfg)).cycles
@@ -214,9 +217,8 @@ fn main() {
     );
 
     let names: Vec<String> = suite.iter().map(|w| format!("\"{}\"", w.name())).collect();
-    let avail = ssim_bench::available_parallelism();
     let json = format!(
-        "{{\n  \"threads\": {threads},\n  \"available_parallelism\": {avail},\n  \
+        "{{\n  {},\n  \
          \"workloads\": [{}],\n  \
          \"corpus_asm\": {{\"programs\": {}, \"static_instructions\": {corpus_static}, \
          \"assemble_s\": {corpus_asm_s:.6}}},\n  \
@@ -236,6 +238,7 @@ fn main() {
          \"scaling\": {scaling_section},\n  \
          \"load\": {load_section},\n  \
          \"stages\": {stages}\n}}\n",
+        ssim_bench::host_header_json(),
         names.join(", "),
         ssim::workloads::CORPUS_SOURCES.len(),
         cold.0,

@@ -6,10 +6,11 @@
 //! For each thread count in the curve the binary sweeps the same
 //! point set over one shared synthetic trace (the `sec46_design_space`
 //! shape: one lowering via the sharded sampler cache, per-worker
-//! engines that walk the trace once, chunked work-stealing claims),
-//! records wall-clock, speedup vs the 1-thread run, and parallel
-//! efficiency (`speedup / threads`), and asserts the swept results are
-//! **byte-identical** across every thread count.
+//! engines that walk the trace once and reuse results across RUU/LSQ
+//! sizes, chunked work-stealing claims; every timed rep starts from
+//! fresh engines), records wall-clock, speedup vs the 1-thread run,
+//! and parallel efficiency (`speedup / threads`), and asserts the
+//! swept results are **byte-identical** across every thread count.
 //!
 //! Two tiers share the binary:
 //!
@@ -123,6 +124,11 @@ fn main() {
         let mut best = f64::INFINITY;
         let mut out = Vec::new();
         for _ in 0..reps {
+            // Every rep starts cold. With one thread `par_map` runs on
+            // this thread, whose engine would otherwise still hold the
+            // previous pass's results and answer the whole sweep from
+            // them (wider runs get fresh worker threads anyway).
+            ssim_bench::with_engine(|e| *e = SimEngine::new());
             let t0 = Instant::now();
             let res = par_map_with(threads, &points, |cfg| {
                 let sim = ssim_bench::with_engine(|e| e.simulate_fused(&sampler, 1, cfg));

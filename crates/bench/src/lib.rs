@@ -224,10 +224,16 @@ thread_local! {
 ///
 /// The engine also keeps its last fused walk: consecutive
 /// `simulate_fused` calls on one thread with the same `(sampler, seed)`
-/// walk once and rerun only the driver. Sweeps get the most from this
-/// by ordering their points `(sampler, seed)`-major, so each
-/// [`par_map`] worker's contiguous chunk shares one walk. Results never
-/// depend on the order.
+/// walk once and rerun only the driver. On that walk it keeps earlier
+/// results too, and answers a machine that differs from a kept one only
+/// in RUU/LSQ sizes neither run filled without running the driver (see
+/// [`SimEngine`]). Sweeps get the most from this by ordering their
+/// points `(sampler, seed)`-major, so each [`par_map`] worker's
+/// contiguous chunk shares one walk and its kept results. Results never
+/// depend on the order. A timing loop that reruns the same points on
+/// this thread must start each timed pass with a fresh engine
+/// (`with_engine(|e| *e = SimEngine::new())`), or the kept results
+/// answer the pass.
 pub fn with_engine<T>(f: impl FnOnce(&mut SimEngine) -> T) -> T {
     ENGINE.with(|e| f(&mut e.borrow_mut()))
 }
@@ -241,17 +247,29 @@ pub fn ss(profile: &StatisticalProfile, machine: &MachineConfig, seed: u64) -> S
     with_engine(|e| e.simulate_fused(&sampler, seed, machine))
 }
 
-/// The host-parallelism header fields every `BENCH_*.json` carries, as
-/// a JSON fragment (no braces): the effective worker-pool size and the
-/// machine's available parallelism. Recording both keeps the perf
-/// trajectory comparable across runs — a speedup measured with
-/// `threads > available_parallelism` is oversubscription, not scaling.
+/// The host header fields every `BENCH_*.json` carries, as a JSON
+/// fragment (no braces): the effective worker-pool size, the machine's
+/// available parallelism and the `SSIM_METRICS` mode. Recording them
+/// keeps the perf trajectory comparable across runs — a speedup
+/// measured with `threads > available_parallelism` is oversubscription,
+/// not scaling, and timings taken with metrics recording are slower
+/// than with them off.
 pub fn host_header_json() -> String {
     format!(
-        "\"threads\": {}, \"available_parallelism\": {}",
+        "\"threads\": {}, \"available_parallelism\": {}, \"metrics\": \"{}\"",
         num_threads(),
-        available_parallelism()
+        available_parallelism(),
+        metrics_mode()
     )
+}
+
+/// `SSIM_METRICS`'s mode as the host header records it.
+fn metrics_mode() -> &'static str {
+    match ssim_obs::mode() {
+        ssim_obs::Mode::Off => "off",
+        ssim_obs::Mode::Text => "text",
+        ssim_obs::Mode::Json => "json",
+    }
 }
 
 /// Formats a percentage.

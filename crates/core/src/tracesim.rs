@@ -14,7 +14,8 @@
 //! Callers running many simulations (design-space sweeps, convergence
 //! studies) should hold a [`SimEngine`] and reuse its working memory
 //! across runs instead of calling the free functions in a loop (an
-//! engine also reuses its last fused walk; see [`SimEngine`]).
+//! engine also reuses its last fused walk, and results across RUU/LSQ
+//! sizes on it; see [`SimEngine`]).
 
 use crate::sampler::EmitSink;
 use crate::synth::{PackedInstr, SyntheticInstr, SyntheticOutcome, SyntheticTrace};
@@ -34,6 +35,7 @@ static OBS_WRONG_PATH_INJECTED: ssim_obs::Counter =
 static OBS_WRONG_PATH_SQUASHED: ssim_obs::Counter =
     ssim_obs::Counter::new("tracesim.wrong_path_squashed");
 static OBS_WALKS_REUSED: ssim_obs::Counter = ssim_obs::Counter::new("tracesim.walks_reused");
+static OBS_POINTS_REUSED: ssim_obs::Counter = ssim_obs::Counter::new("tracesim.points_reused");
 static OBS_FETCH_OCCUPANCY: ssim_obs::LogHistogram =
     ssim_obs::LogHistogram::new("tracesim.fetch_ifq_occupancy");
 static OBS_DISPATCH_PER_CYCLE: ssim_obs::LogHistogram =
@@ -81,8 +83,8 @@ pub fn simulate_trace(trace: &SyntheticTrace, cfg: &MachineConfig) -> SimResult 
 /// `simulate_trace(&sampler.generate(seed), cfg)`. Generation is timed
 /// by the `synth.time` observability timer and simulation by
 /// `tracesim.time`, as on the generate-then-simulate path. A fresh
-/// engine walks on every call; hold a [`SimEngine`] to reuse the walk
-/// across machine points.
+/// engine walks on every call; hold a [`SimEngine`] to reuse the walk,
+/// and results across RUU/LSQ sizes, across machine points.
 ///
 /// # Panics
 ///
@@ -115,6 +117,36 @@ impl EmitSink for PackedSink<'_> {
     }
 }
 
+/// Most results a [`SimEngine`] keeps for one walk. It stops keeping
+/// more when full (about 0.9 MiB, at under 1 KiB an entry): `ssim-serve`
+/// workers keep their engines for the life of the process.
+const KEPT_MAX: usize = 1024;
+
+/// An earlier fused result on the engine's current walk.
+#[derive(Debug)]
+struct Kept {
+    /// The machine it ran on, `ruu_size` and `lsq_size` zeroed.
+    masked: MachineConfig,
+    /// The `(ruu_size, lsq_size)` it ran with.
+    sizes: (usize, usize),
+    /// The run's [`Core::peak_occupancy`].
+    peak: (usize, usize),
+    result: SimResult,
+}
+
+impl Kept {
+    /// Whether a run on the same walk with `masked` and capacities
+    /// `sizes` must produce this result: the machines differ at most in
+    /// the two capacities, and for each capacity the new one is the old
+    /// one, or the peak stayed below both.
+    fn answers(&self, masked: &MachineConfig, sizes: (usize, usize)) -> bool {
+        let fits = |old: usize, new: usize, peak: usize| new == old || peak < old.min(new);
+        fits(self.sizes.0, sizes.0, self.peak.0)
+            && fits(self.sizes.1, sizes.1, self.peak.1)
+            && self.masked == *masked
+    }
+}
+
 /// A reusable synthetic-simulation engine.
 ///
 /// Owns every working buffer the simulator needs — the core's RUU
@@ -144,6 +176,21 @@ impl EmitSink for PackedSink<'_> {
 /// before a walk starts and by [`SimEngine::simulate`], so a panic
 /// mid-walk or an unfused call never leaves a stale hit. Reuses count
 /// in the `tracesim.walks_reused` observability counter.
+///
+/// **Capacity reuse.** For the walk it holds, the engine also keeps the
+/// results of earlier fused calls with each run's peak RUU and LSQ
+/// occupancy ([`Core::peak_occupancy`]). A call whose machine differs
+/// from a kept one only in `ruu_size`/`lsq_size` gets the kept result
+/// back without running the driver when, for each of the two
+/// capacities, `new == old || peak < min(old, new)`. This is exact: on
+/// this path the capacities are read only by the core's full-queue
+/// checks (and for array sizing, which never changes a result), so a
+/// run whose peaks stayed below both capacities takes the same branch
+/// at every check under either. The config is validated before the
+/// lookup, so an invalid one still panics. Kept results are dropped
+/// wherever the walk key is, and at most 1,024 are kept per walk.
+/// Hits count in `tracesim.points_reused` and record no `tracesim.*`
+/// time, instructions or cycles.
 #[derive(Debug, Default)]
 pub struct SimEngine {
     scratch: CoreScratch,
@@ -156,6 +203,8 @@ pub struct SimEngine {
     /// `(sampler id, seed)` of the walk `packed` holds; `None` when
     /// `packed` holds anything else (or nothing complete).
     walked: Option<(u64, u64)>,
+    /// Results of earlier fused calls on the walk `walked` names.
+    kept: Vec<Kept>,
 }
 
 impl SimEngine {
@@ -176,6 +225,7 @@ impl SimEngine {
         // generator's range — those clamp to `1..=MAX_DEP_DISTANCE`,
         // the range the wire format represents.
         self.walked = None;
+        self.kept.clear();
         self.packed.clear();
         self.packed.extend(
             trace
@@ -183,14 +233,17 @@ impl SimEngine {
                 .iter()
                 .map(|i| PackedInstr::pack_clamped(i).0),
         );
-        self.run(cfg)
+        self.run(cfg).0
     }
 
     /// Generates and simulates in one call (see [`simulate_fused`]).
     /// If this engine's last call was `simulate_fused` with the same
     /// `(sampler, seed)` — the same lowering or a clone of it — the walk
-    /// is skipped and only the driver runs (see the type docs); the
-    /// result is the same either way.
+    /// is skipped and only the driver runs; and if an earlier call on
+    /// that walk ran a machine that differs only in RUU/LSQ capacities
+    /// neither run could fill, its result is returned without running
+    /// the driver (see the type docs). The result is the same either
+    /// way.
     ///
     /// # Panics
     ///
@@ -202,11 +255,25 @@ impl SimEngine {
         seed: u64,
         cfg: &MachineConfig,
     ) -> SimResult {
+        // Before the lookup: an invalid config must panic even when a
+        // kept result would match it.
+        cfg.validate();
+        let masked = MachineConfig {
+            ruu_size: 0,
+            lsq_size: 0,
+            ..cfg.clone()
+        };
+        let sizes = (cfg.ruu_size, cfg.lsq_size);
         let key = (sampler.id, seed);
         if self.walked == Some(key) {
+            if let Some(k) = self.kept.iter().find(|k| k.answers(&masked, sizes)) {
+                OBS_POINTS_REUSED.inc();
+                return k.result.clone();
+            }
             OBS_WALKS_REUSED.inc();
         } else {
             self.walked = None;
+            self.kept.clear();
             self.packed.clear();
             self.has_dest.clear();
             let mut sink = PackedSink {
@@ -216,15 +283,25 @@ impl SimEngine {
             sampler.emit_walk(seed, &mut sink);
             self.walked = Some(key);
         }
-        self.run(cfg)
+        let (result, peak) = self.run(cfg);
+        if self.kept.len() < KEPT_MAX {
+            self.kept.push(Kept {
+                masked,
+                sizes,
+                peak,
+                result: result.clone(),
+            });
+        }
+        result
     }
 
-    /// Runs the driver over the packed words.
-    fn run(&mut self, cfg: &MachineConfig) -> SimResult {
+    /// Runs the driver over the packed words; returns the result and
+    /// the run's [`Core::peak_occupancy`].
+    fn run(&mut self, cfg: &MachineConfig) -> (SimResult, (usize, usize)) {
         let scratch = std::mem::take(&mut self.scratch);
-        let (result, scratch) = TraceSim::new(cfg, &self.packed, scratch).run();
+        let (result, peak, scratch) = TraceSim::new(cfg, &self.packed, scratch).run();
         self.scratch = scratch;
-        result
+        (result, peak)
     }
 }
 
@@ -274,7 +351,7 @@ impl<'a> TraceSim<'a> {
         self.cursor - self.ifq_head
     }
 
-    fn run(mut self) -> (SimResult, CoreScratch) {
+    fn run(mut self) -> (SimResult, (usize, usize), CoreScratch) {
         let _span = OBS_SIM_TIME.span();
         let mut last_progress = (0u64, 0u64);
         loop {
@@ -316,6 +393,7 @@ impl<'a> TraceSim<'a> {
         let instructions = self.core.committed();
         OBS_CYCLES.add(cycles);
         OBS_INSTRUCTIONS.add(instructions);
+        let peak = self.core.peak_occupancy();
         let (mut activity, ruu, lsq, scratch) = self.core.finish_reuse();
         activity.set_cycles(cycles);
         let result = SimResult {
@@ -328,7 +406,7 @@ impl<'a> TraceSim<'a> {
             cache: Default::default(),
             activity,
         };
-        (result, scratch)
+        (result, peak, scratch)
     }
 
     /// Fast-forwards over cycles in which provably nothing can happen.
@@ -750,6 +828,30 @@ mod tests {
     fn empty_trace_is_fine() {
         let r = simulate_trace(&SyntheticTrace::default(), &MachineConfig::baseline());
         assert_eq!(r.instructions, 0);
+    }
+
+    /// An engine that sees more distinct machines on one walk than it
+    /// may keep results for stops keeping at the cap; an entry stays
+    /// under 1 KiB.
+    #[test]
+    fn kept_results_are_bounded() {
+        assert!(std::mem::size_of::<Kept>() < 1024);
+        let w = ssim_workloads::by_name("gzip").expect("suite workload");
+        let p = crate::profile(
+            &w.program(),
+            &crate::ProfileConfig::new(&MachineConfig::baseline()).instructions(5_000),
+        );
+        // An empty walk, so every point is a trivial run.
+        let sampler = p.compile(u64::MAX);
+        let mut engine = SimEngine::new();
+        for redirect_latency in 0..KEPT_MAX as u64 + 8 {
+            let cfg = MachineConfig {
+                redirect_latency,
+                ..MachineConfig::baseline()
+            };
+            engine.simulate_fused(&sampler, 1, &cfg);
+        }
+        assert_eq!(engine.kept.len(), KEPT_MAX);
     }
 
     #[test]

@@ -11,10 +11,12 @@
 //! published number.
 //!
 //! The engine's walk reuse (a fused call at the `(sampler, seed)` the
-//! engine last walked reruns only the driver) is held to the same
-//! contract: every result on a long-lived engine equals a fresh
-//! engine's, whatever mix of samplers, seeds, clones, re-lowerings and
-//! unfused calls came before it.
+//! engine last walked reruns only the driver) and capacity reuse (a
+//! kept result answers a machine that differs only in RUU/LSQ sizes
+//! neither run filled) are held to the same contract: every result on a
+//! long-lived engine equals a fresh engine's, whatever mix of samplers,
+//! seeds, capacities, clones, re-lowerings and unfused calls came
+//! before it.
 
 use proptest::prelude::*;
 use ssim_core::{
@@ -212,6 +214,72 @@ fn walk_reuse_matches_fresh_engines_on_an_interleaved_schedule() {
     }
 }
 
+/// A run whose LSQ filled cannot answer a larger LSQ: the next point
+/// must run the driver, equal a fresh engine's result and differ from
+/// the filled run's.
+#[test]
+fn capacity_reuse_refuses_a_queue_that_filled() {
+    let [gcc_p, _] = reuse_profiles();
+    let gcc = gcc_p.compile(REUSE_R);
+    let tiny = MachineConfig {
+        lsq_size: 2,
+        ..MachineConfig::baseline()
+    };
+    let roomy = MachineConfig {
+        lsq_size: 32,
+        ..MachineConfig::baseline()
+    };
+    let mut engine = SimEngine::new();
+    let filled = engine.simulate_fused(&gcc, 1, &tiny);
+    assert_eq!(filled, fresh(&gcc, 1, &tiny));
+    let got = engine.simulate_fused(&gcc, 1, &roomy);
+    assert_eq!(got, fresh(&gcc, 1, &roomy));
+    assert_ne!(got, filled, "a 2-entry LSQ must throttle gcc");
+}
+
+/// The config is validated before the kept results are searched. Every
+/// capacity here is above the trace length, which no occupancy can
+/// exceed, so the valid run's result would answer the invalid machine
+/// if the lookup came first.
+#[test]
+#[should_panic(expected = "LSQ may not exceed the RUU")]
+fn invalid_config_panics_even_after_a_matching_run() {
+    let [gcc_p, _] = reuse_profiles();
+    let gcc = gcc_p.compile(REUSE_R);
+    let t = gcc.generate(1).len();
+    let valid = MachineConfig {
+        ruu_size: t + 3,
+        lsq_size: t + 2,
+        ..MachineConfig::baseline()
+    };
+    let mut engine = SimEngine::new();
+    engine.simulate_fused(&gcc, 1, &valid);
+    let invalid = MachineConfig {
+        ruu_size: t + 1,
+        ..valid
+    };
+    engine.simulate_fused(&gcc, 1, &invalid);
+}
+
+/// Machine `m` of a random schedule: one of the four fixed shapes
+/// ([`machines`]) for `m < 4`, otherwise a `width`-wide machine
+/// (2, 4 or 8) with the given RUU size, an LSQ of `1..=ruu` picked by
+/// `lsq_pick`, and in-order issue when `in_order`.
+fn random_machine(
+    (m, ruu, lsq_pick, width, in_order): (usize, usize, usize, usize, bool),
+) -> MachineConfig {
+    if m < 4 {
+        return machines().swap_remove(m);
+    }
+    let mut cfg = MachineConfig::baseline().with_width([2, 4, 8][width]);
+    if in_order {
+        cfg = cfg.in_order();
+    }
+    cfg.ruu_size = ruu;
+    cfg.lsq_size = 1 + lsq_pick % ruu;
+    cfg
+}
+
 /// A small but branchy program driven by the given PRNG seed (xorshift
 /// over a table, with a data-dependent skip branch) — the same shape
 /// the compiled-sampler equivalence suite uses.
@@ -281,24 +349,34 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Walk reuse over random schedules on one engine. Each op is
-    /// `(kind, slot, seed, machine)` over three sampler slots: kind 0
-    /// re-lowers the slot from the other profile (dropping the old
-    /// sampler), 1 is an unfused call on the slot's trace, 2 a fused
-    /// call through a fresh clone, anything else a fused call. Every
-    /// result must equal a fresh engine's.
+    /// Walk and capacity reuse over random schedules on one engine.
+    /// Each op is `(kind, slot, seed, machine)` over three sampler
+    /// slots: kind 0 re-lowers the slot from the other profile
+    /// (dropping the old sampler), 1 is an unfused call on the slot's
+    /// trace, 2 a fused call through a fresh clone, anything else a
+    /// fused call. Machines are the four fixed shapes or random
+    /// capacities (RUU 8–256, LSQ ≤ RUU) at widths 2, 4 and 8, in order
+    /// or not (see [`random_machine`]). Every result must equal a fresh
+    /// engine's.
     #[test]
     fn walk_reuse_matches_fresh_engines_on_random_schedules(
-        ops in prop::collection::vec((0u8..6, 0usize..3, 1u64..3, 0usize..4), 1..32),
+        ops in prop::collection::vec(
+            (
+                0u8..6,
+                0usize..3,
+                1u64..3,
+                (0usize..8, 8usize..=256, 0usize..256, 0usize..3, any::<bool>()),
+            ),
+            1..32,
+        ),
     ) {
         let profiles = reuse_profiles();
-        let cfgs = machines();
         let mut which = [0usize, 1, 0];
         let mut slots: Vec<CompiledSampler> =
             which.iter().map(|&p| profiles[p].compile(REUSE_R)).collect();
         let mut engine = SimEngine::new();
         for (kind, slot, seed, m) in ops {
-            let cfg = &cfgs[m];
+            let cfg = &random_machine(m);
             match kind {
                 0 => {
                     which[slot] ^= 1;

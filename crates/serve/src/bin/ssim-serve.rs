@@ -345,6 +345,16 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
+/// `SSIM_METRICS`'s mode for the bench headers, spelled as
+/// `ssim_bench::host_header_json` spells it.
+fn metrics_mode() -> &'static str {
+    match ssim_obs::mode() {
+        ssim_obs::Mode::Off => "off",
+        ssim_obs::Mode::Text => "text",
+        ssim_obs::Mode::Json => "json",
+    }
+}
+
 // ---- bench ----------------------------------------------------------
 
 fn cmd_bench() -> i32 {
@@ -468,6 +478,7 @@ fn cmd_bench() -> i32 {
             "available_parallelism",
             Json::Num(ssim_bench::available_parallelism() as f64),
         ),
+        ("metrics", Json::Str(metrics_mode().into())),
         ("workers", Json::Num(ssim_bench::num_threads() as f64)),
         ("sweep_points", Json::Num(points as f64)),
         ("cold_sweep_s", Json::Num(cold_s)),
@@ -979,6 +990,7 @@ fn cmd_fleet_bench() -> i32 {
         ("deep", Json::Bool(deep)),
         ("threads", Json::Num(ssim_bench::num_threads() as f64)),
         ("available_parallelism", Json::Num(avail as f64)),
+        ("metrics", Json::Str(metrics_mode().into())),
         (
             "backends",
             Json::Arr(

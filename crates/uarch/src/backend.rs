@@ -212,6 +212,10 @@ pub struct Core<'a> {
     front_seq: u64,
     next_seq: u64,
     lsq_used: usize,
+    /// Highest RUU and LSQ occupancy reached, taken right after each
+    /// dispatch (see [`Core::peak_occupancy`]).
+    peak_ruu: usize,
+    peak_lsq: usize,
     dispatched_this_cycle: usize,
     cycle: u64,
     committed: u64,
@@ -299,6 +303,8 @@ impl<'a> Core<'a> {
             front_seq: 0,
             next_seq: 0,
             lsq_used: 0,
+            peak_ruu: 0,
+            peak_lsq: 0,
             dispatched_this_cycle: 0,
             cycle: 0,
             committed: 0,
@@ -329,6 +335,22 @@ impl<'a> Core<'a> {
     /// Whether the backend holds no instructions.
     pub fn is_empty(&self) -> bool {
         self.front_seq == self.next_seq
+    }
+
+    /// The highest `(RUU, LSQ)` occupancy this core has reached, taken
+    /// right after every dispatch; commits and squashes never lower it.
+    ///
+    /// A run whose RUU peak stayed below `ruu_size` never stalled on a
+    /// full RUU (dispatch stalls only at `in_flight() >= ruu_size`, and
+    /// occupancy grows only by dispatch), and likewise for the LSQ. The
+    /// core reads the two capacities nowhere else that can change its
+    /// behaviour, so the same calls on a core with any capacities above
+    /// the peaks take the same branch at every check and produce the
+    /// same result. The per-cycle occupancy meters sample after commit
+    /// and can miss the post-dispatch high point, so they cannot stand
+    /// in for this.
+    pub fn peak_occupancy(&self) -> (usize, usize) {
+        (self.peak_ruu, self.peak_lsq)
     }
 
     /// Mutable access to the shared activity counters (the fetch-side
@@ -865,8 +887,10 @@ impl<'a> Core<'a> {
             _ => NO_SEQ,
         };
         self.next_seq += 1;
+        self.peak_ruu = self.peak_ruu.max(self.in_flight());
         if is_mem {
             self.lsq_used += 1;
+            self.peak_lsq = self.peak_lsq.max(self.lsq_used);
         }
         self.dispatched_this_cycle += 1;
         self.activity.record(Unit::Dispatch, now);
@@ -1364,6 +1388,57 @@ mod tests {
             cycles >= 20,
             "synthetic WAW distance must bind, took {cycles}"
         );
+    }
+
+    #[test]
+    fn peak_occupancy_tracks_the_dispatch_high_point() {
+        let cfg = small_cfg();
+        let mut core = Core::new(&cfg);
+        assert_eq!(core.peak_occupancy(), (0, 0));
+        let load = DispatchInstr {
+            class: Some(InstrClass::Load),
+            mem: Some(MemKind::Load { latency: 150 }),
+            ..Default::default()
+        };
+        let store = DispatchInstr {
+            class: Some(InstrClass::Store),
+            mem: Some(MemKind::Store),
+            ..Default::default()
+        };
+        let dispatch = |core: &mut Core, i: DispatchInstr| {
+            assert!(matches!(
+                core.try_dispatch(i),
+                DispatchOutcome::Dispatched(_)
+            ));
+        };
+        // Cycle 0: a long load at the head keeps everything behind it
+        // from committing.
+        for i in [load, alu(), store, load] {
+            dispatch(&mut core, i);
+        }
+        assert_eq!(core.peak_occupancy(), (4, 3));
+        core.cycle();
+        core.advance();
+        dispatch(&mut core, alu());
+        dispatch(&mut core, alu());
+        assert_eq!(core.peak_occupancy(), (6, 3));
+        // Squashing the four youngest (a store and a load among them)
+        // leaves the peaks where they were...
+        assert_eq!(core.squash_after(1), 4);
+        assert_eq!(core.peak_occupancy(), (6, 3));
+        // ... and so does refilling below them.
+        dispatch(&mut core, load);
+        assert_eq!((core.in_flight(), core.peak_occupancy()), (3, (6, 3)));
+        core.cycle();
+        core.advance();
+        for _ in 0..4 {
+            dispatch(&mut core, alu());
+        }
+        assert_eq!(core.peak_occupancy(), (7, 3));
+        // Commits drain the window; the peaks stay.
+        run_empty(&mut core);
+        assert_eq!(core.committed(), 7);
+        assert_eq!(core.peak_occupancy(), (7, 3));
     }
 
     #[test]

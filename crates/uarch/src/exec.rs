@@ -328,11 +328,6 @@ impl<'a, 'p> ExecSim<'a, 'p> {
             }
             _ => (None, None),
         };
-        let mem_dep_addr = if std::env::var("SSIM_NO_MEMDEP").is_ok() {
-            None
-        } else {
-            mem_dep_addr
-        };
         DispatchInstr {
             class: Some(instr.class()),
             srcs,
