@@ -6,25 +6,20 @@
 //!    `SSIM_THREADS` threads (results are bit-identical either way).
 //! 2. **Profile cache** — profiling the whole suite cold (empty cache)
 //!    vs warm (every profile served from disk).
-//! 3. **Compiled sampling engine** — the `synth_speed` measurement
-//!    (walk subsystem and end-to-end generation, compiled tables vs
-//!    the reference interpreter) on the reference workload, recorded
-//!    as the `"synth"` section.
 //!
-//! It also folds in the artifacts left by the other bench binaries
-//! (`BENCH_serve.json`, `BENCH_fleet.json`, `BENCH_sim.json`,
-//! `BENCH_dse.json`, and the `scaling` bin's `BENCH_scaling.json`
-//! thread-scaling curve), so `results/BENCH_parallel.json` carries the
-//! whole perf story in one document.
+//! It also folds in the artifacts left by the bench binaries that carry
+//! gates (`BENCH_fleet.json`, `BENCH_dse.json`, `BENCH_load.json`, and
+//! the `scaling` bin's `BENCH_scaling.json` thread-scaling curve), so
+//! `results/BENCH_parallel.json` carries them in one document. Per-layer
+//! speed (walk, generation, fused and unfused simulation, EDS, the
+//! server's hit and miss latency) is the repository benchmark's job:
+//! see `perfbench/NOTES.md`.
 //!
 //! Emits `results/BENCH_parallel.json` alongside a human-readable
 //! summary on stdout.
 
 use ssim::prelude::*;
-use ssim_bench::{
-    banner, cache_stats, measure_synth_speed, num_threads, par_map_with, profiled, workloads,
-    Budget,
-};
+use ssim_bench::{banner, cache_stats, num_threads, par_map_with, profiled, workloads, Budget};
 use std::time::Instant;
 
 fn main() {
@@ -123,27 +118,11 @@ fn main() {
         points.len()
     );
 
-    // --- compiled sampling engine ------------------------------------
-    // Same measurement as the `synth_speed` binary, on the same
-    // reference workload (gcc — the largest SFG in the suite; see that
-    // binary's docs), so the speedup lands in the recorded trajectory.
-    let synth_idx = suite.iter().position(|w| w.name() == "gcc").unwrap_or(0);
-    let synth_iters: u32 = if ssim_bench::quick() { 6 } else { 16 };
-    let synth = measure_synth_speed(&profiles[synth_idx], ssim_bench::DEFAULT_R, synth_iters);
-    println!(
-        "synth ({}): walk {:.1}x, end-to-end reuse {:.1}x",
-        suite[synth_idx].name(),
-        synth.walk_speedup(),
-        synth.generate_speedup(),
-    );
-
-    // --- experiment service ------------------------------------------
-    // `ssim-serve bench` (run_all.sh runs it right before this binary)
-    // leaves its requests/sec, latency percentiles, and cold-vs-warm
-    // sweep numbers in results/BENCH_serve.json; fold them in so one
-    // file carries the whole perf story. The bench binary lives in
-    // ssim-serve (which depends on this crate), so the hand-off is the
-    // file, not a library call. Absent file → explicit null.
+    // --- folded artifacts --------------------------------------------
+    // The gated bench binaries leave their numbers in results/; fold
+    // them in so one file carries them all. `ssim-serve` depends on
+    // this crate, so the hand-off is the file, not a library call.
+    // Absent file → explicit null.
     let fold_section = |path: &str, hint: &str| {
         let section = std::fs::read_to_string(path)
             .map(|s| s.trim().to_string())
@@ -157,14 +136,9 @@ fn main() {
         }
         section
     };
-    let serve_section = fold_section("results/BENCH_serve.json", "ssim-serve bench");
     // `ssim-serve fleet bench` records the multi-backend story: fleet
     // vs single-backend sweep time and what the chaos phase survived.
     let fleet_section = fold_section("results/BENCH_fleet.json", "ssim-serve fleet bench");
-    // `sim_speed` records the fused generate-and-simulate engine:
-    // per-point sweep throughput, fused vs unfused vs the frozen
-    // pre-optimisation reference, bit-identity asserted.
-    let sim_section = fold_section("results/BENCH_sim.json", "sim_speed");
     // `dse` records the surrogate-guided planner: budget fraction,
     // Pareto/stratum error vs the exhaustive truth, surrogate RMSE, and
     // the synthetic million-point scaling phase.
@@ -230,10 +204,7 @@ fn main() {
          \"sweep_serial_s\": {sweep_serial_s:.4},\n  \
          \"sweep_parallel_s\": {sweep_parallel_s:.4},\n  \
          \"sweep_speedup\": {speedup:.2},\n  \
-         \"synth\": {},\n  \
-         \"sim\": {sim_section},\n  \
          \"dse\": {dse_section},\n  \
-         \"serve\": {serve_section},\n  \
          \"fleet\": {fleet_section},\n  \
          \"scaling\": {scaling_section},\n  \
          \"load\": {load_section},\n  \
@@ -246,7 +217,6 @@ fn main() {
         warm_stats.0,
         warm_stats.1,
         points.len(),
-        synth.json(),
     );
     std::fs::create_dir_all("results").expect("create results/");
     std::fs::write("results/BENCH_parallel.json", &json).expect("write BENCH_parallel.json");

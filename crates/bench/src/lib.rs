@@ -21,16 +21,11 @@ use ssim::workloads::Workload;
 
 pub mod dsebench;
 pub mod profile_cache;
-pub mod simbench;
-pub mod synthbench;
-pub mod timing;
 
 pub use dsebench::{measure_dse, sec46_space, DseBench, SynthDse};
 pub use profile_cache::{cache_enabled, cache_stats, profile_cached, profile_cached_keyed};
-pub use simbench::{measure_sim_speed, SimSpeed};
 pub use ssim_obs as obs;
 pub use ssim_par::{available_parallelism, num_threads, par_map, par_map_with};
-pub use synthbench::{measure_synth_speed, SynthSpeed};
 
 static OBS_EDS_TIME: ssim_obs::TimerStat = ssim_obs::TimerStat::new("eds.time");
 

@@ -57,7 +57,6 @@
 mod analysis;
 pub mod fxhash;
 mod profiler;
-mod refsim;
 mod sampler;
 mod serialize;
 mod sfg;
@@ -67,7 +66,6 @@ mod tracesim;
 pub use analysis::{validate_trace, TraceValidation};
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use profiler::{note_loaded_profile, profile, BranchProfileMode, ProfileConfig};
-pub use refsim::simulate_trace_reference;
 pub use sampler::CompiledSampler;
 pub use sfg::{
     BranchCtxStats, Context, ContextStats, ExportedNode, Gram, MissStats, Sfg, SlotStats,

@@ -13,6 +13,7 @@ use proptest::prelude::*;
 use ssim_core::{profile, BranchProfileMode, ProfileConfig, StatisticalProfile};
 use ssim_isa::{Assembler, Program, Reg};
 use ssim_uarch::MachineConfig;
+use std::sync::OnceLock;
 
 /// A small but branchy program driven by the given PRNG seed (xorshift
 /// over a table, with a data-dependent skip branch).
@@ -56,9 +57,31 @@ fn profiled(seed: u64, k: usize) -> StatisticalProfile {
     )
 }
 
+/// The ten suite workloads at the small budget `fused_equivalence`
+/// uses (order 1, 60k instructions after the default skip): real SFGs
+/// beside the synthetic program above, gcc's the largest at about 700
+/// nodes. Built once per test binary.
+fn suite() -> &'static [(&'static str, StatisticalProfile)] {
+    static SUITE: OnceLock<Vec<(&'static str, StatisticalProfile)>> = OnceLock::new();
+    SUITE.get_or_init(|| {
+        ssim_workloads::all()
+            .iter()
+            .map(|w| {
+                let p = profile(
+                    &w.program(),
+                    &ProfileConfig::new(&MachineConfig::baseline())
+                        .order(1)
+                        .instructions(60_000),
+                );
+                (w.name(), p)
+            })
+            .collect()
+    })
+}
+
 /// The headline acceptance test: `generate` (the compiled path) equals
 /// the pre-compilation path across a grid of `(r, seed)` pairs on a
-/// profiled workload.
+/// profiled program and on every suite workload.
 #[test]
 fn compiled_equals_reference_across_r_and_seed() {
     for k in [0usize, 1, 2] {
@@ -71,6 +94,27 @@ fn compiled_equals_reference_across_r_and_seed() {
                     reference.instrs(),
                     compiled.instrs(),
                     "trace diverged at k={k} r={r} seed={seed}"
+                );
+                assert!(!reference.is_empty() || r > p.instructions());
+            }
+        }
+    }
+    // On the suite, one lowering also serves every seed, as in a sweep.
+    for (name, p) in suite() {
+        for r in [5u64, 15, 400] {
+            let sampler = p.compile(r);
+            for seed in [0u64, 7] {
+                let reference = p.generate_reference(r, seed);
+                let label = format!("{name} at r={r} seed={seed}");
+                assert_eq!(
+                    reference.instrs(),
+                    p.generate(r, seed).instrs(),
+                    "trace diverged on {label}"
+                );
+                assert_eq!(
+                    reference.instrs(),
+                    sampler.generate(seed).instrs(),
+                    "reused artifact diverged on {label}"
                 );
                 assert!(!reference.is_empty() || r > p.instructions());
             }
@@ -101,11 +145,16 @@ fn compiled_artifact_is_reusable_across_seeds() {
 /// field: steps, restarts, and the budget-trajectory checksum that
 /// pins the two walks to the same restart structure. This isolates the
 /// walk subsystem — gram interning, edge pruning, Fenwick start-node
-/// selection — from the emit path.
+/// selection — from the emit path, on a profiled program and on every
+/// suite workload.
 #[test]
 fn walk_reports_match_across_r_and_seed() {
-    for k in [0usize, 1, 2] {
-        let p = profiled(7, k);
+    let programs = [0usize, 1, 2].map(|k| (format!("k={k}"), profiled(7, k)));
+    let inputs = programs
+        .iter()
+        .map(|(label, p)| (label.as_str(), p))
+        .chain(suite().iter().map(|(name, p)| (*name, p)));
+    for (label, p) in inputs {
         for r in [1u64, 5, 15, 50] {
             let sampler = p.compile(r);
             for seed in [0u64, 1, 7, 12345] {
@@ -113,7 +162,7 @@ fn walk_reports_match_across_r_and_seed() {
                 let compiled = sampler.walk(seed);
                 assert_eq!(
                     reference, compiled,
-                    "walk diverged at k={k} r={r} seed={seed}"
+                    "walk diverged on {label} at r={r} seed={seed}"
                 );
                 assert!(reference.steps > 0 || sampler.budget() == 0);
             }

@@ -4,7 +4,8 @@
 //! produces a [`SimResult`] **bit-identical** — every field, including
 //! the float occupancies and activity counters — to materialising the
 //! trace and simulating it, and both match the frozen pre-optimisation
-//! reference simulator ([`ssim_core::simulate_trace_reference`]).
+//! reference simulator (`support/refsim.rs`, which ships only with the
+//! tests).
 //!
 //! The chain `reference == unfused == fused` is what lets the sweep
 //! infrastructure take the fused path without perturbing a single
@@ -20,12 +21,16 @@
 
 use proptest::prelude::*;
 use ssim_core::{
-    profile, simulate_trace, simulate_trace_reference, BranchProfileMode, CompiledSampler,
-    ProfileConfig, SimEngine, StatisticalProfile,
+    profile, simulate_trace, BranchProfileMode, CompiledSampler, ProfileConfig, SimEngine,
+    StatisticalProfile,
 };
 use ssim_isa::{Assembler, Program, Reg};
 use ssim_uarch::MachineConfig;
 use std::sync::OnceLock;
+
+#[path = "support/refsim.rs"]
+mod refsim;
+use refsim::simulate_trace_reference;
 
 /// The machine grid the equivalence chain is checked on: the paper's
 /// baseline plus narrower / smaller-window / in-order variants, which

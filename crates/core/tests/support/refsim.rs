@@ -1,5 +1,5 @@
 //! Frozen reference trace simulator — the executable specification for
-//! the optimised engine in [`crate::tracesim`].
+//! the optimised engine in `ssim_core`'s `tracesim` module.
 //!
 //! This module is a deliberate, self-contained copy of the synthetic
 //! trace simulator *as it stood before the fused generate-and-simulate
@@ -11,7 +11,7 @@
 //! unfused and fused paths produce a bit-identical [`SimResult`].
 //!
 //! Do not optimise this module. Only touch it when the *modelled
-//! machine* changes, and change [`crate::tracesim`] in lockstep.
+//! machine* changes, and change `tracesim` in lockstep.
 //!
 //! Only the synthetic-mode subset of the backend is reproduced here:
 //! dependencies arrive as distances (never architectural registers),
@@ -23,7 +23,7 @@
 //! Unlike the production path this module records no observability
 //! metrics; `SimResult` is unaffected.
 
-use crate::synth::{SyntheticInstr, SyntheticOutcome, SyntheticTrace};
+use ssim_core::{DataFlags, SyntheticInstr, SyntheticOutcome, SyntheticTrace};
 use ssim_isa::InstrClass;
 use ssim_uarch::{
     ActivityCounters, BranchResolution, BranchStats, MachineConfig, MemKind, OccupancyMeter,
@@ -459,7 +459,7 @@ impl<'a, 't> RefTraceSim<'a, 't> {
         }
     }
 
-    fn load_latency(&self, f: crate::DataFlags) -> u64 {
+    fn load_latency(&self, f: DataFlags) -> u64 {
         let lat = &self.cfg.lat;
         let mut l = if f.l1_miss {
             if f.l2_miss {

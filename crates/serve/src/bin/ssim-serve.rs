@@ -1,34 +1,28 @@
-//! The `ssim-serve` binary: run the experiment service, talk to it, or
-//! benchmark it.
+//! The `ssim-serve` binary: run the experiment service or its gateway,
+//! talk to either, or run the fleet benchmark and the journal drill.
 //!
 //! ```text
 //! ssim-serve serve [--addr A] [--workers N] [--queue N] [--deadline-ms N]
 //!                  [--journal <path>] [--port-file <path>]
-//! ssim-serve gateway [--addr A] [--port-file <path>] [--io-threads N]
-//!                    [--workers N] [--queue N] <backend>...
+//! ssim-serve gateway [--addr A] [--port-file <path>] [--workers N]
+//!                    [--queue N] <backend>...
 //! ssim-serve client <addr> (<request-json> | metrics | shutdown)
 //! ssim-serve submit <addr> <file.asm> [--instructions N] [--skip N]
-//! ssim-serve bench          # writes results/BENCH_serve.json
-//! ssim-serve smoke          # loopback end-to-end check (run_all.sh gate)
-//! ssim-serve fleet sweep <sweep-json> <addr>...   # shard a sweep across backends
-//! ssim-serve fleet smoke    # 3 faulty loopback backends, bit-exact merge
 //! ssim-serve fleet bench    # writes results/BENCH_fleet.json
 //! ssim-serve journal-chaos  # SIGKILL mid-sweep, resume, digest must match
 //! ```
 //!
-//! `bench`, `smoke`, the `fleet` self-tests and `journal-chaos` start
-//! servers on ephemeral loopback ports, so none needs a running daemon
-//! or a fixed port. `--port-file` writes the resolved address (for
-//! `--addr host:0`) atomically once the server is listening — the
-//! hand-off `ci.sh load` and `journal-chaos` use to find their
-//! children.
+//! `fleet bench` and `journal-chaos` start servers on ephemeral
+//! loopback ports, so neither needs a running daemon or a fixed port.
+//! `--port-file` writes the resolved address (for `--addr host:0`)
+//! atomically once the server is listening — the hand-off `ci.sh load`
+//! and `journal-chaos` use to find their children.
 
-use ssim::prelude::*;
 use ssim_serve::json::Json;
 use ssim_serve::proto::{Envelope, ProfileParams};
 use ssim_serve::{
     Client, FaultPlan, Fleet, FleetConfig, Gateway, GatewayConfig, MachineSpec, PointResult,
-    PointSource, Request, Server, ServerConfig, SweepSpec,
+    Request, Server, ServerConfig, SweepSpec,
 };
 use std::time::Instant;
 
@@ -39,22 +33,16 @@ fn main() {
         Some("gateway") => cmd_gateway(&args[1..]),
         Some("client") => cmd_client(&args[1..]),
         Some("submit") => cmd_submit(&args[1..]),
-        Some("bench") => cmd_bench(),
-        Some("smoke") => cmd_smoke(),
         Some("fleet") => cmd_fleet(&args[1..]),
         Some("journal-chaos") => cmd_journal_chaos(),
         _ => {
             eprintln!(
                 "usage: ssim-serve serve [--addr A] [--workers N] [--queue N] [--deadline-ms N] \
                  [--journal P] [--port-file P]\n\
-                 \x20      ssim-serve gateway [--addr A] [--port-file P] [--io-threads N] \
+                 \x20      ssim-serve gateway [--addr A] [--port-file P] \
                  [--workers N] [--queue N] <backend>...\n\
                  \x20      ssim-serve client <addr> (<request-json> | metrics | shutdown)\n\
                  \x20      ssim-serve submit <addr> <file.asm> [--instructions N] [--skip N]\n\
-                 \x20      ssim-serve bench\n\
-                 \x20      ssim-serve smoke\n\
-                 \x20      ssim-serve fleet sweep <sweep-json> <addr>...\n\
-                 \x20      ssim-serve fleet smoke\n\
                  \x20      ssim-serve fleet bench\n\
                  \x20      ssim-serve journal-chaos"
             );
@@ -172,7 +160,6 @@ fn cmd_gateway(args: &[String]) -> i32 {
                 port_file = Some(value.clone());
                 Ok(())
             }
-            "--io-threads" => value.parse().map(|n| cfg.io_threads = n).map_err(|_| ()),
             "--workers" => value.parse().map(|n| cfg.workers = n).map_err(|_| ()),
             "--queue" => value
                 .parse()
@@ -337,15 +324,7 @@ fn small_profile(instructions: u64) -> ProfileParams {
     }
 }
 
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-/// `SSIM_METRICS`'s mode for the bench headers, spelled as
+/// `SSIM_METRICS`'s mode for the bench header, spelled as
 /// `ssim_bench::host_header_json` spells it.
 fn metrics_mode() -> &'static str {
     match ssim_obs::mode() {
@@ -355,308 +334,16 @@ fn metrics_mode() -> &'static str {
     }
 }
 
-// ---- bench ----------------------------------------------------------
-
-fn cmd_bench() -> i32 {
-    // A private, scrubbed profile-cache dir makes the "cold" number a
-    // real cold start instead of depending on earlier run_all steps.
-    let cache_dir = std::path::Path::new("results").join(".serve-bench-cache");
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    std::env::set_var("SSIM_PROFILE_CACHE_DIR", &cache_dir);
-
-    let quick = ssim_bench::quick();
-    let profile = small_profile(if quick { 150_000 } else { 1_000_000 });
-    let r = ssim_bench::DEFAULT_R;
-    let machines: Vec<MachineSpec> = [2u64, 4, 8]
-        .iter()
-        .flat_map(|&w| {
-            [32u64, 128].iter().map(move |&win| MachineSpec {
-                width: Some(w),
-                window: Some(win),
-                ..MachineSpec::default()
-            })
-        })
-        .collect();
-    let seeds: Vec<u64> = (1..=4).collect();
-    let points = machines.len() * seeds.len();
-    let sweep = Request::Sweep {
-        profile: profile.clone(),
-        machines: machines.clone(),
-        r,
-        seeds: seeds.clone(),
-    };
-
-    let server = match Server::start(ServerConfig::default()) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("failed to start server: {e}");
-            return 1;
-        }
-    };
-    let addr = server.addr();
-    println!("ssim-serve bench on {addr} ({points} points per sweep, quick={quick})");
-
-    let mut client = Client::connect(addr).expect("connect");
-
-    // Cold sweep: profile + lower + simulate every point.
-    let t = Instant::now();
-    let cold = client.call(&sweep, None).expect("cold sweep");
-    let cold_s = t.elapsed().as_secs_f64();
-    assert!(cold.ok, "cold sweep failed: {:?}", cold.error);
-
-    // Artifact-warm sweep: every point answered from the result cache.
-    let t = Instant::now();
-    let warm = client.call(&sweep, None).expect("warm sweep");
-    let warm_s = t.elapsed().as_secs_f64();
-    assert!(warm.ok, "warm sweep failed: {:?}", warm.error);
-    let warm_hits = warm
-        .body
-        .get("results")
-        .and_then(Json::as_arr)
-        .map(|rs| {
-            rs.iter()
-                .filter(|p| p.get("cached").and_then(Json::as_bool) == Some(true))
-                .count()
-        })
-        .unwrap_or(0);
-    println!("cold sweep {cold_s:.3}s, warm sweep {warm_s:.3}s ({warm_hits}/{points} cached)");
-
-    // Request throughput: concurrent clients firing single-point
-    // simulate requests (a mix of cached and novel seeds).
-    let n_clients = 4usize;
-    let per_client = if quick { 25usize } else { 100 };
-    let t = Instant::now();
-    let mut latencies: Vec<u64> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_clients)
-            .map(|c| {
-                let profile = profile.clone();
-                let machines = &machines;
-                scope.spawn(move || {
-                    let mut lat = Vec::with_capacity(per_client);
-                    let mut cl = Client::connect(addr).expect("connect");
-                    for i in 0..per_client {
-                        let req = Request::Simulate {
-                            profile: profile.clone(),
-                            machine: machines[(c + i) % machines.len()].clone(),
-                            r,
-                            seed: 1 + ((c * per_client + i) % 8) as u64,
-                        };
-                        let t0 = Instant::now();
-                        let resp = cl.call_retry(&req, None, 50).expect("simulate");
-                        assert!(resp.ok, "simulate failed: {:?}", resp.error);
-                        lat.push(t0.elapsed().as_micros() as u64);
-                    }
-                    lat
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect()
-    });
-    let wall_s = t.elapsed().as_secs_f64();
-    latencies.sort_unstable();
-    let requests = latencies.len();
-    let rps = requests as f64 / wall_s;
-    let p50 = percentile(&latencies, 0.50);
-    let p99 = percentile(&latencies, 0.99);
-    println!(
-        "{requests} simulate requests in {wall_s:.3}s: {rps:.0} req/s, p50 {p50}us, p99 {p99}us"
-    );
-
-    let metrics = client.call(&Request::Metrics, None).expect("metrics");
-    assert!(metrics.ok);
-    let shut = client.call(&Request::Shutdown, None).expect("shutdown");
-    assert!(shut.ok, "shutdown failed: {:?}", shut.error);
-    server.join();
-
-    let doc = Json::obj(vec![
-        ("quick", Json::Bool(quick)),
-        ("threads", Json::Num(ssim_bench::num_threads() as f64)),
-        (
-            "available_parallelism",
-            Json::Num(ssim_bench::available_parallelism() as f64),
-        ),
-        ("metrics", Json::Str(metrics_mode().into())),
-        ("workers", Json::Num(ssim_bench::num_threads() as f64)),
-        ("sweep_points", Json::Num(points as f64)),
-        ("cold_sweep_s", Json::Num(cold_s)),
-        ("warm_sweep_s", Json::Num(warm_s)),
-        (
-            "warm_speedup",
-            Json::Num(if warm_s > 0.0 { cold_s / warm_s } else { 0.0 }),
-        ),
-        ("warm_cached_points", Json::Num(warm_hits as f64)),
-        ("requests", Json::Num(requests as f64)),
-        ("wall_s", Json::Num(wall_s)),
-        ("rps", Json::Num(rps)),
-        ("p50_us", Json::Num(p50 as f64)),
-        ("p99_us", Json::Num(p99 as f64)),
-    ]);
-    let _ = std::fs::create_dir_all("results");
-    let path = "results/BENCH_serve.json";
-    if let Err(e) = std::fs::write(path, format!("{}\n", doc.render())) {
-        eprintln!("failed to write {path}: {e}");
-        return 1;
-    }
-    println!("wrote {path}");
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    ssim_bench::obs_finish("ssim-serve-bench");
-    0
-}
-
-// ---- smoke ----------------------------------------------------------
-
-/// End-to-end gate for `run_all.sh`: loopback server, concurrent
-/// clients, results checked bit-exactly against direct library calls,
-/// metrics endpoint, clean shutdown.
-fn cmd_smoke() -> i32 {
-    let profile = small_profile(60_000);
-    let r = 10u64;
-    let machines = vec![
-        MachineSpec {
-            width: Some(2),
-            ..MachineSpec::default()
-        },
-        MachineSpec {
-            width: Some(8),
-            window: Some(64),
-            ..MachineSpec::default()
-        },
-    ];
-    let seeds = vec![1u64, 2];
-
-    // Direct library expectation (same profile path the server uses).
-    let workload = ssim::workloads::by_name(&profile.workload).unwrap();
-    let direct_profile = ssim_bench::profile_cached(
-        workload,
-        &ProfileConfig::new(&MachineConfig::baseline())
-            .skip(profile.skip)
-            .instructions(profile.instructions),
-    );
-    let sampler = ssim_bench::sampler_cached(&direct_profile, r);
-    let mut expected = Vec::new();
-    for m in &machines {
-        let cfg = m.resolve();
-        for &seed in &seeds {
-            let sim = simulate_trace(&sampler.generate(seed), &cfg);
-            expected.push((sim.cycles, sim.instructions, sim.ipc()));
-        }
-    }
-
-    let server = Server::start(ServerConfig::default()).expect("start server");
-    let addr = server.addr();
-    println!("smoke: server on {addr}");
-
-    let sweep = Request::Sweep {
-        profile: profile.clone(),
-        machines: machines.clone(),
-        r,
-        seeds: seeds.clone(),
-    };
-    let n_clients = 4;
-    let failures: usize = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_clients)
-            .map(|_| {
-                let sweep = sweep.clone();
-                let expected = &expected;
-                scope.spawn(move || {
-                    let mut cl = Client::connect(addr).expect("connect");
-                    let resp = cl.call_retry(&sweep, None, 50).expect("sweep");
-                    if !resp.ok {
-                        eprintln!("smoke: sweep failed: {:?}", resp.error);
-                        return 1usize;
-                    }
-                    let results = resp.body.get("results").and_then(Json::as_arr).unwrap();
-                    let mut bad = 0;
-                    for (i, (point, exp)) in results.iter().zip(expected.iter()).enumerate() {
-                        let cycles = point.get("cycles").and_then(Json::as_u64).unwrap_or(0);
-                        let instrs = point
-                            .get("instructions")
-                            .and_then(Json::as_u64)
-                            .unwrap_or(0);
-                        let ipc = point.get("ipc").and_then(Json::as_f64).unwrap_or(f64::NAN);
-                        if cycles != exp.0 || instrs != exp.1 || ipc.to_bits() != exp.2.to_bits() {
-                            eprintln!("smoke: point {i} differs from direct library call");
-                            bad += 1;
-                        }
-                    }
-                    bad
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).sum()
-    });
-    if failures > 0 {
-        eprintln!("smoke: {failures} mismatching points");
-        return 1;
-    }
-    println!("smoke: {n_clients} concurrent sweeps bit-identical to direct calls");
-
-    let mut client = Client::connect(addr).expect("connect");
-    let metrics = client.call(&Request::Metrics, None).expect("metrics");
-    let sweeps_served = metrics
-        .body
-        .get("metrics")
-        .and_then(|m| m.get("counters"))
-        .and_then(|c| c.get("serve.req.sweep"))
-        .and_then(Json::as_u64)
-        .unwrap_or(0);
-    if !metrics.ok || sweeps_served < n_clients as u64 {
-        eprintln!("smoke: metrics endpoint broken (sweeps_served = {sweeps_served})");
-        return 1;
-    }
-    println!("smoke: metrics endpoint reports {sweeps_served} sweeps");
-
-    let shut = client.call(&Request::Shutdown, None).expect("shutdown");
-    if !shut.ok || shut.body.get("drained").and_then(Json::as_bool) != Some(true) {
-        eprintln!("smoke: shutdown did not drain cleanly");
-        return 1;
-    }
-    server.join();
-    println!("smoke: clean shutdown OK");
-    0
-}
-
 // ---- fleet ----------------------------------------------------------
 
 fn cmd_fleet(args: &[String]) -> i32 {
     match args.first().map(String::as_str) {
-        Some("sweep") => cmd_fleet_sweep(&args[1..]),
-        Some("smoke") => cmd_fleet_smoke(),
         Some("bench") => cmd_fleet_bench(),
         _ => {
-            eprintln!(
-                "usage: ssim-serve fleet sweep <sweep-json> <addr>...\n\
-                 \x20      ssim-serve fleet smoke\n\
-                 \x20      ssim-serve fleet bench"
-            );
+            eprintln!("usage: ssim-serve fleet bench");
             2
         }
     }
-}
-
-/// Computes the direct-library expectation for a sweep (the same
-/// profile path the servers use, so the comparison is bit-exact).
-fn direct_expectation(spec: &SweepSpec) -> Vec<(u64, u64, f64)> {
-    let workload = ssim::workloads::by_name(&spec.profile.workload).unwrap();
-    let profile = ssim_bench::profile_cached(
-        workload,
-        &ProfileConfig::new(&MachineConfig::baseline())
-            .skip(spec.profile.skip)
-            .instructions(spec.profile.instructions),
-    );
-    let sampler = ssim_bench::sampler_cached(&profile, spec.r);
-    let mut expected = Vec::new();
-    for m in &spec.machines {
-        let cfg = m.resolve();
-        for &seed in &spec.seeds {
-            let sim = simulate_trace(&sampler.generate(seed), &cfg);
-            expected.push((sim.cycles, sim.instructions, sim.ipc()));
-        }
-    }
-    expected
 }
 
 /// Starts one loopback backend per fault plan (`None` = healthy).
@@ -696,170 +383,6 @@ fn stats_json(stats: &ssim_serve::fleet::FleetStats) -> Json {
             Json::Arr(stats.served.iter().map(|&n| Json::Num(n as f64)).collect()),
         ),
     ])
-}
-
-fn cmd_fleet_sweep(args: &[String]) -> i32 {
-    let [spec_json, addrs @ ..] = args else {
-        eprintln!("usage: ssim-serve fleet sweep <sweep-json> <addr>...");
-        return 2;
-    };
-    if addrs.is_empty() {
-        eprintln!("fleet sweep needs at least one backend address");
-        return 2;
-    }
-    // Route the text through the envelope grammar (as `client` does) so
-    // typos fail locally.
-    let body = match Json::parse(spec_json) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("sweep request is not valid JSON: {e}");
-            return 2;
-        }
-    };
-    let req = {
-        let mut pairs = vec![("id".to_string(), Json::Num(1.0))];
-        if let Json::Obj(p) = body {
-            pairs.extend(p.into_iter().filter(|(k, _)| k != "id"));
-        }
-        match ssim_serve::proto::Envelope::parse(&Json::Obj(pairs).render()) {
-            Ok(env) => env.req,
-            Err(e) => {
-                eprintln!("bad request: {e}");
-                return 2;
-            }
-        }
-    };
-    let Request::Sweep {
-        profile,
-        machines,
-        r,
-        seeds,
-    } = req
-    else {
-        eprintln!("fleet sweep takes a request of kind \"sweep\"");
-        return 2;
-    };
-    let spec = SweepSpec {
-        profile,
-        machines,
-        r,
-        seeds,
-    };
-    let fleet = match Fleet::new(FleetConfig {
-        backends: addrs.to_vec(),
-        ..FleetConfig::default()
-    }) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    fleet.warm(&spec.profile);
-    match fleet.sweep(&spec) {
-        Ok(outcome) => {
-            let doc = Json::obj(vec![
-                (
-                    "results",
-                    Json::Arr(outcome.points.iter().map(PointResult::to_json).collect()),
-                ),
-                ("stats", stats_json(&outcome.stats)),
-            ]);
-            println!("{}", doc.render());
-            0
-        }
-        Err(e) => {
-            eprintln!("fleet sweep failed: {e}");
-            1
-        }
-    }
-}
-
-/// End-to-end fleet gate: three loopback backends, two of them faulty
-/// with plans whose seeded decision streams *start* with a fault (seed
-/// 7 opens with a drop under `drop:0.4` and with a reject under
-/// `reject:0.4`), so the run always exercises at least one retry and
-/// one work-stealing reassignment — then the merged output must still
-/// be bit-identical to direct library calls.
-fn cmd_fleet_smoke() -> i32 {
-    let spec = SweepSpec {
-        profile: small_profile(60_000),
-        machines: vec![
-            MachineSpec {
-                width: Some(2),
-                ..MachineSpec::default()
-            },
-            MachineSpec {
-                width: Some(4),
-                window: Some(64),
-                ..MachineSpec::default()
-            },
-            MachineSpec {
-                width: Some(8),
-                ..MachineSpec::default()
-            },
-        ],
-        r: 10,
-        seeds: vec![1, 2],
-    };
-    let expected = direct_expectation(&spec);
-
-    let servers = start_backends(&[
-        Some("drop:0.4,delay:3ms@7"),
-        Some("reject:0.4,delay:2ms@7"),
-        None,
-    ]);
-    let backends: Vec<String> = servers.iter().map(|s| s.addr().to_string()).collect();
-    println!("fleet smoke: 3 backends on {backends:?} (two with fault plans)");
-
-    let fleet = Fleet::new(FleetConfig {
-        backends,
-        max_attempts: 32,
-        backoff_base_ms: 2,
-        backoff_cap_ms: 50,
-        probe_interval_ms: 50,
-        request_deadline_ms: 10_000,
-        sweep_timeout_ms: 120_000,
-        seed: 1,
-        ..FleetConfig::default()
-    })
-    .expect("fleet");
-    let outcome = match fleet.sweep(&spec) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("fleet smoke: sweep failed: {e}");
-            return 1;
-        }
-    };
-
-    let mut bad = 0;
-    for (i, (point, exp)) in outcome.points.iter().zip(expected.iter()).enumerate() {
-        if point.cycles != exp.0
-            || point.instructions != exp.1
-            || point.ipc.to_bits() != exp.2.to_bits()
-            || point.cached
-        {
-            eprintln!("fleet smoke: point {i} differs from direct library call");
-            bad += 1;
-        }
-    }
-    if bad > 0 {
-        eprintln!("fleet smoke: {bad} mismatching points");
-        return 1;
-    }
-    let stats = &outcome.stats;
-    println!(
-        "fleet smoke: {} points bit-identical under faults \
-         ({} retries, {} steals, {} transitions, served {:?})",
-        stats.points, stats.retries, stats.steals, stats.transitions, stats.served
-    );
-    if stats.retries == 0 || stats.steals == 0 {
-        eprintln!("fleet smoke: expected the seeded fault plans to force >=1 retry and >=1 steal");
-        return 1;
-    }
-    stop_backends(servers);
-    println!("fleet smoke: clean shutdown OK");
-    0
 }
 
 fn cmd_fleet_bench() -> i32 {

@@ -1,12 +1,7 @@
-//! `ssim-fleet`: a client-side coordinator that shards one design-space
-//! sweep across N `ssim-serve` backends and merges the results
-//! deterministically.
-//!
-//! The coordinator is generic over a [`PointSource`]: the dense
-//! `machines × seeds` grid of [`SweepSpec`] (the server's own `sweep`
-//! shape) and the explicit point list of [`BatchSpec`] (what the
-//! `ssim-dse` planner emits each refinement round) share every line of
-//! the sharding, retry, stealing, hedging and merge machinery.
+//! `ssim-fleet`: a coordinator that shards one design-space sweep
+//! across N `ssim-serve` backends and merges the results
+//! deterministically. The gateway ([`crate::gateway`]) runs every
+//! sharded `sweep` through it.
 //!
 //! The paper's §4.6 economics — thousands of design points off one
 //! statistical profile — stop fitting on one box once the design space
@@ -145,22 +140,6 @@ impl Default for FleetConfig {
     }
 }
 
-/// An indexed set of design points the coordinator can shard.
-///
-/// The coordinator only ever needs two things from a workload
-/// description: how many points there are and the single-point request
-/// for each index. Everything else — sharding, retries, stealing,
-/// hedging, the deterministic merge — is point-shape agnostic, so one
-/// implementation serves both the dense [`SweepSpec`] grid and the
-/// planner-chosen [`BatchSpec`] list.
-pub trait PointSource: Sync {
-    /// Number of design points.
-    fn points(&self) -> usize;
-    /// The single-point request for point `idx`; results are merged in
-    /// index order, so this mapping *is* the output order.
-    fn request(&self, idx: usize) -> Request;
-}
-
 /// One sweep: every machine × every seed over one profile.
 #[derive(Debug, Clone)]
 pub struct SweepSpec {
@@ -174,14 +153,17 @@ pub struct SweepSpec {
     pub seeds: Vec<u64>,
 }
 
-impl PointSource for SweepSpec {
-    fn points(&self) -> usize {
+impl SweepSpec {
+    /// Number of design points.
+    pub fn points(&self) -> usize {
         self.machines.len() * self.seeds.len()
     }
 
-    /// Same `machines` outer × `seeds` inner order as the server's
-    /// `sweep` endpoint.
-    fn request(&self, idx: usize) -> Request {
+    /// The single-point request for point `idx`, in the same `machines`
+    /// outer × `seeds` inner order as the server's `sweep` endpoint.
+    /// Results are merged in index order, so this mapping *is* the
+    /// output order.
+    pub fn request(&self, idx: usize) -> Request {
         let m = idx / self.seeds.len();
         let s = idx % self.seeds.len();
         Request::Simulate {
@@ -189,35 +171,6 @@ impl PointSource for SweepSpec {
             machine: self.machines[m].clone(),
             r: self.r,
             seed: self.seeds[s],
-        }
-    }
-}
-
-/// An explicit batch of `(machine, seed)` points over one profile —
-/// the shape an adaptive planner (`ssim-dse`) emits: no grid structure,
-/// just the points one refinement round decided to buy.
-#[derive(Debug, Clone)]
-pub struct BatchSpec {
-    /// The profile every point samples.
-    pub profile: ProfileParams,
-    /// Reduction factor.
-    pub r: u64,
-    /// The chosen points, in the order results should come back.
-    pub points: Vec<(MachineSpec, u64)>,
-}
-
-impl PointSource for BatchSpec {
-    fn points(&self) -> usize {
-        self.points.len()
-    }
-
-    fn request(&self, idx: usize) -> Request {
-        let (machine, seed) = &self.points[idx];
-        Request::Simulate {
-            profile: self.profile.clone(),
-            machine: machine.clone(),
-            r: self.r,
-            seed: *seed,
         }
     }
 }
@@ -418,7 +371,7 @@ impl Coordinator<'_> {
         &self,
         conn: &mut Option<Client>,
         addr: &str,
-        spec: &dyn PointSource,
+        spec: &SweepSpec,
         i: usize,
         bi: usize,
         backoff: &mut Backoff,
@@ -554,7 +507,7 @@ impl Coordinator<'_> {
     }
 
     /// Worker body: one thread per backend.
-    fn worker(&self, bi: usize, addr: &str, spec: &dyn PointSource) {
+    fn worker(&self, bi: usize, addr: &str, spec: &SweepSpec) {
         let metrics = BackendMetrics::for_backend(bi);
         let mut conn: Option<Client> = None;
         let mut healthy = true;
@@ -691,20 +644,9 @@ impl Fleet {
         self.run_with(spec, Some(on_point))
     }
 
-    /// Runs one planner-chosen batch: same sharding, retry, stealing
-    /// and deterministic index-order merge as [`Fleet::sweep`], over an
-    /// explicit point list instead of a grid.
-    ///
-    /// # Errors
-    ///
-    /// Same failure contract as [`Fleet::sweep`].
-    pub fn run_batch(&self, batch: &BatchSpec) -> Result<SweepOutcome, String> {
-        self.run_with(batch, None)
-    }
-
     fn run_with(
         &self,
-        spec: &dyn PointSource,
+        spec: &SweepSpec,
         on_point: Option<&(dyn Fn(usize, PointResult) + Sync)>,
     ) -> Result<SweepOutcome, String> {
         let n = spec.points();

@@ -84,8 +84,6 @@ pub struct GatewayConfig {
     pub addr: String,
     /// Backend addresses — at least one.
     pub backends: Vec<String>,
-    /// Connection event loops; `0` means `min(4, ssim_par threads)`.
-    pub io_threads: usize,
     /// Forwarding workers (each request occupies one for its
     /// duration); `0` means `(2 × ssim_par threads).clamp(4, 32)`.
     pub workers: usize,
@@ -102,7 +100,6 @@ impl Default for GatewayConfig {
         GatewayConfig {
             addr: "127.0.0.1:0".to_string(),
             backends: Vec::new(),
-            io_threads: 0,
             workers: 0,
             queue_capacity: 4096,
             fleet: FleetConfig::default(),
@@ -379,16 +376,14 @@ impl Gateway {
             ));
         }
         ssim_obs::force_enable();
-        if cfg.io_threads == 0 {
-            cfg.io_threads = ssim_par::num_threads().clamp(1, 4);
-        }
         if cfg.workers == 0 {
             cfg.workers = (ssim_par::num_threads() * 2).clamp(4, 32);
         }
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let io_threads = cfg.io_threads;
+        // Connection event loops: one per pool thread, at most four.
+        let io_threads = ssim_par::num_threads().clamp(1, 4);
         let workers = cfg.workers;
         let backends = cfg.backends.len();
         let shared = Arc::new(GwShared {

@@ -71,7 +71,7 @@ pub mod server;
 pub use artifacts::{program_hash, program_name};
 pub use client::{Client, Response, StreamedSweep};
 pub use fault::FaultPlan;
-pub use fleet::{BatchSpec, Fleet, FleetConfig, PointSource, SweepOutcome, SweepSpec};
+pub use fleet::{Fleet, FleetConfig, SweepOutcome, SweepSpec};
 pub use gateway::{Gateway, GatewayConfig};
 pub use journal::{Journal, Record};
 pub use proto::{sweep_digest, MachineSpec, PointResult, ProfileParams, Request};

@@ -31,6 +31,10 @@
 //! client that receives the shutdown acknowledgement knows every
 //! previously accepted job has produced its response. Submissions that
 //! race with shutdown are rejected with a non-retryable error.
+//! [`Server::join`] returns only once the ack, and every reply queued
+//! before it on any connection, has been written to its socket (or the
+//! socket failed), so a process that exits right after `join` still
+//! delivers them.
 //!
 //! # Durability (the job journal)
 //!
@@ -160,10 +164,77 @@ impl Default for ServerConfig {
     }
 }
 
+/// Reply lines queued for connection writers but not yet written, and
+/// whether a shutdown ack has been queued; [`Server::join`] waits until
+/// both settle.
+#[derive(Default)]
+struct Flush {
+    state: Mutex<FlushState>,
+    settled: Condvar,
+}
+
+#[derive(Default)]
+struct FlushState {
+    unwritten: usize,
+    /// Set once a shutdown ack is queued: until then, no unwritten line
+    /// does not mean the ack is out.
+    acked: bool,
+}
+
+impl Flush {
+    fn state(&self) -> std::sync::MutexGuard<'_, FlushState> {
+        self.state.lock().expect("flush lock poisoned")
+    }
+
+    fn add(&self) {
+        self.state().unwritten += 1;
+    }
+
+    /// One line written, or dropped with its socket.
+    fn done(&self) {
+        let mut s = self.state();
+        s.unwritten -= 1;
+        if s.acked && s.unwritten == 0 {
+            self.settled.notify_all();
+        }
+    }
+
+    fn acked(&self) {
+        self.state().acked = true;
+        self.settled.notify_all();
+    }
+
+    fn wait(&self) {
+        let mut s = self.state();
+        while !(s.acked && s.unwritten == 0) {
+            s = self.settled.wait(s).expect("flush lock poisoned");
+        }
+    }
+}
+
+/// A connection's reply channel. Each line counts in [`Flush`] from the
+/// moment it is queued until the connection's writer has written it.
+#[derive(Clone)]
+struct Reply {
+    tx: Sender<String>,
+    flush: Arc<Flush>,
+}
+
+impl Reply {
+    fn send(&self, line: String) {
+        self.flush.add();
+        if self.tx.send(line).is_err() {
+            // No writer (a resumed job's closed channel): nobody will
+            // write the line.
+            self.flush.done();
+        }
+    }
+}
+
 struct Job {
     id: u64,
     req: Request,
-    reply: Sender<String>,
+    reply: Reply,
     cancelled: Arc<AtomicBool>,
     deadline: Instant,
     accepted_at: Instant,
@@ -193,6 +264,7 @@ struct Shared {
     work_ready: Condvar,
     drained: Condvar,
     shutdown: AtomicBool,
+    flush: Arc<Flush>,
     store: ArtifactStore,
     fault: Option<FaultInjector>,
     journal: Option<Journal>,
@@ -208,8 +280,7 @@ impl Shared {
         let mut q = self.queue.lock().unwrap();
         if self.shutdown.load(Relaxed) {
             OBS_REJECT_SHUTDOWN.inc();
-            let _ = job
-                .reply
+            job.reply
                 .send(err_response(job.id, "server is shutting down", None));
             return;
         }
@@ -219,8 +290,7 @@ impl Shared {
             // queued job per worker. The exact value only shapes client
             // politeness; correctness needs only "try again later".
             let retry = 10 + 25 * q.jobs.len() as u64 / self.cfg.workers.max(1) as u64;
-            let _ = job
-                .reply
+            job.reply
                 .send(err_response(job.id, "queue full", Some(retry)));
             return;
         }
@@ -239,7 +309,7 @@ impl Shared {
     /// rejected-but-journaled job would be resumed on restart anyway.
     fn submit_journaled(&self, key: String, job: Job) {
         let Some(journal) = &self.journal else {
-            let _ = job.reply.send(err_response(
+            job.reply.send(err_response(
                 job.id,
                 "server has no journal (start with --journal)",
                 None,
@@ -248,8 +318,7 @@ impl Shared {
         };
         if self.shutdown.load(Relaxed) {
             OBS_REJECT_SHUTDOWN.inc();
-            let _ = job
-                .reply
+            job.reply
                 .send(err_response(job.id, "server is shutting down", None));
             return;
         }
@@ -261,11 +330,11 @@ impl Shared {
                 OBS_JOURNAL_REACKED.inc();
                 let line = completed_response(job.id, *ok, payload);
                 drop(jobs);
-                let _ = job.reply.send(line);
+                job.reply.send(line);
             }
             Some(JobState::Pending) => {
                 drop(jobs);
-                let _ = job.reply.send(err_response(
+                job.reply.send(err_response(
                     job.id,
                     &format!("job {key:?} is already in flight; poll with job-result"),
                     Some(100),
@@ -278,7 +347,7 @@ impl Shared {
                 };
                 if let Err(e) = journal.append(&rec) {
                     drop(jobs);
-                    let _ = job.reply.send(err_response(
+                    job.reply.send(err_response(
                         job.id,
                         &format!("journal write failed: {e}"),
                         None,
@@ -423,7 +492,7 @@ impl Shared {
             | Request::Metrics
             | Request::Shutdown => {}
         }
-        let _ = job.reply.send(line);
+        job.reply.send(line);
     }
 
     fn run_request(&self, job: &Job) -> Result<Vec<(&'static str, Json)>, String> {
@@ -506,7 +575,7 @@ impl Shared {
                 // payload, not the progress frames.
                 self.sweep_core(job, profile, machines, *r, seeds, &mut |index, point| {
                     OBS_STREAM_FRAMES.inc();
-                    let _ = reply.send(point_frame(id, index, point));
+                    reply.send(point_frame(id, index, point));
                 })
             }
             Request::Assemble { source } => {
@@ -760,6 +829,7 @@ impl Server {
             work_ready: Condvar::new(),
             drained: Condvar::new(),
             shutdown: AtomicBool::new(false),
+            flush: Arc::default(),
             store: ArtifactStore::new(cfg.result_cache_capacity),
             fault,
             journal,
@@ -770,12 +840,16 @@ impl Server {
             // No client is attached to a resumed job: replies go to a
             // closed channel and the result is served via job-result.
             let (tx, _rx) = std::sync::mpsc::channel();
+            let reply = Reply {
+                tx,
+                flush: Arc::clone(&shared.flush),
+            };
             let now = Instant::now();
             let mut q = shared.queue.lock().unwrap();
             q.jobs.push_back(Job {
                 id: 0,
                 req,
-                reply: tx,
+                reply,
                 cancelled: Arc::new(AtomicBool::new(false)),
                 deadline: now + Duration::from_millis(shared.cfg.default_deadline_ms),
                 accepted_at: now,
@@ -826,13 +900,15 @@ impl Server {
         (q.jobs.len(), q.in_flight)
     }
 
-    /// Blocks until the server has shut down (acceptor and workers
-    /// exited). Connection threads are detached; they exit when their
-    /// clients disconnect.
+    /// Blocks until the server has shut down: the acceptor and workers
+    /// have exited, and the shutdown ack and every reply queued before
+    /// it have been written (or their sockets failed). Connection
+    /// threads are detached; they exit when their clients disconnect.
     pub fn join(self) {
         for t in self.threads {
             let _ = t.join();
         }
+        self.shared.flush.wait();
     }
 }
 
@@ -881,7 +957,7 @@ fn program_shape(p: &ssim::isa::Program, hash: u64) -> Vec<(&'static str, Json)>
 /// Routes one parsed request: metrics and shutdown are answered on the
 /// connection thread, everything else is queued (or rejected by
 /// [`Shared::submit`]).
-fn dispatch(shared: &Arc<Shared>, tx: &Sender<String>, cancelled: &Arc<AtomicBool>, env: Envelope) {
+fn dispatch(shared: &Arc<Shared>, tx: &Reply, cancelled: &Arc<AtomicBool>, env: Envelope) {
     // Oversized program sources are rejected here, on the connection
     // thread — before the job queue and before the assembler parses a
     // byte. (The NDJSON framing already caps whole lines at
@@ -889,7 +965,7 @@ fn dispatch(shared: &Arc<Shared>, tx: &Sender<String>, cancelled: &Arc<AtomicBoo
     if let Request::Assemble { source } | Request::SubmitProgram { source, .. } = &env.req {
         if source.len() > shared.cfg.max_program_source_bytes {
             OBS_PROGRAM_REJECTED.inc();
-            let _ = tx.send(err_response(
+            tx.send(err_response(
                 env.id,
                 &format!(
                     "program rejected: source is {} bytes, over the server's {}-byte limit",
@@ -903,10 +979,10 @@ fn dispatch(shared: &Arc<Shared>, tx: &Sender<String>, cancelled: &Arc<AtomicBoo
     }
     match env.req {
         Request::Metrics => {
-            let _ = tx.send(shared.metrics_response(env.id));
+            tx.send(shared.metrics_response(env.id));
         }
         Request::JobResult { ref job } => {
-            let _ = tx.send(shared.job_result_response(env.id, job));
+            tx.send(shared.job_result_response(env.id, job));
         }
         Request::Shutdown => {
             // Gate first (no new work), then drain, then ack — the ack
@@ -914,7 +990,8 @@ fn dispatch(shared: &Arc<Shared>, tx: &Sender<String>, cancelled: &Arc<AtomicBoo
             shared.shutdown.store(true, Relaxed);
             shared.work_ready.notify_all();
             shared.wait_drained();
-            let _ = tx.send(ok_response(env.id, vec![("drained", Json::Bool(true))]));
+            tx.send(ok_response(env.id, vec![("drained", Json::Bool(true))]));
+            shared.flush.acked();
         }
         req => {
             let deadline_ms = env.deadline_ms.unwrap_or(shared.cfg.default_deadline_ms);
@@ -957,19 +1034,26 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
         return;
     };
     let (tx, rx) = std::sync::mpsc::channel::<String>();
+    let flush = Arc::clone(&shared.flush);
+    let tx = Reply {
+        tx,
+        flush: Arc::clone(&flush),
+    };
     let writer = std::thread::Builder::new()
         .name("ssim-serve-write".to_string())
         .spawn(move || {
             let mut out = write_half;
+            let mut failed = false;
             for line in rx {
-                if out
-                    .write_all(line.as_bytes())
-                    .and_then(|()| out.write_all(b"\n"))
-                    .and_then(|()| out.flush())
-                    .is_err()
-                {
-                    break;
-                }
+                // After a failed write the rest are dropped, but still
+                // counted out, so `Server::join` never waits on them.
+                failed = failed
+                    || out
+                        .write_all(line.as_bytes())
+                        .and_then(|()| out.write_all(b"\n"))
+                        .and_then(|()| out.flush())
+                        .is_err();
+                flush.done();
             }
         });
     let cancelled = Arc::new(AtomicBool::new(false));
@@ -995,7 +1079,7 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
                     .ok()
                     .and_then(|v| v.get("id").and_then(Json::as_u64))
                     .unwrap_or(0);
-                let _ = tx.send(err_response(id, &format!("bad request: {e}"), None));
+                tx.send(err_response(id, &format!("bad request: {e}"), None));
             }
             Ok(env) => {
                 // Shutdown is exempt from fault injection: a chaos run
@@ -1015,7 +1099,7 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
                         match fault.decide() {
                             FaultAction::Drop => break,
                             FaultAction::Reject { retry_after_ms } => {
-                                let _ = tx.send(err_response(
+                                tx.send(err_response(
                                     env.id,
                                     "injected fault: queue full",
                                     Some(retry_after_ms),

@@ -15,8 +15,7 @@
 use ssim::prelude::*;
 use ssim_serve::proto::ProfileParams;
 use ssim_serve::{
-    Client, FaultPlan, Fleet, FleetConfig, MachineSpec, PointSource, Request, Server, ServerConfig,
-    SweepSpec,
+    Client, FaultPlan, Fleet, FleetConfig, MachineSpec, Request, Server, ServerConfig, SweepSpec,
 };
 
 #[path = "../../../tests/util/mod.rs"]

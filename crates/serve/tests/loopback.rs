@@ -10,10 +10,9 @@
 //! private profile-cache dir keeps them off `results/`).
 
 use ssim::prelude::*;
-use ssim_serve::fleet::BatchSpec;
 use ssim_serve::json::Json;
 use ssim_serve::proto::ProfileParams;
-use ssim_serve::{Client, Fleet, FleetConfig, MachineSpec, Request, Server, ServerConfig};
+use ssim_serve::{Client, MachineSpec, Request, Server, ServerConfig};
 use std::sync::Once;
 
 #[path = "../../../tests/util/mod.rs"]
@@ -149,78 +148,25 @@ fn concurrent_sweeps_match_direct_library_calls() {
         }
     });
 
+    // The metrics endpoint counts every sweep it served. The registry is
+    // process-wide, so other tests' sweeps may add to the count.
     let mut cl = Client::connect(addr).unwrap();
+    let metrics = cl.call(&Request::Metrics, None).unwrap();
+    assert!(metrics.ok, "metrics failed: {:?}", metrics.error);
+    let sweeps_served = metrics
+        .body
+        .get("metrics")
+        .and_then(|m| m.get("counters"))
+        .and_then(|c| c.get("serve.req.sweep"))
+        .and_then(Json::as_u64)
+        .unwrap_or(0);
+    assert!(
+        sweeps_served >= 8,
+        "serve.req.sweep = {sweeps_served} after 8 sweeps"
+    );
     let shut = cl.call(&Request::Shutdown, None).unwrap();
     assert!(shut.ok);
     server.join();
-}
-
-/// A planner-shaped batch — an explicit `(machine, seed)` list using
-/// the fine-grained RUU/LSQ/width overrides, no grid structure — runs
-/// through the fleet and comes back byte-identical to direct library
-/// calls, in list order, across two backends.
-#[test]
-fn fleet_batch_matches_direct_library_calls() {
-    setup_env();
-    let profile = small_profile(40_000);
-    let r = 10u64;
-    // Points shaped like one ssim-dse refinement round: decoupled RUU /
-    // LSQ / widths, each point with its own seed.
-    let fine = |ruu: u64, lsq: u64, w: u64| MachineSpec {
-        ruu: Some(ruu),
-        lsq: Some(lsq),
-        decode: Some(w),
-        issue: Some(w),
-        commit: Some(w),
-        ..MachineSpec::default()
-    };
-    let batch = BatchSpec {
-        profile: profile.clone(),
-        r,
-        points: vec![
-            (fine(16, 8, 2), 11),
-            (fine(64, 16, 4), 12),
-            (fine(96, 48, 8), 13),
-            (fine(32, 32, 2), 11),
-            (MachineSpec::default(), 14),
-        ],
-    };
-
-    // Direct library expectation.
-    let workload = ssim::workloads::by_name("gzip").unwrap();
-    let sampler = ssim_core_profile(workload, &profile).compile(r);
-    let expected: Vec<(u64, u64, u64)> = batch
-        .points
-        .iter()
-        .map(|(m, seed)| {
-            let sim = simulate_trace(&sampler.generate(*seed), &m.resolve());
-            (sim.cycles, sim.instructions, sim.ipc().to_bits())
-        })
-        .collect();
-
-    let a = Server::start(ServerConfig::default()).unwrap();
-    let b = Server::start(ServerConfig::default()).unwrap();
-    let fleet = Fleet::new(FleetConfig {
-        backends: vec![a.addr().to_string(), b.addr().to_string()],
-        ..FleetConfig::default()
-    })
-    .unwrap();
-    fleet.warm(&profile);
-    let outcome = fleet.run_batch(&batch).expect("batch failed");
-    assert_eq!(outcome.points.len(), expected.len());
-    for (i, (got, exp)) in outcome.points.iter().zip(&expected).enumerate() {
-        assert_eq!(got.cycles, exp.0, "point {i} cycles");
-        assert_eq!(got.instructions, exp.1, "point {i} instructions");
-        assert_eq!(got.ipc.to_bits(), exp.2, "point {i} ipc bits");
-        assert!(!got.cached, "placement history leaked at point {i}");
-    }
-    assert_eq!(outcome.stats.points, batch.points.len());
-
-    for server in [a, b] {
-        let mut cl = Client::connect(server.addr()).unwrap();
-        assert!(cl.call(&Request::Shutdown, None).unwrap().ok);
-        server.join();
-    }
 }
 
 /// The profile path the server takes (identical budgets, through the

@@ -48,25 +48,15 @@ run ablation_fifo_size        SSIM_QUICK=1 SSIM_PROFILE_INSTR=1500000 SSIM_EDS_I
 run ablation_dep_cap          SSIM_QUICK=1 SSIM_PROFILE_INSTR=1500000 SSIM_EDS_INSTR=1000000
 run ablation_reduction_factor SSIM_QUICK=1 SSIM_PROFILE_INSTR=1500000 SSIM_EDS_INSTR=1000000
 run ext_inorder               SSIM_QUICK=1 SSIM_PROFILE_INSTR=1500000 SSIM_EDS_INSTR=1000000
-run synth_speed               SSIM_QUICK=1
-run sim_speed                 SSIM_QUICK=1
-# Experiment service: end-to-end smoke (loopback ephemeral port, small
-# sweep checked bit-exact against direct library calls, metrics
-# endpoint, clean drain-on-shutdown), its benchmark, then the fleet
-# coordinator's smoke (3 backends under seeded fault injection) and
-# benchmark. The benches write results/BENCH_serve.json and
-# results/BENCH_fleet.json for perf_report to fold in.
-serve() {
-  b="ssim-serve-${*// /-}"
-  echo "[$(date +%H:%M:%S)] running $b"
-  env SSIM_METRICS="$SSIM_METRICS" SSIM_QUICK=1 \
-    cargo run --release -q -p ssim-serve --bin ssim-serve -- "$@" > "results/$b.txt" 2>&1 \
-    || { echo "serve $* FAILED (see results/$b.txt)"; exit 1; }
-}
-serve smoke
-serve bench
-serve fleet smoke
-serve fleet bench
+# Fleet benchmark: the backend-count curve and a chaos phase, merged
+# results asserted byte-identical across them; writes
+# results/BENCH_fleet.json for perf_report to fold in. (Per-layer speed
+# is the repository benchmark's job: ./ci.sh perfbench below.)
+echo "[$(date +%H:%M:%S)] running ssim-serve fleet bench"
+env SSIM_METRICS="$SSIM_METRICS" SSIM_QUICK=1 \
+  cargo run --release -q -p ssim-serve --bin ssim-serve -- fleet bench \
+  > results/ssim-serve-fleet-bench.txt 2>&1 \
+  || { echo "fleet bench FAILED (see results/ssim-serve-fleet-bench.txt)"; exit 1; }
 # Gateway + load story: open-loop loadgen through a gateway over
 # fault-injecting backends with the zero-lost/zero-duplicated ack gate;
 # writes results/BENCH_load.json for perf_report's "load" section.
