@@ -9,7 +9,9 @@
 #   ./ci.sh fmt        # rustfmt, check only
 #   ./ci.sh clippy     # clippy, warnings are errors
 #   ./ci.sh build      # release build, all targets
-#   ./ci.sh test       # full test suite
+#   ./ci.sh test       # full test suite (includes the journal
+#                      # SIGKILL-and-resume drill against the real
+#                      # ssim-serve binary)
 #   ./ci.sh smoke      # the 2-thread sweep-scaling smoke and the §4.6
 #                      # sweep diffed at 1 vs 2 threads (SSIM_QUICK)
 #   ./ci.sh asm        # assembler front-end: corpus assembles through
@@ -25,10 +27,8 @@
 #                      # their pinned output digests
 #   ./ci.sh deep       # deep bench tier (not part of `all`; manual or
 #                      # nightly): full §4.6 thread-scaling curve with
-#                      # parallel-efficiency gates, 8-backend fleet
-#                      # scaling, the journal kill-and-resume chaos
-#                      # test, the 10k-connection load story, and a
-#                      # perf_report fold of all of it
+#                      # parallel-efficiency gates and the
+#                      # 10k-connection load story
 set -euo pipefail
 
 stage() { echo "[ci $(date +%H:%M:%S)] $*"; }
@@ -55,13 +55,13 @@ do_test() {
 
 do_smoke() {
   # (The service and fleet are checked end to end by the test suite —
-  # loopback, fleet_chaos, and shutdown_ack against the real binary —
-  # and by the load and perfbench stages.)
+  # loopback, fleet_chaos, and shutdown_ack and journal_chaos against
+  # the real binary — and by the load and perfbench stages.)
   #
   # Thread-scaling smoke over the quick §4.6 grid at 2 threads:
   # asserts byte-identity across thread counts and (on multi-core
-  # hosts) gates speedup(2) >= SSIM_MIN_SPEEDUP2; single-core hosts
-  # record the curve without enforcing.
+  # hosts) gates speedup(2) >= 1.5; single-core hosts record the curve
+  # without enforcing.
   stage "scaling (2-thread sweep smoke)"
   SSIM_QUICK=1 SSIM_THREADS=2 cargo run --release -q -p ssim-bench --bin scaling
   # Thread determinism: the §4.6 exhibit must print the same bytes at
@@ -107,7 +107,7 @@ do_dse() {
   # Surrogate-guided DSE planner against exhaustive ground truth on the
   # real §4.6 space: asserts the budget, Pareto-gap, stratum-error and
   # byte-determinism gates internally, and writes
-  # results/BENCH_dse.json for perf_report to fold in.
+  # results/BENCH_dse.json.
   stage "dse (planner vs exhaustive, quick space)"
   mkdir -p results
   SSIM_QUICK=1 cargo run --release -q -p ssim-bench --bin dse
@@ -171,23 +171,15 @@ do_perfbench() {
 do_deep() {
   # Deep bench tier — the full §4.6 design space across the
   # threads={1,4,8,16} curve (parallel efficiency gated at threads=4 on
-  # hosts with >= 4 cores), the fleet's backends={1,3,8} scaling
-  # curve, the journal kill-and-resume chaos test, and the
-  # 10k-connection load story, folded into results/BENCH_parallel.json.
-  # Too heavy for the per-push gate: run manually or from the
+  # hosts with >= 4 cores) and the 10k-connection load story. Too
+  # heavy for the per-push gate: run manually or from the
   # nightly/dispatch CI job.
   do_build
   stage "scaling (deep: full grid, threads={1,4,8,16})"
   mkdir -p results
-  SSIM_DEEP=1 cargo run --release -q -p ssim-bench --bin scaling
-  stage "fleet bench (deep: backends={1,3,8})"
-  SSIM_DEEP=1 SSIM_QUICK=1 cargo run --release -q -p ssim-serve -- fleet bench
-  stage "journal chaos (SIGKILL mid-sweep, resume, byte-identical digest)"
-  target/release/ssim-serve journal-chaos
+  SSIM_DEEP=1 SSIM_METRICS=0 cargo run --release -q -p ssim-bench --bin scaling
   stage "loadgen (deep: 10k connections)"
   SSIM_DEEP=1 run_loadgen
-  stage "perf_report (fold deep curves)"
-  SSIM_QUICK=1 cargo run --release -q -p ssim-bench --bin perf_report
 }
 
 case "${1:-all}" in

@@ -5,8 +5,7 @@
 //! scale, byte-determinism on re-run — are asserted inside the
 //! measurement (see `ssim_bench::dsebench`).
 //!
-//! Emits `results/BENCH_dse.json`; `perf_report` folds it into
-//! `results/BENCH_parallel.json` as the `"dse"` section.
+//! Emits `results/BENCH_dse.json`.
 
 use ssim_bench::{banner, measure_dse};
 

@@ -16,23 +16,21 @@
 //!
 //! * **quick** (default; `run_all.sh` and the CI smoke stage run it
 //!   with `SSIM_THREADS=2`): the 296-point quick grid over
-//!   `threads={1,2,4}`, gating `speedup(2) ≥ SSIM_MIN_SPEEDUP2`
-//!   (default 1.5) whenever the host has ≥ 2 cores;
+//!   `threads={1,2,4}`, gating `speedup(2) ≥ 1.5` whenever the host
+//!   has ≥ 2 cores;
 //! * **deep** (`SSIM_DEEP=1`, via `./ci.sh deep` / `run_all.sh
 //!   --deep`): the full 999-point grid over `threads={1,4,8,16}`,
-//!   gating parallel efficiency at `threads=4` against
-//!   `SSIM_MIN_PAR_EFF` (default 0.6) whenever the host has ≥ 4 cores.
+//!   gating parallel efficiency at `threads=4` against 0.6 whenever
+//!   the host has ≥ 4 cores.
 //!
 //! Efficiency gates are *enforced* only when `available_parallelism`
 //! covers the gated thread count — a 1-core container cannot exhibit a
 //! multi-core speedup, and silently "passing" there would be a lie —
 //! but the curve is always measured and recorded, so the artifact
-//! shows exactly what the host could and could not demonstrate.
-//! `SSIM_SCALING_THREADS=a,b,c` overrides the curve,
-//! `SSIM_SCALING_REPS` the repetitions (best-of; default 2).
+//! shows exactly what the host could and could not demonstrate. Each
+//! thread count's wall-clock is the best of `REPS` passes.
 //!
-//! Writes `results/BENCH_scaling.json`; `perf_report` folds it into
-//! `results/BENCH_parallel.json` as the `"scaling"` section.
+//! Writes `results/BENCH_scaling.json`.
 
 use ssim::prelude::*;
 use ssim_bench::{
@@ -41,16 +39,12 @@ use ssim_bench::{
 use std::hash::Hasher;
 use std::time::Instant;
 
-fn env_flag(key: &str) -> bool {
-    std::env::var(key).is_ok_and(|v| v != "0")
-}
-
-fn env_f64(key: &str, dflt: f64) -> f64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(dflt)
-}
+/// Timed passes per thread count; the best one is recorded.
+const REPS: usize = 2;
+/// Deep-tier floor on parallel efficiency at 4 threads.
+const MIN_EFFICIENCY4: f64 = 0.6;
+/// Quick-tier floor on the 2-thread speedup.
+const MIN_SPEEDUP2: f64 = 1.5;
 
 struct CurvePoint {
     threads: usize,
@@ -61,7 +55,7 @@ struct CurvePoint {
 }
 
 fn main() {
-    let deep = env_flag("SSIM_DEEP");
+    let deep = std::env::var("SSIM_DEEP").is_ok_and(|v| v != "0");
     banner(
         "Scaling",
         if deep {
@@ -76,34 +70,8 @@ fn main() {
     // Deep runs the full grid regardless of SSIM_QUICK; quick runs the
     // pruned grid so the CI smoke stage stays fast.
     let points = sec46_grid(!deep);
-    let thread_list: Vec<usize> = std::env::var("SSIM_SCALING_THREADS")
-        .ok()
-        .map(|v| {
-            v.split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .filter(|&t| t >= 1)
-                .collect::<Vec<usize>>()
-        })
-        .filter(|l| !l.is_empty())
-        .map(|mut l| {
-            // The 1-thread run is the speedup baseline; it always leads.
-            if l.first() != Some(&1) {
-                l.insert(0, 1);
-            }
-            l
-        })
-        .unwrap_or_else(|| {
-            if deep {
-                vec![1, 4, 8, 16]
-            } else {
-                vec![1, 2, 4]
-            }
-        });
-    let reps: usize = std::env::var("SSIM_SCALING_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&r| r >= 1)
-        .unwrap_or(2);
+    // The 1-thread run is the speedup baseline; it always leads.
+    let thread_list: &[usize] = if deep { &[1, 4, 8, 16] } else { &[1, 2, 4] };
 
     // The sec46 sweep shape: one profile, one shared synthetic trace,
     // many machine points. gcc is the reference workload (largest SFG).
@@ -123,7 +91,7 @@ fn main() {
     let sweep = |threads: usize| -> (Vec<(u64, u64, u64)>, f64) {
         let mut best = f64::INFINITY;
         let mut out = Vec::new();
-        for _ in 0..reps {
+        for _ in 0..REPS {
             // Every rep starts cold. With one thread `par_map` runs on
             // this thread, whose engine would otherwise still hold the
             // previous pass's results and answer the whole sweep from
@@ -157,7 +125,7 @@ fn main() {
     let baseline_digest = digest_of(&baseline_res);
     println!(
         "{} design points, workload {}, R = {r}, trace {} instrs, \
-         threads {thread_list:?} (host parallelism {avail}), best of {reps}",
+         threads {thread_list:?} (host parallelism {avail}), best of {REPS}",
         points.len(),
         workload.name(),
         baseline_res[0].1, // every point commits the whole trace
@@ -165,7 +133,7 @@ fn main() {
 
     let mut curve: Vec<CurvePoint> = Vec::new();
     let mut wall_1t = f64::NAN;
-    for &t in &thread_list {
+    for &t in thread_list {
         let (res, wall_s) = sweep(t);
         let digest = digest_of(&res);
         assert_eq!(
@@ -194,17 +162,16 @@ fn main() {
     // --- gates ------------------------------------------------------
     // Enforced only where the host can physically show the win; the
     // JSON always records what was measured and whether it was gated.
-    let min_eff = env_f64("SSIM_MIN_PAR_EFF", 0.6);
     let eff4 = curve.iter().find(|c| c.threads == 4).map(|c| c.efficiency);
     let eff4_enforced = deep && avail >= 4 && eff4.is_some();
     if eff4_enforced {
         let eff = eff4.unwrap();
         assert!(
-            eff >= min_eff,
-            "parallel efficiency at threads=4 is {eff:.2}, below the {min_eff:.2} floor — \
+            eff >= MIN_EFFICIENCY4,
+            "parallel efficiency at threads=4 is {eff:.2}, below the {MIN_EFFICIENCY4:.2} floor — \
              the sweep is serialising somewhere (cursor, cache lock, or allocator)"
         );
-        println!("gate: efficiency(4) = {:.2} >= {min_eff:.2} OK", eff);
+        println!("gate: efficiency(4) = {eff:.2} >= {MIN_EFFICIENCY4:.2} OK");
     } else if let Some(eff) = eff4 {
         println!(
             "gate: efficiency(4) = {eff:.2} recorded, not enforced \
@@ -212,16 +179,15 @@ fn main() {
             avail
         );
     }
-    let min_sp2 = env_f64("SSIM_MIN_SPEEDUP2", 1.5);
     let sp2 = curve.iter().find(|c| c.threads == 2).map(|c| c.speedup);
     let sp2_enforced = !deep && avail >= 2 && sp2.is_some();
     if sp2_enforced {
         let sp = sp2.unwrap();
         assert!(
-            sp >= min_sp2,
-            "quick sweep speedup at threads=2 is {sp:.2}x, below the {min_sp2:.2}x floor"
+            sp >= MIN_SPEEDUP2,
+            "quick sweep speedup at threads=2 is {sp:.2}x, below the {MIN_SPEEDUP2:.2}x floor"
         );
-        println!("gate: speedup(2) = {sp:.2}x >= {min_sp2:.2}x OK");
+        println!("gate: speedup(2) = {sp:.2}x >= {MIN_SPEEDUP2:.2}x OK");
     } else if let Some(sp) = sp2 {
         println!(
             "gate: speedup(2) = {sp:.2}x recorded, not enforced \
@@ -242,9 +208,9 @@ fn main() {
         .collect();
     let json = format!(
         "{{\"{}\": {deep}, {}, \"points\": {}, \"workload\": \"{}\", \"r\": {r}, \
-         \"reps\": {reps}, \"identical\": true, \"curve\": [{}], \
-         \"gates\": {{\"min_efficiency_threads4\": {min_eff}, \"efficiency4_enforced\": {eff4_enforced}, \
-         \"min_speedup_threads2\": {min_sp2}, \"speedup2_enforced\": {sp2_enforced}}}}}",
+         \"reps\": {REPS}, \"identical\": true, \"curve\": [{}], \
+         \"gates\": {{\"min_efficiency_threads4\": {MIN_EFFICIENCY4}, \"efficiency4_enforced\": {eff4_enforced}, \
+         \"min_speedup_threads2\": {MIN_SPEEDUP2}, \"speedup2_enforced\": {sp2_enforced}}}}}",
         "deep",
         ssim_bench::host_header_json(),
         points.len(),

@@ -1,6 +1,5 @@
-//! Surrogate-guided design-space exploration measurement, shared by the
-//! `dse` binary and the `"dse"` section of `perf_report`'s
-//! `results/BENCH_parallel.json`.
+//! Surrogate-guided design-space exploration measurement behind the
+//! `dse` binary and its `results/BENCH_dse.json`.
 //!
 //! Two phases, both asserted against the acceptance criteria
 //! in-measurement so the recorded numbers can never come from a
@@ -348,8 +347,7 @@ pub fn measure_dse() -> DseBench {
 }
 
 impl DseBench {
-    /// The `"dse"` JSON object embedded in `BENCH_parallel.json` (and
-    /// the whole of `results/BENCH_dse.json`).
+    /// The whole of `results/BENCH_dse.json`.
     pub fn json(&self) -> String {
         format!(
             "{{{}, \"workload\": \"{}\", \"space_points\": {}, \"strata\": {}, \

@@ -25,8 +25,8 @@ use ssim_uarch::{
     OccupancyMeter, SimResult, Unit,
 };
 // Observability (all no-ops unless SSIM_METRICS enables recording).
-// The per-cycle histograms are the one hot-path instrumentation site in
-// the pipeline; each record is a single relaxed load when disabled.
+// Nothing is recorded per cycle: the run counters are added once per
+// run, the wrong-path ones once per squash and per injected instruction.
 static OBS_SIM_TIME: ssim_obs::TimerStat = ssim_obs::TimerStat::new("tracesim.time");
 static OBS_INSTRUCTIONS: ssim_obs::Counter = ssim_obs::Counter::new("tracesim.instructions");
 static OBS_CYCLES: ssim_obs::Counter = ssim_obs::Counter::new("tracesim.cycles");
@@ -36,14 +36,6 @@ static OBS_WRONG_PATH_SQUASHED: ssim_obs::Counter =
     ssim_obs::Counter::new("tracesim.wrong_path_squashed");
 static OBS_WALKS_REUSED: ssim_obs::Counter = ssim_obs::Counter::new("tracesim.walks_reused");
 static OBS_POINTS_REUSED: ssim_obs::Counter = ssim_obs::Counter::new("tracesim.points_reused");
-static OBS_FETCH_OCCUPANCY: ssim_obs::LogHistogram =
-    ssim_obs::LogHistogram::new("tracesim.fetch_ifq_occupancy");
-static OBS_DISPATCH_PER_CYCLE: ssim_obs::LogHistogram =
-    ssim_obs::LogHistogram::new("tracesim.dispatch_per_cycle");
-static OBS_ISSUE_OCCUPANCY: ssim_obs::LogHistogram =
-    ssim_obs::LogHistogram::new("tracesim.issue_window_occupancy");
-static OBS_RETIRE_PER_CYCLE: ssim_obs::LogHistogram =
-    ssim_obs::LogHistogram::new("tracesim.retire_per_cycle");
 
 /// Simulates a synthetic trace on the configured machine.
 ///
@@ -374,10 +366,7 @@ impl<'a> TraceSim<'a> {
             let dispatched = self.dispatch();
             let cursor_before = self.cursor;
             self.fetch();
-            OBS_DISPATCH_PER_CYCLE.record(dispatched);
-            OBS_ISSUE_OCCUPANCY.record(self.core.in_flight() as u64);
             self.core.advance();
-            OBS_RETIRE_PER_CYCLE.record(self.core.committed() - committed);
             self.skip_quiet_cycles(dispatched, cursor_before);
 
             let now = self.core.now();
@@ -418,8 +407,8 @@ impl<'a> TraceSim<'a> {
     /// stall, whichever is sooner) every pipeline stage is blocked for
     /// the same reason it was blocked this cycle, and an unskipped run
     /// would idle through the same cycles touching nothing — so only the
-    /// per-cycle occupancy samples and observability histograms need to
-    /// be replayed, in one batched step each. Results are bit-identical.
+    /// per-cycle occupancy samples need to be replayed, in one batched
+    /// step each. Results are bit-identical.
     fn skip_quiet_cycles(&mut self, dispatched: u64, cursor_before: usize) {
         if dispatched != 0 || self.cursor != cursor_before {
             return;
@@ -446,10 +435,6 @@ impl<'a> TraceSim<'a> {
         }
         self.core.skip_quiet(k);
         self.ifq_meter.sample_n(self.ifq_len() as u64, k);
-        OBS_FETCH_OCCUPANCY.record_n(self.ifq_len() as u64, k);
-        OBS_DISPATCH_PER_CYCLE.record_n(0, k);
-        OBS_ISSUE_OCCUPANCY.record_n(self.core.in_flight() as u64, k);
-        OBS_RETIRE_PER_CYCLE.record_n(0, k);
     }
 
     fn recover(&mut self, seq: u64) {
@@ -558,7 +543,6 @@ impl<'a> TraceSim<'a> {
         let now = self.core.now();
         if now < self.fetch_stall_until {
             self.ifq_meter.sample(self.ifq_len() as u64);
-            OBS_FETCH_OCCUPANCY.record(self.ifq_len() as u64);
             return;
         }
         let mut budget = self.cfg.fetch_width();
@@ -575,7 +559,6 @@ impl<'a> TraceSim<'a> {
             }
         }
         self.ifq_meter.sample(self.ifq_len() as u64);
-        OBS_FETCH_OCCUPANCY.record(self.ifq_len() as u64);
     }
 
     /// Fetches one synthetic instruction (the position just appended to

@@ -29,8 +29,9 @@
 //! * `SSIM_METRICS=json` — record, and write
 //!   `results/METRICS_<bin>.json` from [`finish`].
 //!
-//! [`force_enable`] turns recording on programmatically (used by
-//! `perf_report`, which always wants stage timings, and by tests).
+//! [`force_enable`] turns recording on programmatically (used by the
+//! server and gateway, whose `metrics` endpoint reads live values, and
+//! by tests).
 //!
 //! # Examples
 //!
@@ -106,8 +107,8 @@ pub fn enabled() -> bool {
 ///
 /// The export mode keeps whatever `SSIM_METRICS` asked for; if the
 /// variable asked for `Off`, [`finish`] still emits nothing, but
-/// in-process consumers (e.g. `perf_report` folding stage timings into
-/// its own JSON) see live values via [`snapshot`].
+/// in-process consumers (e.g. a server's `metrics` endpoint) see live
+/// values via [`snapshot`].
 pub fn force_enable() {
     let _ = MODE.get_or_init(mode_from_env);
     STATE.store(STATE_ON, Relaxed);
@@ -402,24 +403,6 @@ impl LogHistogram {
         self.buckets[bucket_of(v)].fetch_add(1, Relaxed);
         self.count.fetch_add(1, Relaxed);
         self.sum.fetch_add(v, Relaxed);
-        self.max.fetch_max(v, Relaxed);
-    }
-
-    /// Records `n` identical observations at once — equivalent to `n`
-    /// [`LogHistogram::record`] calls (no-op while metrics are disabled
-    /// or `n` is zero). Event-driven simulators use this to account for
-    /// runs of provably idle cycles in one step.
-    #[inline]
-    pub fn record_n(&'static self, v: u64, n: u64) {
-        if n == 0 || !enabled() {
-            return;
-        }
-        if !self.registered.load(Relaxed) {
-            self.register();
-        }
-        self.buckets[bucket_of(v)].fetch_add(n, Relaxed);
-        self.count.fetch_add(n, Relaxed);
-        self.sum.fetch_add(v.wrapping_mul(n), Relaxed);
         self.max.fetch_max(v, Relaxed);
     }
 

@@ -13,10 +13,9 @@
 //!   crates, so this is `std::thread::scope` + atomics, not rayon.
 //! * **Work stealing via adaptive chunked claiming.** Workers claim
 //!   `max(1, remaining / (threads × K))` items at a time from a shared
-//!   `AtomicUsize` cursor (`K` = [`chunk_factor`], default 8, env
-//!   `SSIM_CHUNK_FACTOR`). Early claims are large — ~10³–10⁶ cheap
-//!   points would otherwise serialise on the cursor's cache line — and
-//!   shrink geometrically toward single items as the queue drains, so
+//!   `AtomicUsize` cursor (`K` = 8). Early claims are large — ~10³–10⁶
+//!   cheap points would otherwise serialise on the cursor's cache line —
+//!   and shrink geometrically toward single items as the queue drains, so
 //!   uneven per-item costs (a wide-window design point simulates far
 //!   slower than a narrow one) still balance at the tail exactly like
 //!   the old one-item cursor did.
@@ -105,19 +104,10 @@ where
 
 /// The chunk divisor `K`: each claim takes roughly `1/(threads × K)` of
 /// the remaining items, so every worker makes ~`K·log(n)` claims total
-/// instead of `n/threads`. `SSIM_CHUNK_FACTOR` overrides (≥ 1); the
-/// default of 8 keeps tail imbalance under 1/(8·threads) of the sweep
-/// while cutting cursor traffic by orders of magnitude on cheap points.
-pub fn chunk_factor() -> usize {
-    static K: OnceLock<usize> = OnceLock::new();
-    *K.get_or_init(|| {
-        std::env::var("SSIM_CHUNK_FACTOR")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&k| k >= 1)
-            .unwrap_or(8)
-    })
-}
+/// instead of `n/threads`. 8 keeps tail imbalance under 1/(8·threads)
+/// of the sweep while cutting cursor traffic by orders of magnitude on
+/// cheap points.
+const CHUNK_FACTOR: usize = 8;
 
 /// [`par_map`] with an explicit thread count (exposed for determinism
 /// tests; experiment code should use [`par_map`]).
@@ -127,13 +117,12 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map_chunked(threads, chunk_factor(), items, f)
+    par_map_chunked(threads, CHUNK_FACTOR, items, f)
 }
 
 /// [`par_map_with`] with an explicit chunk divisor `K` (exposed so the
 /// property tests can sweep adversarial `(threads, K)` combinations;
-/// experiment code should use [`par_map`], which reads
-/// `SSIM_CHUNK_FACTOR`).
+/// experiment code should use [`par_map`], which uses `K` = 8).
 pub fn par_map_chunked<T, R, F>(threads: usize, k: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,

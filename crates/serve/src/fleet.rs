@@ -15,7 +15,7 @@
 //!   `machines × seeds` order the server's own `sweep` endpoint uses.
 //!   Results land in a slot array by point index, so the merged output
 //!   is **byte-identical** to a single-backend (or direct library) run
-//!   regardless of backend count, scheduling, retries or hedging. The
+//!   regardless of backend count, scheduling or retries. The
 //!   only wire field that depends on placement history — the result
 //!   cache's `cached` flag — is normalised to `false` in the merged
 //!   output.
@@ -29,20 +29,17 @@
 //!   shared queue; whichever healthy backend pops it next completes the
 //!   steal. Dead backends re-enter service only after a successful
 //!   periodic health probe.
-//! * **Hedged requests.** An idle worker with nothing pending may
-//!   duplicate the oldest straggling in-flight point on its own
-//!   backend; the first answer wins the slot, the loser is discarded.
 //!
 //! Every decision is visible through `ssim-obs`: fleet-level counters
-//! (`fleet.retries`, `fleet.steals`, `fleet.hedges`, …) plus
-//! per-backend gauges and counters (`fleet.backend<i>.inflight`,
-//! `.retries`, `.steals`, `.hedges`, `.transitions`, `.served`) built
-//! with [`ssim_obs::dyn_gauge`] / [`ssim_obs::dyn_counter`].
+//! (`fleet.retries`, `fleet.steals`, …) plus per-backend gauges and
+//! counters (`fleet.backend<i>.inflight`, `.retries`, `.steals`,
+//! `.transitions`, `.served`) built with [`ssim_obs::dyn_gauge`] /
+//! [`ssim_obs::dyn_counter`] once per backend per sweep.
 
 use crate::client::Client;
 use crate::proto::{MachineSpec, PointResult, ProfileParams, Request};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -50,8 +47,6 @@ static OBS_SWEEPS: ssim_obs::Counter = ssim_obs::Counter::new("fleet.sweeps");
 static OBS_POINTS: ssim_obs::Counter = ssim_obs::Counter::new("fleet.points");
 static OBS_RETRIES: ssim_obs::Counter = ssim_obs::Counter::new("fleet.retries");
 static OBS_STEALS: ssim_obs::Counter = ssim_obs::Counter::new("fleet.steals");
-static OBS_HEDGES: ssim_obs::Counter = ssim_obs::Counter::new("fleet.hedges");
-static OBS_HEDGES_WON: ssim_obs::Counter = ssim_obs::Counter::new("fleet.hedges_won");
 static OBS_TRANSITIONS: ssim_obs::Counter = ssim_obs::Counter::new("fleet.backend_transitions");
 static OBS_INFLIGHT: ssim_obs::Gauge = ssim_obs::Gauge::new("fleet.inflight");
 
@@ -109,9 +104,6 @@ pub struct FleetConfig {
     pub backoff_base_ms: u64,
     /// Backoff cap.
     pub backoff_cap_ms: u64,
-    /// Hedge a straggling in-flight point after this long; `None`
-    /// disables hedging.
-    pub hedge_after_ms: Option<u64>,
     /// How often a dead backend is re-probed.
     pub probe_interval_ms: u64,
     /// Per-request deadline (socket read timeout and the server-side
@@ -131,7 +123,6 @@ impl Default for FleetConfig {
             max_attempts: 16,
             backoff_base_ms: 5,
             backoff_cap_ms: 500,
-            hedge_after_ms: Some(1_500),
             probe_interval_ms: 100,
             request_deadline_ms: 30_000,
             sweep_timeout_ms: 300_000,
@@ -185,13 +176,10 @@ pub struct FleetStats {
     /// Points completed by a different backend than one that failed
     /// them (work-stealing reassignments).
     pub steals: u64,
-    /// Hedged duplicates launched against stragglers.
-    pub hedges: u64,
-    /// Hedges whose answer won the slot.
-    pub hedges_won: u64,
     /// Backend health transitions (healthy→dead and dead→healthy).
     pub transitions: u64,
-    /// Points won per backend (indexed like `FleetConfig::backends`).
+    /// Points answered per backend (indexed like
+    /// `FleetConfig::backends`).
     pub served: Vec<u64>,
 }
 
@@ -207,15 +195,11 @@ pub struct SweepOutcome {
 
 // ---- coordinator internals ------------------------------------------
 
-struct Inflight {
-    backend: usize,
-    started: Instant,
-    hedged: bool,
-}
-
+/// Shared sweep state. A point is either pending, or being run by
+/// exactly one worker, or answered: only a failed attempt puts it back
+/// on the queue, so every result slot is written once.
 struct SweepState {
     pending: VecDeque<usize>,
-    inflight: HashMap<usize, Inflight>,
     results: Vec<Option<PointResult>>,
     /// Backends that have failed each point (steal detection).
     failed_on: Vec<Vec<usize>>,
@@ -232,8 +216,11 @@ struct Coordinator<'a> {
     cfg: FleetConfig,
     state: Mutex<SweepState>,
     changed: Condvar,
-    /// Progress hook: called once per point, by the worker that wins
-    /// the result slot, outside the state lock. Drives streaming
+    /// One set of metric handles per backend, indexed like
+    /// `cfg.backends`.
+    metrics: Vec<BackendMetrics>,
+    /// Progress hook: called once per point, by the worker that
+    /// answered it, outside the state lock. Drives streaming
     /// sweeps ([`Fleet::sweep_streaming`]); `None` for blocking runs.
     on_point: Option<&'a (dyn Fn(usize, PointResult) + Sync)>,
 }
@@ -244,7 +231,6 @@ struct BackendMetrics {
     inflight: &'static ssim_obs::Gauge,
     retries: &'static ssim_obs::Counter,
     steals: &'static ssim_obs::Counter,
-    hedges: &'static ssim_obs::Counter,
     transitions: &'static ssim_obs::Counter,
     served: &'static ssim_obs::Counter,
 }
@@ -256,7 +242,6 @@ impl BackendMetrics {
             inflight: ssim_obs::dyn_gauge(&name("inflight")),
             retries: ssim_obs::dyn_counter(&name("retries")),
             steals: ssim_obs::dyn_counter(&name("steals")),
-            hedges: ssim_obs::dyn_counter(&name("hedges")),
             transitions: ssim_obs::dyn_counter(&name("transitions")),
             served: ssim_obs::dyn_counter(&name("served")),
         }
@@ -266,8 +251,6 @@ impl BackendMetrics {
 enum Task {
     /// Fresh (or re-queued) point, popped from the shared queue.
     Run(usize),
-    /// Duplicate of a straggling point owned by another backend.
-    Hedge(usize),
     /// Backend is dead: probe it, then come back.
     Probe,
 }
@@ -324,38 +307,10 @@ impl Coordinator<'_> {
                     // here is the reassignment the queue exists for.
                     st.stats.steals += 1;
                     OBS_STEALS.inc();
-                    BackendMetrics::for_backend(bi).steals.inc();
+                    self.metrics[bi].steals.inc();
                 }
                 st.attempts[i] += 1;
-                st.inflight.insert(
-                    i,
-                    Inflight {
-                        backend: bi,
-                        started: Instant::now(),
-                        hedged: false,
-                    },
-                );
-                OBS_INFLIGHT.add(1);
                 return Some(Task::Run(i));
-            }
-            if let Some(hedge_ms) = self.cfg.hedge_after_ms {
-                let threshold = Duration::from_millis(hedge_ms);
-                let straggler = st
-                    .inflight
-                    .iter()
-                    .filter(|(_, inf)| {
-                        inf.backend != bi && !inf.hedged && inf.started.elapsed() >= threshold
-                    })
-                    .min_by_key(|(_, inf)| inf.started)
-                    .map(|(&i, _)| i);
-                if let Some(i) = straggler {
-                    st.inflight.get_mut(&i).unwrap().hedged = true;
-                    st.attempts[i] += 1;
-                    st.stats.hedges += 1;
-                    OBS_HEDGES.inc();
-                    BackendMetrics::for_backend(bi).hedges.inc();
-                    return Some(Task::Hedge(i));
-                }
             }
             let (guard, _) = self
                 .changed
@@ -413,7 +368,7 @@ impl Coordinator<'_> {
                     st.stats.retries += 1;
                 }
                 OBS_RETRIES.inc();
-                BackendMetrics::for_backend(bi).retries.inc();
+                self.metrics[bi].retries.inc();
                 std::thread::sleep(Duration::from_millis(delay));
                 continue;
             }
@@ -424,45 +379,29 @@ impl Coordinator<'_> {
         }
     }
 
-    /// Records a completed point. First writer wins the slot; late
-    /// duplicates (lost hedges, a stolen point's original owner) are
-    /// discarded.
-    fn record_success(&self, i: usize, bi: usize, hedge: bool, mut point: PointResult) {
+    /// Records a completed point in its slot.
+    fn record_success(&self, i: usize, bi: usize, mut point: PointResult) {
+        // Placement history must not leak into the merged output.
+        point.cached = false;
         let mut st = self.state.lock().unwrap();
-        if let Some(inf) = st.inflight.get(&i) {
-            if inf.backend == bi || hedge {
-                st.inflight.remove(&i);
-                OBS_INFLIGHT.sub(1);
-            }
-        }
-        let won = st.results[i].is_none();
-        if won {
-            // Placement history must not leak into the merged output.
-            point.cached = false;
-            st.results[i] = Some(point);
-            st.remaining -= 1;
-            st.stats.served[bi] += 1;
-            BackendMetrics::for_backend(bi).served.inc();
-            if hedge {
-                st.stats.hedges_won += 1;
-                OBS_HEDGES_WON.inc();
-            }
-        }
+        debug_assert!(st.results[i].is_none(), "point {i} answered twice");
+        st.results[i] = Some(point);
+        st.remaining -= 1;
+        st.stats.served[bi] += 1;
         drop(st);
-        if won {
-            if let Some(cb) = self.on_point {
-                // Outside the lock: the hook may do socket I/O. `point`
-                // is the normalized (cached=false) value that will land
-                // in the merged output.
-                cb(i, point);
-            }
+        self.metrics[bi].served.inc();
+        if let Some(cb) = self.on_point {
+            // Outside the lock: the hook may do socket I/O. `point` is
+            // the normalized (cached=false) value that will land in the
+            // merged output.
+            cb(i, point);
         }
         self.changed.notify_all();
     }
 
-    /// Records a failed attempt: re-queues the point (unless it has
-    /// been answered meanwhile) and charges the attempt budget.
-    fn record_failure(&self, i: usize, bi: usize, hedge: bool, err: ExecError) {
+    /// Records a failed attempt: re-queues the point and charges the
+    /// attempt budget.
+    fn record_failure(&self, i: usize, bi: usize, err: ExecError) {
         let mut st = self.state.lock().unwrap();
         match err {
             ExecError::Fatal(msg) => {
@@ -472,25 +411,19 @@ impl Coordinator<'_> {
                 if !st.failed_on[i].contains(&bi) {
                     st.failed_on[i].push(bi);
                 }
-                let owner = st.inflight.get(&i).map(|inf| inf.backend);
-                if owner == Some(bi) && !hedge {
-                    st.inflight.remove(&i);
-                    OBS_INFLIGHT.sub(1);
-                }
-                if st.results[i].is_none() && !st.pending.contains(&i) {
-                    if st.attempts[i] >= self.cfg.max_attempts {
-                        st.fatal = Some(format!(
-                            "point {i} failed after {} attempts (last: {msg})",
-                            st.attempts[i]
-                        ));
-                    } else {
-                        st.stats.retries += 1;
-                        OBS_RETRIES.inc();
-                        // A failed point is the sweep's oldest
-                        // outstanding work: retry it first.
-                        st.requeued_at[i] = Some(Instant::now());
-                        st.pending.push_front(i);
-                    }
+                if st.attempts[i] >= self.cfg.max_attempts {
+                    st.fatal = Some(format!(
+                        "point {i} failed after {} attempts (last: {msg})",
+                        st.attempts[i]
+                    ));
+                } else {
+                    st.stats.retries += 1;
+                    OBS_RETRIES.inc();
+                    self.metrics[bi].retries.inc();
+                    // A failed point is the sweep's oldest outstanding
+                    // work: retry it first.
+                    st.requeued_at[i] = Some(Instant::now());
+                    st.pending.push_front(i);
                 }
             }
         }
@@ -503,12 +436,12 @@ impl Coordinator<'_> {
         st.stats.transitions += 1;
         drop(st);
         OBS_TRANSITIONS.inc();
-        BackendMetrics::for_backend(bi).transitions.inc();
+        self.metrics[bi].transitions.inc();
     }
 
     /// Worker body: one thread per backend.
     fn worker(&self, bi: usize, addr: &str, spec: &SweepSpec) {
-        let metrics = BackendMetrics::for_backend(bi);
+        let metrics = &self.metrics[bi];
         let mut conn: Option<Client> = None;
         let mut healthy = true;
         let mut backoff = Backoff::new(
@@ -530,20 +463,21 @@ impl Coordinator<'_> {
                         self.count_transition(bi);
                     }
                 }
-                Task::Run(i) | Task::Hedge(i) => {
-                    let hedge = matches!(task, Task::Hedge(i2) if i2 == i);
+                Task::Run(i) => {
+                    OBS_INFLIGHT.add(1);
                     metrics.inflight.add(1);
                     let outcome = self.execute(&mut conn, addr, spec, i, bi, &mut backoff);
                     metrics.inflight.sub(1);
+                    OBS_INFLIGHT.sub(1);
                     match outcome {
-                        Ok(point) => self.record_success(i, bi, hedge, point),
+                        Ok(point) => self.record_success(i, bi, point),
                         Err(err) => {
                             if matches!(err, ExecError::Transport(_)) {
                                 healthy = false;
                                 conn = None;
                                 self.count_transition(bi);
                             }
-                            self.record_failure(i, bi, hedge, err);
+                            self.record_failure(i, bi, err);
                         }
                     }
                 }
@@ -586,31 +520,6 @@ impl Fleet {
             return Err("fleet needs at least one backend".to_string());
         }
         Ok(Fleet { cfg })
-    }
-
-    /// The configuration this fleet runs with.
-    pub fn config(&self) -> &FleetConfig {
-        &self.cfg
-    }
-
-    /// Best-effort warm-up: asks every backend to resolve the profile
-    /// (through its on-disk cache) so sweep points pay simulation cost
-    /// only. Failures are ignored — the sweep itself will recover.
-    pub fn warm(&self, profile: &ProfileParams) {
-        std::thread::scope(|scope| {
-            for addr in &self.cfg.backends {
-                let profile = profile.clone();
-                scope.spawn(move || {
-                    let Ok(mut cl) = Client::connect(addr.as_str()) else {
-                        return;
-                    };
-                    let _ = cl.set_read_timeout(Some(Duration::from_millis(
-                        self.cfg.request_deadline_ms,
-                    )));
-                    let _ = cl.call_retry(&Request::Profile(profile), None, 10);
-                });
-            }
-        });
     }
 
     /// Runs one sweep: shards `spec`'s points across the backends and
@@ -659,7 +568,6 @@ impl Fleet {
         let coord = Coordinator {
             state: Mutex::new(SweepState {
                 pending: (0..n).collect(),
-                inflight: HashMap::new(),
                 results: vec![None; n],
                 failed_on: vec![Vec::new(); n],
                 requeued_at: vec![None; n],
@@ -673,6 +581,9 @@ impl Fleet {
                 },
             }),
             changed: Condvar::new(),
+            metrics: (0..self.cfg.backends.len())
+                .map(BackendMetrics::for_backend)
+                .collect(),
             cfg: self.cfg.clone(),
             on_point,
         };

@@ -1,9 +1,9 @@
 //! The fleet coordinator as a server-side endpoint.
 //!
-//! [`crate::fleet`] gives every *client* sharding, hedging, health
-//! probes and retries — but each client must know the backend list and
-//! carry the coordinator. The gateway moves that machinery behind one
-//! address: clients speak the ordinary newline-delimited protocol
+//! [`crate::fleet`] gives every *client* sharding, health probes and
+//! retries — but each client must know the backend list and carry the
+//! coordinator. The gateway moves that machinery behind one address:
+//! clients speak the ordinary newline-delimited protocol
 //! ([`crate::proto`]) to a single endpoint, and the gateway forwards,
 //! shards and fails over across its backends.
 //!
@@ -90,7 +90,7 @@ pub struct GatewayConfig {
     /// Forward-queue bound; beyond it requests are rejected with
     /// `retry_after_ms`.
     pub queue_capacity: usize,
-    /// Sharding/retry/hedging knobs for sweeps and failover timing for
+    /// Sharding/retry knobs for sweeps and failover timing for
     /// single requests (`backends` is overwritten with the gateway's).
     pub fleet: FleetConfig,
 }

@@ -36,9 +36,9 @@
 //!   backpressure-aware retry helper.
 //! * **Fleet** ([`fleet`]): client-side coordinator sharding a sweep's
 //!   design points across N backends with health probes, capped
-//!   exponential backoff + jitter, work-stealing reassignment and
-//!   hedged requests — output merged by design-point index, so a fleet
-//!   run is byte-identical to a single-backend run.
+//!   exponential backoff + jitter and work-stealing reassignment —
+//!   output merged by design-point index, so a fleet run is
+//!   byte-identical to a single-backend run.
 //! * **Fault injection** ([`fault`]): a seeded, deterministic
 //!   `SSIM_FAULT_PLAN` layer (drops, delays, backpressure rejects) so
 //!   chaos tests are reproducible.
@@ -48,7 +48,7 @@
 //!   and never re-acks lost work.
 //! * **Gateway** ([`gateway`]): the fleet coordinator as a server-side
 //!   endpoint — clients speak the ordinary protocol to one address and
-//!   sharding, hedging, health tracking and retries happen behind it,
+//!   sharding, health tracking and retries happen behind it,
 //!   over non-blocking connection event loops sized for tens of
 //!   thousands of concurrent sockets.
 //!

@@ -2,7 +2,8 @@
 //! seeded fault plan (drops + delays + rejects), merged results
 //! byte-identical to direct library calls, with the recovery machinery
 //! demonstrably exercised (≥1 retry, ≥1 work-stealing reassignment)
-//! both in the returned [`FleetStats`] and in the `ssim-obs` registry.
+//! both in the returned [`FleetStats`] and in the `ssim-obs` registry,
+//! fleet-wide and per backend.
 //!
 //! Determinism: the fault decision streams are seeded, and the two
 //! faulty plans use seeds whose *first* decision is a fault (seed 7
@@ -106,9 +107,18 @@ fn faulty_fleet_is_byte_identical_to_direct_calls() {
         request_deadline_ms: util::timeout_ms(),
         sweep_timeout_ms: 4 * util::timeout_ms(),
         seed: 1,
-        ..FleetConfig::default()
     })
     .unwrap();
+
+    // One per-backend counter, summed over the backends.
+    let backend_total = |field: &str| -> u64 {
+        (0..servers.len())
+            .map(|i| obs_counter(&format!("fleet.backend{i}.{field}")))
+            .sum()
+    };
+    let served0 = backend_total("served");
+    let retries0 = backend_total("retries");
+    let steals0 = backend_total("steals");
 
     let outcome = fleet.sweep(&spec).expect("chaos sweep");
 
@@ -129,6 +139,21 @@ fn faulty_fleet_is_byte_identical_to_direct_calls() {
     assert_eq!(stats.served.iter().sum::<u64>(), spec.points() as u64);
     assert!(obs_counter("fleet.retries") >= stats.retries);
     assert!(obs_counter("fleet.steals") >= stats.steals);
+    // Per backend: every point is served once, and every retry and
+    // steal is charged to the backend that made it.
+    assert_eq!(
+        backend_total("served") - served0,
+        spec.points() as u64,
+        "{stats:?}"
+    );
+    assert!(
+        backend_total("retries") - retries0 >= stats.retries,
+        "{stats:?}"
+    );
+    assert!(
+        backend_total("steals") - steals0 >= stats.steals,
+        "{stats:?}"
+    );
     assert!(obs_counter("serve.fault.dropped") >= 1);
     assert!(obs_counter("serve.fault.rejected") >= 1);
     assert!(obs_counter("serve.fault.delayed") >= 1);

@@ -6,10 +6,8 @@
 #   ./run_all.sh         # the full artifact set
 #   ./run_all.sh --deep  # additionally runs the deep bench tier
 #                        # (./ci.sh deep): full-grid thread-scaling
-#                        # curve with efficiency gates, 8-backend
-#                        # fleet scaling, journal kill-and-resume
-#                        # chaos, and the 10k-connection load story,
-#                        # folded into BENCH_parallel.json
+#                        # curve with efficiency gates and the
+#                        # 10k-connection load story
 set -u -o pipefail
 DEEP=0
 if [ "${1:-}" = "--deep" ]; then DEEP=1; shift; fi
@@ -23,8 +21,11 @@ mkdir -p results
 # Assembler front-end gate: corpus assembles + halts through the CLI,
 # native workloads re-emit to identical streams, parser fuzz smoke.
 ./ci.sh asm || exit 1
-# Every run emits machine-readable pipeline metrics by default
-# (results/METRICS_<bin>.json); export SSIM_METRICS=0 to opt out.
+# Every exhibit run emits machine-readable pipeline metrics by default
+# (results/METRICS_<bin>.json); export SSIM_METRICS=0 to opt out. The
+# timed runs (dse, scaling) always run with metrics off, so recording
+# never shows in a committed timing. (Arguments after the bin name are
+# env assignments; a later one wins.)
 SSIM_METRICS="${SSIM_METRICS:-json}"
 run() {
   b="$1"; shift
@@ -48,33 +49,24 @@ run ablation_fifo_size        SSIM_QUICK=1 SSIM_PROFILE_INSTR=1500000 SSIM_EDS_I
 run ablation_dep_cap          SSIM_QUICK=1 SSIM_PROFILE_INSTR=1500000 SSIM_EDS_INSTR=1000000
 run ablation_reduction_factor SSIM_QUICK=1 SSIM_PROFILE_INSTR=1500000 SSIM_EDS_INSTR=1000000
 run ext_inorder               SSIM_QUICK=1 SSIM_PROFILE_INSTR=1500000 SSIM_EDS_INSTR=1000000
-# Fleet benchmark: the backend-count curve and a chaos phase, merged
-# results asserted byte-identical across them; writes
-# results/BENCH_fleet.json for perf_report to fold in. (Per-layer speed
-# is the repository benchmark's job: ./ci.sh perfbench below.)
-echo "[$(date +%H:%M:%S)] running ssim-serve fleet bench"
-env SSIM_METRICS="$SSIM_METRICS" SSIM_QUICK=1 \
-  cargo run --release -q -p ssim-serve --bin ssim-serve -- fleet bench \
-  > results/ssim-serve-fleet-bench.txt 2>&1 \
-  || { echo "fleet bench FAILED (see results/ssim-serve-fleet-bench.txt)"; exit 1; }
 # Gateway + load story: open-loop loadgen through a gateway over
 # fault-injecting backends with the zero-lost/zero-duplicated ack gate;
-# writes results/BENCH_load.json for perf_report's "load" section.
+# writes results/BENCH_load.json.
 ./ci.sh load || exit 1
-# The repository benchmark's self-tests: short sweep, study and serve
-# runs checked against their pinned output digests.
+# The repository benchmark (per-layer speed, repeated passes, pinned
+# output digests): its self-tests run short sweep, study and serve
+# runs checked against the digests.
 ./ci.sh perfbench || exit 1
 # Surrogate-guided design-space planner vs exhaustive truth on the
-# quick §4.6 space; writes results/BENCH_dse.json for perf_report.
-run dse                       SSIM_QUICK=1
+# quick §4.6 space; writes results/BENCH_dse.json.
+run dse                       SSIM_QUICK=1 SSIM_METRICS=0
 # Thread-scaling curve over the quick §4.6 grid (byte-identity across
 # thread counts asserted; speedup gate enforced on multi-core hosts);
-# writes results/BENCH_scaling.json for perf_report's "scaling" section.
-run scaling                   SSIM_QUICK=1 SSIM_THREADS=2
-run perf_report               SSIM_QUICK=1
+# writes results/BENCH_scaling.json.
+run scaling                   SSIM_QUICK=1 SSIM_THREADS=2 SSIM_METRICS=0
 # Deep tier (--deep): rerun scaling on the full grid with the
-# efficiency-gated thread curve, extend the fleet to 8 backends, and
-# refold — overwrites the quick curves in BENCH_parallel.json.
+# efficiency-gated thread curve (overwrites the quick curve in
+# BENCH_scaling.json) and the 10k-connection load story.
 if [ "$DEEP" = 1 ]; then
   echo "[$(date +%H:%M:%S)] running deep bench tier (./ci.sh deep)"
   ./ci.sh deep || exit 1
