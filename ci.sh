@@ -29,9 +29,31 @@
 #                      # nightly): full §4.6 thread-scaling curve with
 #                      # parallel-efficiency gates and the
 #                      # 10k-connection load story
+#
+# No stage writes into the tree: the bins that write a ledger
+# (scaling, dse, loadgen) run in a temporary directory, and each
+# ledger they write is copied to target/ci-results/. The committed
+# results/BENCH_*.json come from ./run_all.sh.
 set -euo pipefail
 
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
+ci_results="$root/target/ci-results"
+
 stage() { echo "[ci $(date +%H:%M:%S)] $*"; }
+
+# Runs a bench bin (`bench_bin <bin> <ledger>`) in a temporary working
+# directory, reading and filling the repository's profile cache, and
+# copies the ledger it wrote (results/<ledger>) to target/ci-results/.
+bench_bin() (
+  set -euo pipefail
+  tmp="$(mktemp -d)"
+  trap 'rm -rf "$tmp"' EXIT
+  cd "$tmp"
+  SSIM_PROFILE_CACHE_DIR="${SSIM_PROFILE_CACHE_DIR:-$root/results/.profile-cache}" \
+    cargo run --release -q --manifest-path "$root/Cargo.toml" -p ssim-bench --bin "$1"
+  mkdir -p "$ci_results"
+  cp "results/$2" "$ci_results/"
+)
 
 do_fmt() {
   stage "cargo fmt --check"
@@ -63,7 +85,7 @@ do_smoke() {
   # hosts) gates speedup(2) >= 1.5; single-core hosts record the curve
   # without enforcing.
   stage "scaling (2-thread sweep smoke)"
-  SSIM_QUICK=1 SSIM_THREADS=2 cargo run --release -q -p ssim-bench --bin scaling
+  SSIM_QUICK=1 SSIM_THREADS=2 bench_bin scaling BENCH_scaling.json
   # Thread determinism: the §4.6 exhibit must print the same bytes at
   # 1 and 2 threads, so per-thread engine state (working buffers, the
   # walk an engine keeps for its next point) can never leak into
@@ -107,17 +129,17 @@ do_dse() {
   # Surrogate-guided DSE planner against exhaustive ground truth on the
   # real §4.6 space: asserts the budget, Pareto-gap, stratum-error and
   # byte-determinism gates internally, and writes
-  # results/BENCH_dse.json.
+  # target/ci-results/BENCH_dse.json.
   stage "dse (planner vs exhaustive, quick space)"
-  mkdir -p results
-  SSIM_QUICK=1 cargo run --release -q -p ssim-bench --bin dse
+  SSIM_QUICK=1 bench_bin dse BENCH_dse.json
 }
 
 # Shared body of the load stages: three fault-injecting backends, a
 # gateway over them, and the open-loop loadgen with its zero-lost /
 # zero-duplicated ack gate. Runs in a subshell so the EXIT trap always
 # reaps the servers and the temp dir, pass or fail. Scale comes from
-# the caller's SSIM_QUICK / SSIM_DEEP (and the SSIM_LOAD_* knobs).
+# the caller's SSIM_QUICK / SSIM_DEEP. loadgen runs in the temp dir and
+# its ledger is copied to target/ci-results/BENCH_load.json.
 run_loadgen() (
   set -euo pipefail
   tmp="$(mktemp -d)"
@@ -126,13 +148,14 @@ run_loadgen() (
   # Thousands of concurrent sockets need headroom over the default
   # soft fd limit (best effort — the hard limit is the ceiling).
   ulimit -n "$(ulimit -Hn)" 2>/dev/null || true
-  SSIM_FAULT_PLAN="drop:0.05,delay:1ms@7" target/release/ssim-serve serve \
+  bin="$root/target/release"
+  SSIM_FAULT_PLAN="drop:0.05,delay:1ms@7" "$bin/ssim-serve" serve \
     --addr 127.0.0.1:0 --port-file "$tmp/b0.port" --workers 2 >"$tmp/b0.log" 2>&1 &
   pids+=($!)
-  SSIM_FAULT_PLAN="reject:0.1@11" target/release/ssim-serve serve \
+  SSIM_FAULT_PLAN="reject:0.1@11" "$bin/ssim-serve" serve \
     --addr 127.0.0.1:0 --port-file "$tmp/b1.port" --workers 2 >"$tmp/b1.log" 2>&1 &
   pids+=($!)
-  target/release/ssim-serve serve \
+  "$bin/ssim-serve" serve \
     --addr 127.0.0.1:0 --port-file "$tmp/b2.port" --workers 2 >"$tmp/b2.log" 2>&1 &
   pids+=($!)
   for _ in $(seq 1 300); do
@@ -140,20 +163,22 @@ run_loadgen() (
     sleep 0.1
   done
   [ -f "$tmp/b2.port" ] || { echo "backends never wrote their port files" >&2; exit 1; }
-  target/release/ssim-serve gateway --addr 127.0.0.1:0 --port-file "$tmp/gw.port" \
+  "$bin/ssim-serve" gateway --addr 127.0.0.1:0 --port-file "$tmp/gw.port" \
     "$(cat "$tmp/b0.port")" "$(cat "$tmp/b1.port")" "$(cat "$tmp/b2.port")" \
     >"$tmp/gw.log" 2>&1 &
   pids+=($!)
   for _ in $(seq 1 300); do [ -f "$tmp/gw.port" ] && break; sleep 0.1; done
   [ -f "$tmp/gw.port" ] || { echo "gateway never wrote its port file" >&2; exit 1; }
-  mkdir -p results
-  target/release/loadgen "$(cat "$tmp/gw.port")"
+  (cd "$tmp" && "$bin/loadgen" "$(cat "$tmp/gw.port")")
+  mkdir -p "$ci_results"
+  cp "$tmp/results/BENCH_load.json" "$ci_results/"
 )
 
 do_load() {
   # The chaos/load gate: a gateway over backends that drop, delay and
   # reject must still lose or duplicate zero acknowledgements under
-  # 1k-connection open-loop load. Writes results/BENCH_load.json.
+  # 1k-connection open-loop load. Writes
+  # target/ci-results/BENCH_load.json.
   do_build
   stage "loadgen (gateway over chaos backends, SSIM_QUICK)"
   SSIM_QUICK=1 run_loadgen
@@ -176,8 +201,7 @@ do_deep() {
   # nightly/dispatch CI job.
   do_build
   stage "scaling (deep: full grid, threads={1,4,8,16})"
-  mkdir -p results
-  SSIM_DEEP=1 SSIM_METRICS=0 cargo run --release -q -p ssim-bench --bin scaling
+  SSIM_DEEP=1 SSIM_METRICS=0 bench_bin scaling BENCH_scaling.json
   stage "loadgen (deep: 10k connections)"
   SSIM_DEEP=1 run_loadgen
 }

@@ -28,10 +28,8 @@
 //! (`retry_after_ms` present) count as acknowledged — an explicit
 //! rejection is the protocol working, not a lost request.
 //!
-//! Knobs (all env): `SSIM_LOAD_CONNS` (default 1000, or 10000 under
-//! `SSIM_DEEP`), `SSIM_LOAD_RPS` (default 300 quick / 2000 otherwise),
-//! `SSIM_LOAD_SECS` (default 6 quick / 20 otherwise),
-//! `SSIM_LOAD_SEED` (default 42).
+//! Tiers: 1,000 connections (10,000 under `SSIM_DEEP`) at 2,000 req/s
+//! for 20 s (300 req/s for 6 s under `SSIM_QUICK`), arrival seed 42.
 
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::collections::HashMap;
@@ -43,13 +41,6 @@ static OBS_SENT: ssim_obs::Counter = ssim_obs::Counter::new("loadgen.sent");
 static OBS_ACKED: ssim_obs::Counter = ssim_obs::Counter::new("loadgen.acked");
 static OBS_REJECTED: ssim_obs::Counter = ssim_obs::Counter::new("loadgen.rejected");
 static OBS_LATENCY: ssim_obs::LogHistogram = ssim_obs::LogHistogram::new("loadgen.latency_us");
-
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// The request pool: widths × seeds over one small gzip profile, the
 /// same points the warm-up phase primes, so the steady state measures
@@ -263,10 +254,10 @@ fn main() {
     ssim_obs::force_enable();
     let quick = ssim_bench::quick();
     let deep = std::env::var("SSIM_DEEP").is_ok_and(|v| v != "0");
-    let conns = env_u64("SSIM_LOAD_CONNS", if deep { 10_000 } else { 1_000 }) as usize;
-    let rps = env_u64("SSIM_LOAD_RPS", if quick { 300 } else { 2_000 }) as f64;
-    let secs = env_u64("SSIM_LOAD_SECS", if quick { 6 } else { 20 });
-    let seed = env_u64("SSIM_LOAD_SEED", 42);
+    let conns = if deep { 10_000 } else { 1_000 };
+    let rps = if quick { 300.0 } else { 2_000.0 };
+    let secs = if quick { 6 } else { 20 };
+    let seed = 42;
     let threads = ssim_bench::num_threads().clamp(2, 8);
     println!(
         "loadgen: {conns} connections to {addr}, {rps:.0} req/s open-loop for {secs}s \

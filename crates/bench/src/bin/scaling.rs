@@ -7,7 +7,8 @@
 //! point set over one shared synthetic trace (the `sec46_design_space`
 //! shape: one lowering via the sharded sampler cache, per-worker
 //! engines that walk the trace once and reuse results across RUU/LSQ
-//! sizes, chunked work-stealing claims; every timed rep starts from
+//! sizes, each worker sweeping its own slice of the grid and stealing
+//! half of another's when it runs dry; every timed rep starts from
 //! fresh engines), records wall-clock, speedup vs the 1-thread run,
 //! and parallel efficiency (`speedup / threads`), and asserts the
 //! swept results are **byte-identical** across every thread count.
@@ -28,7 +29,9 @@
 //! multi-core speedup, and silently "passing" there would be a lie —
 //! but the curve is always measured and recorded, so the artifact
 //! shows exactly what the host could and could not demonstrate. Each
-//! thread count's wall-clock is the best of `REPS` passes.
+//! thread count's wall-clock is the best of `REPS` passes, and the
+//! passes are interleaved across thread counts (1, 2, 4, 1, 2, 4), so
+//! host drift spreads over every count instead of landing on one.
 //!
 //! Writes `results/BENCH_scaling.json`.
 
@@ -85,31 +88,23 @@ fn main() {
     let r = (profile.instructions() / 40_000).max(1);
     let sampler = ssim_bench::sampler_cached(&profile, r);
 
-    // Digest the full result set (cycles, instructions, IPC bits) so
-    // "byte-identical across thread counts" is checked on everything a
-    // sweep consumer could read, not just a summary statistic.
+    // One pass at `threads`: every point's (cycles, instructions, IPC
+    // bits) and the wall-clock. Every pass starts cold. With one thread
+    // `par_map` runs on this thread, whose engine would otherwise still
+    // hold the previous pass's results and answer the whole sweep from
+    // them (wider runs get fresh worker threads anyway).
     let sweep = |threads: usize| -> (Vec<(u64, u64, u64)>, f64) {
-        let mut best = f64::INFINITY;
-        let mut out = Vec::new();
-        for _ in 0..REPS {
-            // Every rep starts cold. With one thread `par_map` runs on
-            // this thread, whose engine would otherwise still hold the
-            // previous pass's results and answer the whole sweep from
-            // them (wider runs get fresh worker threads anyway).
-            ssim_bench::with_engine(|e| *e = SimEngine::new());
-            let t0 = Instant::now();
-            let res = par_map_with(threads, &points, |cfg| {
-                let sim = ssim_bench::with_engine(|e| e.simulate_fused(&sampler, 1, cfg));
-                (sim.cycles, sim.instructions, sim.ipc().to_bits())
-            });
-            let wall = t0.elapsed().as_secs_f64();
-            if wall < best {
-                best = wall;
-            }
-            out = res;
-        }
-        (out, best)
+        ssim_bench::with_engine(|e| *e = SimEngine::new());
+        let t0 = Instant::now();
+        let res = par_map_with(threads, &points, |cfg| {
+            let sim = ssim_bench::with_engine(|e| e.simulate_fused(&sampler, 1, cfg));
+            (sim.cycles, sim.instructions, sim.ipc().to_bits())
+        });
+        (res, t0.elapsed().as_secs_f64())
     };
+    // Digest the full result set so "byte-identical across thread
+    // counts" is checked on everything a sweep consumer could read, not
+    // just a summary statistic.
     let digest_of = |res: &[(u64, u64, u64)]| {
         let mut h = ssim::core::FxHasher::default();
         for &(c, i, ipc) in res {
@@ -122,7 +117,7 @@ fn main() {
 
     // Warm pass (untimed): page in the trace and code paths.
     let (baseline_res, _) = sweep(1);
-    let baseline_digest = digest_of(&baseline_res);
+    let digest = digest_of(&baseline_res);
     println!(
         "{} design points, workload {}, R = {r}, trace {} instrs, \
          threads {thread_list:?} (host parallelism {avail}), best of {REPS}",
@@ -131,18 +126,23 @@ fn main() {
         baseline_res[0].1, // every point commits the whole trace
     );
 
-    let mut curve: Vec<CurvePoint> = Vec::new();
-    let mut wall_1t = f64::NAN;
-    for &t in thread_list {
-        let (res, wall_s) = sweep(t);
-        let digest = digest_of(&res);
-        assert_eq!(
-            digest, baseline_digest,
-            "threads={t} changed sweep results — the parallel engine must be deterministic"
-        );
-        if t == 1 {
-            wall_1t = wall_s;
+    // Timed passes, interleaved across thread counts; each count keeps
+    // its best.
+    let mut best = vec![f64::INFINITY; thread_list.len()];
+    for _ in 0..REPS {
+        for (wall_s, &t) in best.iter_mut().zip(thread_list) {
+            let (res, wall) = sweep(t);
+            assert_eq!(
+                digest_of(&res),
+                digest,
+                "threads={t} changed sweep results — the parallel engine must be deterministic"
+            );
+            *wall_s = wall_s.min(wall);
         }
+    }
+    let wall_1t = best[0];
+    let mut curve: Vec<CurvePoint> = Vec::new();
+    for (&wall_s, &t) in best.iter().zip(thread_list) {
         let speedup = wall_1t / wall_s.max(1e-12);
         let efficiency = speedup / t as f64;
         println!(

@@ -223,10 +223,13 @@ thread_local! {
 /// results too, and answers a machine that differs from a kept one only
 /// in RUU/LSQ sizes neither run filled without running the driver (see
 /// [`SimEngine`]). Sweeps get the most from this by ordering their
-/// points `(sampler, seed)`-major, so each [`par_map`] worker's
-/// contiguous chunk shares one walk and its kept results. Results never
-/// depend on the order. A timing loop that reruns the same points on
-/// this thread must start each timed pass with a fresh engine
+/// points `(sampler, seed)`-major, so each [`par_map`] worker's slice
+/// shares one walk and its kept results. Results never depend on the
+/// order. [`par_map`] workers are fresh threads on every call, so their
+/// engines start empty and nothing is kept from one call to the next;
+/// with one thread, though, `par_map` runs on the calling thread and
+/// its engine. A timing loop that reruns the same points on this
+/// thread must start each timed pass with a fresh engine
 /// (`with_engine(|e| *e = SimEngine::new())`), or the kept results
 /// answer the pass.
 pub fn with_engine<T>(f: impl FnOnce(&mut SimEngine) -> T) -> T {

@@ -10,15 +10,18 @@
 //! Design constraints and choices:
 //!
 //! * **No external dependencies.** The build environment cannot fetch
-//!   crates, so this is `std::thread::scope` + atomics, not rayon.
-//! * **Work stealing via adaptive chunked claiming.** Workers claim
-//!   `max(1, remaining / (threads × K))` items at a time from a shared
-//!   `AtomicUsize` cursor (`K` = 8). Early claims are large — ~10³–10⁶
-//!   cheap points would otherwise serialise on the cursor's cache line —
-//!   and shrink geometrically toward single items as the queue drains, so
-//!   uneven per-item costs (a wide-window design point simulates far
-//!   slower than a narrow one) still balance at the tail exactly like
-//!   the old one-item cursor did.
+//!   crates, so this is `std::thread::scope` + `Mutex`es, not rayon.
+//! * **Owner slices with half-range stealing.** Worker `t` starts on
+//!   the contiguous slice `[t·n/T, (t+1)·n/T)` of the `n` items and
+//!   takes them from its front, one at a time; only thieves ever touch
+//!   another worker's slice, so a claim is an uncontended lock. A worker
+//!   whose slice runs dry steals the back half of the fullest remaining
+//!   slice, so uneven per-item costs (a wide-window design point
+//!   simulates far slower than a narrow one) still balance at the tail.
+//!   Each worker thus sweeps long runs of neighbouring items: per-thread
+//!   state that pays off on neighbours — a sweep engine's kept walk and
+//!   results, for points ordered `(sampler, seed)`-major — pays off the
+//!   same at any thread count.
 //! * **Deterministic output.** Each worker tags results with the input
 //!   index; the results are merged and sorted at the end. Only the
 //!   *schedule* is nondeterministic, never the output.
@@ -32,23 +35,21 @@
 //! scalability: keeping the per-process artifact caches (compiled
 //! samplers, results) off a single global lock.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::ops::Range;
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 mod shard;
 pub use shard::{ShardedCache, DEFAULT_SHARDS};
 
 // Observability: fan-out volume and load balance. The per-worker task
-// histogram makes work-stealing skew visible (a flat histogram means
-// the chunk-claiming scheduler balanced the sweep); the chunk-size
-// histogram shows the claim cadence (geometric decay from n/(t·K) down
-// to 1 as the queue drains).
+// histogram makes load skew visible (a flat histogram means the owner
+// slices and steals balanced the sweep); `par.steals` counts how often
+// a worker ran dry and took half of another's slice.
 static OBS_TASKS: ssim_obs::Counter = ssim_obs::Counter::new("par.tasks");
 static OBS_THREADS: ssim_obs::Gauge = ssim_obs::Gauge::new("par.threads");
 static OBS_TASKS_PER_WORKER: ssim_obs::LogHistogram =
     ssim_obs::LogHistogram::new("par.tasks_per_worker");
-static OBS_CHUNKS: ssim_obs::Counter = ssim_obs::Counter::new("par.chunks");
-static OBS_CHUNK_ITEMS: ssim_obs::LogHistogram = ssim_obs::LogHistogram::new("par.chunk_items");
+static OBS_STEALS: ssim_obs::Counter = ssim_obs::Counter::new("par.steals");
 
 /// Resolves a raw `SSIM_THREADS` value against a fallback pool size.
 ///
@@ -102,13 +103,6 @@ where
     par_map_with(num_threads(), items, f)
 }
 
-/// The chunk divisor `K`: each claim takes roughly `1/(threads × K)` of
-/// the remaining items, so every worker makes ~`K·log(n)` claims total
-/// instead of `n/threads`. 8 keeps tail imbalance under 1/(8·threads)
-/// of the sweep while cutting cursor traffic by orders of magnitude on
-/// cheap points.
-const CHUNK_FACTOR: usize = 8;
-
 /// [`par_map`] with an explicit thread count (exposed for determinism
 /// tests; experiment code should use [`par_map`]).
 pub fn par_map_with<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
@@ -117,21 +111,8 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map_chunked(threads, CHUNK_FACTOR, items, f)
-}
-
-/// [`par_map_with`] with an explicit chunk divisor `K` (exposed so the
-/// property tests can sweep adversarial `(threads, K)` combinations;
-/// experiment code should use [`par_map`], which uses `K` = 8).
-pub fn par_map_chunked<T, R, F>(threads: usize, k: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
     let n = items.len();
     let threads = threads.clamp(1, n.max(1));
-    let k = k.max(1);
     OBS_TASKS.add(n as u64);
     OBS_THREADS.set_max(threads as u64);
     if threads == 1 || n <= 1 {
@@ -139,31 +120,29 @@ where
         return items.iter().map(f).collect();
     }
 
-    let cursor = AtomicUsize::new(0);
+    let slices: Vec<Slice> = (0..threads)
+        .map(|t| {
+            Slice(Mutex::new(
+                slice_start(t, n, threads)..slice_start(t + 1, n, threads),
+            ))
+        })
+        .collect();
     let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
     std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
+        for me in 0..threads {
+            let (slices, collected, f) = (&slices, &collected, &f);
+            s.spawn(move || {
                 let mut local = Vec::new();
                 loop {
-                    // Size the claim off a racy read of the cursor: a
-                    // stale value only skews the chunk size, never the
-                    // claimed range — `fetch_add` below is what reserves
-                    // `[start, start+chunk)` exclusively.
-                    let claimed = cursor.load(Ordering::Relaxed);
-                    if claimed >= n {
+                    // A statement of its own, so the guard is dropped
+                    // before `f` runs.
+                    let next = slices[me].lock().next();
+                    if let Some(i) = next {
+                        local.push((i, f(&items[i])));
+                    } else if let Some(stolen) = steal(slices, me) {
+                        *slices[me].lock() = stolen;
+                    } else {
                         break;
-                    }
-                    let chunk = ((n - claimed) / threads.saturating_mul(k)).max(1);
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    let end = (start + chunk).min(n);
-                    OBS_CHUNKS.inc();
-                    OBS_CHUNK_ITEMS.record((end - start) as u64);
-                    for (i, item) in items.iter().enumerate().take(end).skip(start) {
-                        local.push((i, f(item)));
                     }
                 }
                 OBS_TASKS_PER_WORKER.record(local.len() as u64);
@@ -179,6 +158,53 @@ where
     tagged.into_iter().map(|(_, r)| r).collect()
 }
 
+/// The indices one worker has yet to take. Aligned to its own cache
+/// lines, so owners taking items from their fronts never share a line.
+#[repr(align(128))]
+struct Slice(Mutex<Range<usize>>);
+
+impl Slice {
+    fn lock(&self) -> MutexGuard<'_, Range<usize>> {
+        self.0
+            .lock()
+            .expect("a slice is locked only for range updates, which cannot panic")
+    }
+}
+
+/// `⌊t·n/threads⌋`, without forming `t·n` (which could overflow).
+fn slice_start(t: usize, n: usize, threads: usize) -> usize {
+    t * (n / threads) + t * (n % threads) / threads
+}
+
+/// Takes the back half of the fullest slice other than `me`'s (all of
+/// it if one item is left), or `None` once every other slice is empty.
+///
+/// Only a slice's owner ever refills it, and only once it is empty, so
+/// a worker that finds every other slice empty can stop: an item that
+/// is in no slice is in the hands of a thief that will run it.
+fn steal(slices: &[Slice], me: usize) -> Option<Range<usize>> {
+    loop {
+        let (victim, len) = slices
+            .iter()
+            .enumerate()
+            .filter(|&(v, _)| v != me)
+            .map(|(v, slice)| (v, slice.lock().len()))
+            .max_by_key(|&(_, len)| len)?;
+        if len == 0 {
+            return None;
+        }
+        let mut range = slices[victim].lock();
+        if range.is_empty() {
+            continue; // drained since the scan: look again
+        }
+        let mid = range.start + range.len() / 2;
+        let stolen = mid..range.end;
+        range.end = mid;
+        OBS_STEALS.inc();
+        return Some(stolen);
+    }
+}
+
 /// Runs `f` over `items` in parallel for its side effects on the return
 /// values' Drop — a convenience wrapper when results are unit.
 pub fn par_for_each<T, F>(items: &[T], f: F)
@@ -192,7 +218,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn thread_count_resolution_never_yields_zero() {
@@ -260,16 +286,28 @@ mod tests {
 
     #[test]
     fn chunked_claims_cover_every_index_once() {
-        // Adversarial (n, threads, K) combinations, including chunk
-        // sizes larger than the remaining work and K so big it degrades
-        // to the old one-item cursor.
+        // Adversarial (n, threads) combinations, including more threads
+        // than items, one-item slices and uneven splits.
         for n in [0usize, 1, 2, 7, 64, 257, 1000] {
             let items: Vec<usize> = (0..n).collect();
             let expect: Vec<usize> = items.iter().map(|&x| x + 1).collect();
-            for threads in [1usize, 2, 3, 8, 31] {
-                for k in [1usize, 2, 8, usize::MAX / 2] {
-                    let got = par_map_chunked(threads, k, &items, |&x| x + 1);
-                    assert_eq!(got, expect, "n={n} threads={threads} k={k}");
+            for threads in [1usize, 2, 3, 8, 16, 31] {
+                let got = par_map_with(threads, &items, |&x| x + 1);
+                assert_eq!(got, expect, "n={n} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn slices_tile_the_input() {
+        for (n, threads) in [(7usize, 3usize), (64, 4), (1000, 31), (usize::MAX, 16)] {
+            assert_eq!(slice_start(0, n, threads), 0);
+            assert_eq!(slice_start(threads, n, threads), n);
+            for t in 0..threads {
+                let (start, end) = (slice_start(t, n, threads), slice_start(t + 1, n, threads));
+                assert!(end - start >= n / threads, "n={n} threads={threads} t={t}");
+                if let Some(tn) = t.checked_mul(n) {
+                    assert_eq!(start, tn / threads);
                 }
             }
         }

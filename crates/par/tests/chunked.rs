@@ -1,22 +1,24 @@
-//! Property and stress coverage for the chunked work-stealing scheduler
-//! and the sharded build-once cache — the two primitives the sweep hot
-//! path leans on for multi-core scaling.
+//! Property and stress coverage for the owner-slice work-stealing
+//! scheduler and the sharded build-once cache — the two primitives the
+//! sweep hot path leans on for multi-core scaling.
 
 use proptest::prelude::*;
-use ssim_par::{par_map_chunked, ShardedCache};
+use ssim_par::{par_map_with, ShardedCache};
+use std::cell::Cell;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
 
 proptest! {
-    /// Chunked parallel execution is observationally identical to the
-    /// serial map — same values, same order — for adversarial per-item
-    /// cost profiles (the spin loop makes item cost swing by ~100× in
-    /// generated patterns, so completion order scrambles thoroughly).
+    /// Parallel execution is observationally identical to the serial
+    /// map — same values, same order — for adversarial per-item cost
+    /// profiles (the spin loop makes item cost swing by ~100× in
+    /// generated patterns, so completion order scrambles thoroughly and
+    /// workers run dry at different times and steal).
     #[test]
     fn chunked_matches_serial_under_adversarial_costs(
-        costs in prop::collection::vec(0u64..100, 1..400),
-        threads in 1usize..12,
-        k in 1usize..20,
+        costs in prop::collection::vec(0u64..100, 0..=600),
+        threads in 1usize..=16,
     ) {
         let f = |(&i, &cost): &(&usize, &u64)| {
             let mut acc = i as u64;
@@ -28,26 +30,55 @@ proptest! {
         let indices: Vec<usize> = (0..costs.len()).collect();
         let items: Vec<(&usize, &u64)> = indices.iter().zip(costs.iter()).collect();
         let serial: Vec<(usize, u64)> = items.iter().map(f).collect();
-        let parallel = par_map_chunked(threads, k, &items, f);
+        let parallel = par_map_with(threads, &items, f);
         prop_assert_eq!(serial, parallel);
     }
 
-    /// Every index is visited exactly once regardless of how the chunk
-    /// divisor interacts with thread count and item count.
+    /// Every index is visited exactly once regardless of how the slices
+    /// split the items and how the steals fall.
     #[test]
     fn chunked_visits_each_index_once(
-        n in 0usize..600,
-        threads in 1usize..16,
-        k in 1usize..32,
+        n in 0usize..=600,
+        threads in 1usize..=16,
     ) {
         let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
         let items: Vec<usize> = (0..n).collect();
-        par_map_chunked(threads, k, &items, |&i| {
+        par_map_with(threads, &items, |&i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         for (i, h) in hits.iter().enumerate() {
             prop_assert_eq!(h.load(Ordering::Relaxed), 1, "index {} visited wrong count", i);
         }
+    }
+}
+
+/// Worker `t` of `T` starts at the front of its own slice, index
+/// `⌊t·n/T⌋`. Each worker's first call waits on a barrier of `T`, so no
+/// worker can run dry and steal before every worker has taken its
+/// first item; the set of first items is then exactly the slice fronts.
+#[test]
+fn each_worker_starts_at_the_front_of_its_slice() {
+    thread_local! {
+        static STARTED: Cell<bool> = const { Cell::new(false) };
+    }
+    for (n, threads) in [(3, 2), (7, 3), (16, 16), (64, 4), (100, 7), (600, 16)] {
+        let barrier = Barrier::new(threads);
+        let firsts = Mutex::new(BTreeSet::new());
+        let items: Vec<usize> = (0..n).collect();
+        par_map_with(threads, &items, |&i| {
+            // Workers are fresh threads on every call, so the flag is
+            // unset exactly on each worker's first item.
+            if !STARTED.with(|s| s.replace(true)) {
+                firsts.lock().unwrap().insert(i);
+                barrier.wait();
+            }
+        });
+        let fronts: BTreeSet<usize> = (0..threads).map(|t| t * n / threads).collect();
+        assert_eq!(
+            firsts.into_inner().unwrap(),
+            fronts,
+            "n={n} threads={threads}"
+        );
     }
 }
 
