@@ -20,15 +20,17 @@
 #   ./ci.sh dse        # surrogate-guided planner vs exhaustive truth
 #                      # on the real §4.6 space (SSIM_QUICK)
 #   ./ci.sh load       # loadgen chaos gate: open-loop load through a
-#                      # gateway over fault-injecting backends, zero
-#                      # lost/duplicated acks (SSIM_QUICK)
+#                      # gateway over fault-injecting backends, then
+#                      # straight at one backend; zero lost/duplicated
+#                      # acks in both runs (SSIM_QUICK)
 #   ./ci.sh perfbench  # the repository benchmark's self-tests: short
 #                      # sweep, study and serve runs checked against
 #                      # their pinned output digests
 #   ./ci.sh deep       # deep bench tier (not part of `all`; manual or
 #                      # nightly): full §4.6 thread-scaling curve with
 #                      # parallel-efficiency gates and the
-#                      # 10k-connection load story
+#                      # 10k-connection load story (gateway and bare
+#                      # backend)
 #
 # No stage writes into the tree: the bins that write a ledger
 # (scaling, dse, loadgen) run in a temporary directory, and each
@@ -134,12 +136,22 @@ do_dse() {
   SSIM_QUICK=1 bench_bin dse BENCH_dse.json
 }
 
-# Shared body of the load stages: three fault-injecting backends, a
-# gateway over them, and the open-loop loadgen with its zero-lost /
-# zero-duplicated ack gate. Runs in a subshell so the EXIT trap always
+# Waits for a server's --port-file, or fails.
+wait_port() {
+  for _ in $(seq 1 300); do [ -f "$1" ] && return 0; sleep 0.1; done
+  echo "no server wrote $1" >&2
+  return 1
+}
+
+# Shared body of the load stages: the open-loop loadgen with its
+# zero-lost / zero-duplicated ack gate, aimed at `gateway` (three
+# fault-injecting backends behind a gateway; ledger BENCH_load.json) or
+# at `backend` (one backend that rejects and delays but never drops,
+# since nothing would retry a dropped request; ledger
+# BENCH_load_backend.json). Runs in a subshell so the EXIT trap always
 # reaps the servers and the temp dir, pass or fail. Scale comes from
 # the caller's SSIM_QUICK / SSIM_DEEP. loadgen runs in the temp dir and
-# its ledger is copied to target/ci-results/BENCH_load.json.
+# its ledger is copied to target/ci-results/.
 run_loadgen() (
   set -euo pipefail
   tmp="$(mktemp -d)"
@@ -149,39 +161,45 @@ run_loadgen() (
   # soft fd limit (best effort — the hard limit is the ceiling).
   ulimit -n "$(ulimit -Hn)" 2>/dev/null || true
   bin="$root/target/release"
-  SSIM_FAULT_PLAN="drop:0.05,delay:1ms@7" "$bin/ssim-serve" serve \
-    --addr 127.0.0.1:0 --port-file "$tmp/b0.port" --workers 2 >"$tmp/b0.log" 2>&1 &
-  pids+=($!)
-  SSIM_FAULT_PLAN="reject:0.1@11" "$bin/ssim-serve" serve \
-    --addr 127.0.0.1:0 --port-file "$tmp/b1.port" --workers 2 >"$tmp/b1.log" 2>&1 &
-  pids+=($!)
-  "$bin/ssim-serve" serve \
-    --addr 127.0.0.1:0 --port-file "$tmp/b2.port" --workers 2 >"$tmp/b2.log" 2>&1 &
-  pids+=($!)
-  for _ in $(seq 1 300); do
-    [ -f "$tmp/b0.port" ] && [ -f "$tmp/b1.port" ] && [ -f "$tmp/b2.port" ] && break
-    sleep 0.1
-  done
-  [ -f "$tmp/b2.port" ] || { echo "backends never wrote their port files" >&2; exit 1; }
-  "$bin/ssim-serve" gateway --addr 127.0.0.1:0 --port-file "$tmp/gw.port" \
-    "$(cat "$tmp/b0.port")" "$(cat "$tmp/b1.port")" "$(cat "$tmp/b2.port")" \
-    >"$tmp/gw.log" 2>&1 &
-  pids+=($!)
-  for _ in $(seq 1 300); do [ -f "$tmp/gw.port" ] && break; sleep 0.1; done
-  [ -f "$tmp/gw.port" ] || { echo "gateway never wrote its port file" >&2; exit 1; }
-  (cd "$tmp" && "$bin/loadgen" "$(cat "$tmp/gw.port")")
+  if [ "$1" = backend ]; then
+    SSIM_FAULT_PLAN="reject:0.1,delay:1ms@11" "$bin/ssim-serve" serve \
+      --addr 127.0.0.1:0 --port-file "$tmp/target.port" --workers 2 >"$tmp/b.log" 2>&1 &
+    pids+=($!)
+    ledger=BENCH_load_backend.json
+  else
+    SSIM_FAULT_PLAN="drop:0.05,delay:1ms@7" "$bin/ssim-serve" serve \
+      --addr 127.0.0.1:0 --port-file "$tmp/b0.port" --workers 2 >"$tmp/b0.log" 2>&1 &
+    pids+=($!)
+    SSIM_FAULT_PLAN="reject:0.1@11" "$bin/ssim-serve" serve \
+      --addr 127.0.0.1:0 --port-file "$tmp/b1.port" --workers 2 >"$tmp/b1.log" 2>&1 &
+    pids+=($!)
+    "$bin/ssim-serve" serve \
+      --addr 127.0.0.1:0 --port-file "$tmp/b2.port" --workers 2 >"$tmp/b2.log" 2>&1 &
+    pids+=($!)
+    wait_port "$tmp/b0.port" && wait_port "$tmp/b1.port" && wait_port "$tmp/b2.port"
+    "$bin/ssim-serve" gateway --addr 127.0.0.1:0 --port-file "$tmp/target.port" \
+      "$(cat "$tmp/b0.port")" "$(cat "$tmp/b1.port")" "$(cat "$tmp/b2.port")" \
+      >"$tmp/gw.log" 2>&1 &
+    pids+=($!)
+    ledger=BENCH_load.json
+  fi
+  wait_port "$tmp/target.port"
+  (cd "$tmp" && "$bin/loadgen" "$(cat "$tmp/target.port")")
   mkdir -p "$ci_results"
-  cp "$tmp/results/BENCH_load.json" "$ci_results/"
+  cp "$tmp/results/BENCH_load.json" "$ci_results/$ledger"
 )
 
 do_load() {
   # The chaos/load gate: a gateway over backends that drop, delay and
-  # reject must still lose or duplicate zero acknowledgements under
-  # 1k-connection open-loop load. Writes
-  # target/ci-results/BENCH_load.json.
+  # reject, and then one bare backend that rejects and delays, must
+  # each lose or duplicate zero acknowledgements under 1k-connection
+  # open-loop load. Writes target/ci-results/BENCH_load.json and
+  # BENCH_load_backend.json.
   do_build
   stage "loadgen (gateway over chaos backends, SSIM_QUICK)"
-  SSIM_QUICK=1 run_loadgen
+  SSIM_QUICK=1 run_loadgen gateway
+  stage "loadgen (bare backend, SSIM_QUICK)"
+  SSIM_QUICK=1 run_loadgen backend
 }
 
 do_perfbench() {
@@ -202,8 +220,10 @@ do_deep() {
   do_build
   stage "scaling (deep: full grid, threads={1,4,8,16})"
   SSIM_DEEP=1 SSIM_METRICS=0 bench_bin scaling BENCH_scaling.json
-  stage "loadgen (deep: 10k connections)"
-  SSIM_DEEP=1 run_loadgen
+  stage "loadgen (deep: 10k connections through the gateway)"
+  SSIM_DEEP=1 run_loadgen gateway
+  stage "loadgen (deep: 10k connections to a bare backend)"
+  SSIM_DEEP=1 run_loadgen backend
 }
 
 case "${1:-all}" in

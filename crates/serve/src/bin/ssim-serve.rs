@@ -77,10 +77,6 @@ fn cmd_serve(args: &[String]) -> i32 {
                 .parse()
                 .map(|n| cfg.default_deadline_ms = n)
                 .map_err(|_| ()),
-            "--result-cache" => value
-                .parse()
-                .map(|n| cfg.result_cache_capacity = n)
-                .map_err(|_| ()),
             "--journal" => {
                 cfg.journal = Some(std::path::PathBuf::from(value));
                 Ok(())

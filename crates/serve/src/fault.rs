@@ -17,8 +17,9 @@
 //! * `reject:P` — with probability `P`, answer with a retryable
 //!   backpressure rejection (`retry_after_ms` set) without running the
 //!   request;
-//! * `delay:Nms` — stall the connection's reader for `N` milliseconds
-//!   before handling the request (plain `delay:N` is also `N` ms).
+//! * `delay:Nms` — stall the connection, and only it, for `N`
+//!   milliseconds before handling the request (plain `delay:N` is also
+//!   `N` ms); its replies keep flowing meanwhile.
 //!
 //! The optional `@SEED` suffix seeds the plan's RNG (default 0). Two
 //! servers given the same plan draw the same decision stream; the
@@ -157,11 +158,6 @@ impl FaultInjector {
         FaultInjector { plan, rng }
     }
 
-    /// The plan this injector follows.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Draws the next decision. The caller applies [`FaultPlan::delay`]
     /// itself via [`FaultInjector::delay`] — delay composes with either
     /// decision (a dropped connection after a stall is exactly how a
@@ -184,8 +180,8 @@ impl FaultInjector {
         FaultAction::None
     }
 
-    /// The plan's added latency, if any (callers sleep it on the
-    /// connection's reader thread, stalling that client only).
+    /// The plan's added latency, if any (callers stall that client's
+    /// connection for it, and only that connection).
     pub fn delay(&self) -> Option<Duration> {
         if self.plan.delay.is_zero() {
             None

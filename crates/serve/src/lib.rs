@@ -23,9 +23,11 @@
 //!   later `synth`/`simulate`/`sweep` requests resolve like any
 //!   workload. Every rejection is a structured error, visible as the
 //!   `serve.program.rejected` counter.
-//! * **Server** ([`server`]): bounded job queue with explicit
-//!   backpressure (reject + `retry_after_ms`, never block or drop),
-//!   worker pool layered on `ssim-par`'s sizing, per-job deadlines,
+//! * **Server** ([`server`]): on the serving core it shares with the
+//!   gateway (an acceptor, at most four non-blocking I/O loops that own
+//!   every socket, a worker pool sized like `ssim-par`'s; no thread per
+//!   connection): bounded job queue with explicit backpressure (reject +
+//!   `retry_after_ms`, never block or drop), per-job deadlines,
 //!   cancellation of jobs whose client vanished, and graceful shutdown
 //!   that drains all accepted work before acknowledging.
 //! * **Artifacts** ([`artifacts`]): profiles resolved through the
@@ -48,9 +50,7 @@
 //!   and never re-acks lost work.
 //! * **Gateway** ([`gateway`]): the fleet coordinator as a server-side
 //!   endpoint — clients speak the ordinary protocol to one address and
-//!   sharding, health tracking and retries happen behind it,
-//!   over non-blocking connection event loops sized for tens of
-//!   thousands of concurrent sockets.
+//!   sharding, health tracking and retries happen behind it.
 //!
 //! Results served over the wire are **byte-identical** to direct
 //! library calls: traces come from the compiled sampler (itself
@@ -62,6 +62,7 @@ pub mod artifacts;
 pub mod client;
 pub mod fault;
 pub mod fleet;
+mod frontend;
 pub mod gateway;
 pub mod journal;
 pub mod json;

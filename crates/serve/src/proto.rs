@@ -603,6 +603,24 @@ impl PointResult {
     }
 }
 
+/// The body of a sweep response: its shape, the points in index order,
+/// and their digest.
+pub(crate) fn sweep_payload(
+    machines: usize,
+    seeds: usize,
+    points: &[PointResult],
+) -> Vec<(&'static str, Json)> {
+    vec![
+        ("machines", Json::Num(machines as f64)),
+        ("seeds", Json::Num(seeds as f64)),
+        (
+            "results",
+            Json::Arr(points.iter().map(PointResult::to_json).collect()),
+        ),
+        ("digest", Json::hex_u64(sweep_digest(points))),
+    ]
+}
+
 /// Order-sensitive digest over a sweep's point results: FxHash-64 of
 /// `(cycles, instructions, ipc bits)` per point, in result order. The
 /// `cached` flag is deliberately excluded — cache hits and placement
