@@ -43,7 +43,7 @@ use std::hash::Hasher;
 use std::time::Instant;
 
 /// Timed passes per thread count; the best one is recorded.
-const REPS: usize = 5;
+const REPS: usize = 2;
 /// Deep-tier floor on parallel efficiency at 4 threads.
 const MIN_EFFICIENCY4: f64 = 0.6;
 /// Quick-tier floor on the 2-thread speedup.

@@ -6,10 +6,11 @@
 //! * an **acceptor** deals new sockets round-robin to at most four **I/O
 //!   loops**, which own them. A pass flushes, reads, splits lines (none
 //!   longer than [`MAX_LINE_BYTES`]), parses and takes each line's step.
-//!   An idle loop parks, [`IDLE_MIN`] after a busy pass and doubling up
-//!   to [`IDLE_WAIT`], so a client's next request right after a reply
-//!   waits little; a worker's send unparks it at once. (`std` has no
-//!   readiness API, so the loops poll.)
+//!   Every pass ends in a park: [`IDLE_MIN`] after a pass that moved
+//!   bytes, so a client's next request right after a reply waits little,
+//!   doubling on each idle pass up to [`IDLE_WAIT`]. A worker's send
+//!   unparks the loop at once. (`std` has no readiness API, so the loops
+//!   poll.)
 //! * one **bounded FIFO** (rejecting with `retry_after_ms`, except for
 //!   jobs marked unbounded) feeds a **worker pool**;
 //! * **drain-then-ack shutdown**: `shutdown` stops new connections and
@@ -17,8 +18,8 @@
 //!   [`Frontend::join`] returns once the ack, and every reply queued
 //!   before it, is written or its socket has failed.
 //!
-//! Nothing sleeps on behalf of one request: a [`Step::Delay`] stalls only
-//! its own connection, whose replies its loop keeps flushing.
+//! Nothing sleeps on behalf of one request: a [`Service::delay`] stalls
+//! only its own connection, whose replies its loop keeps flushing.
 
 use crate::json::Json;
 use crate::proto::{err_response, ok_response, Envelope};
@@ -35,7 +36,10 @@ use std::time::{Duration, Instant};
 const MAX_LINE_BYTES: usize = 16 << 20;
 
 /// How long an I/O loop with connections parks after a pass that moved
-/// bytes; each idle pass doubles it, up to [`IDLE_WAIT`].
+/// bytes; each idle pass doubles it, up to [`IDLE_WAIT`]. A busy loop
+/// parks rather than yields: a yield leaves it behind busy neighbours
+/// for a whole scheduler slice, which under 10k-connection load halved
+/// how fast backends answered a gateway's forwards.
 const IDLE_MIN: Duration = Duration::from_micros(25);
 const IDLE_WAIT: Duration = Duration::from_micros(500);
 
@@ -60,8 +64,6 @@ pub(crate) enum Step<J> {
     /// Drain, then ack request `id` with `"drained": true`.
     Shutdown(u64),
     Close,
-    /// Stall this connection for the duration, then take the step.
-    Delay(Duration, Box<Step<J>>),
 }
 
 /// One front end's protocol.
@@ -75,14 +77,17 @@ pub(crate) trait Service: Send + Sync + 'static {
 
     fn worker(&self) -> Self::Worker;
 
+    /// On an I/O loop: how long to stall the connection before handling
+    /// a parsed request (a fault-plan delay).
+    fn delay(&self, _env: &Envelope) -> Option<Duration> {
+        None
+    }
+
     /// On an I/O loop: the step for one parsed request.
     fn on_request(&self, env: Envelope) -> Step<Self::Job>;
 
     /// On a worker: runs one job, sending its lines through `out`.
     fn run(&self, worker: &mut Self::Worker, job: Self::Job, out: &Out);
-
-    /// A job the core turned away, already answered.
-    fn rejected(&self, _job: Self::Job) {}
 }
 
 /// The connection and queue metrics of one front end, named under its
@@ -236,7 +241,6 @@ impl<S: Service> Core<S> {
         };
         drop(st);
         outbox.push(rejection);
-        self.service.rejected(job);
     }
 
     /// Starts the drain; `ack` names the connection and request that a
@@ -346,20 +350,20 @@ impl Lines {
 }
 
 /// One accepted connection, owned by a single I/O loop.
-struct Conn<J> {
+struct Conn {
     stream: TcpStream,
     lines: Lines,
     outbox: Arc<Outbox>,
     /// Bytes taken from the outbox, and how far they have been written.
     wbuf: Vec<u8>,
     wpos: usize,
-    /// A fault-injected stall: when it ends, and the step it holds.
-    stalled: Option<(Instant, Step<J>)>,
+    /// A fault-injected stall: when it ends, and the request it holds.
+    stalled: Option<(Instant, Envelope)>,
     broken: bool,
 }
 
-impl<J> Conn<J> {
-    fn new(stream: TcpStream) -> Conn<J> {
+impl Conn {
+    fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
             lines: Lines::new(MAX_LINE_BYTES),
@@ -443,15 +447,17 @@ impl<J> Conn<J> {
     }
 
     /// Takes each waiting line's step, in order, until one stalls or
-    /// closes the connection; whether anything happened.
-    fn dispatch<S: Service<Job = J>>(&mut self, core: &Core<S>) -> bool {
+    /// closes the connection; whether anything happened. A stalled
+    /// request is handled only once its stall ends, so a connection that
+    /// breaks meanwhile drops it untouched and unanswered.
+    fn dispatch<S: Service>(&mut self, core: &Core<S>) -> bool {
         let mut progress = false;
         if let Some((until, _)) = &self.stalled {
             if Instant::now() < *until {
                 return false;
             }
-            let (_, step) = self.stalled.take().expect("stall checked above");
-            self.apply(core, step);
+            let (_, env) = self.stalled.take().expect("stall checked above");
+            self.apply(core, core.service.on_request(env));
             progress = true;
         }
         while !self.broken && self.stalled.is_none() {
@@ -464,7 +470,13 @@ impl<J> Conn<J> {
                 continue;
             }
             let step = match Envelope::parse(&text) {
-                Ok(env) => core.service.on_request(env),
+                Ok(env) => match core.service.delay(&env) {
+                    Some(d) => {
+                        self.stalled = Some((Instant::now() + d, env));
+                        continue;
+                    }
+                    None => core.service.on_request(env),
+                },
                 Err(e) => {
                     core.metrics.bad_requests.inc();
                     // Best effort to echo the id of the malformed request.
@@ -480,7 +492,7 @@ impl<J> Conn<J> {
         progress
     }
 
-    fn apply<S: Service<Job = J>>(&mut self, core: &Core<S>, step: Step<J>) {
+    fn apply<S: Service>(&mut self, core: &Core<S>, step: Step<S::Job>) {
         match step {
             Step::Reply(line) => self.outbox.push(line),
             Step::Metrics(id) => {
@@ -494,7 +506,6 @@ impl<J> Conn<J> {
             Step::Job { id, job, bounded } => core.submit(id, job, bounded, &self.outbox),
             Step::Shutdown(id) => core.drain(Some((&self.outbox, id))),
             Step::Close => self.close(),
-            Step::Delay(d, step) => self.stalled = Some((Instant::now() + d, *step)),
         }
     }
 
@@ -520,7 +531,7 @@ impl<J> Conn<J> {
 /// connection, until [`Frontend::join`] closes the loop.
 fn io_loop<S: Service>(core: &Core<S>, slot: usize) {
     let open = core.metrics.open_connections;
-    let mut conns: Vec<Conn<S::Job>> = Vec::new();
+    let mut conns: Vec<Conn> = Vec::new();
     let mut idle = IDLE_MIN;
     loop {
         let new = std::mem::take(&mut *core.incoming[slot].lock().expect("incoming lock"));
@@ -540,16 +551,18 @@ fn io_loop<S: Service>(core: &Core<S>, slot: usize) {
             open.sub(conns.len() as u64);
             return;
         }
-        if progress {
-            // Let runnable workers have the core before the next pass.
-            std::thread::yield_now();
-            idle = IDLE_MIN;
-        } else if conns.is_empty() {
+        if conns.is_empty() {
             std::thread::park();
-        } else {
-            std::thread::park_timeout(idle);
-            idle = (idle * 2).min(IDLE_WAIT);
+            continue;
         }
+        // Park even after a busy pass, so the loop never spins the
+        // workers off the cores; a worker's send ends the wait at once.
+        idle = if progress {
+            IDLE_MIN
+        } else {
+            (idle * 2).min(IDLE_WAIT)
+        };
+        std::thread::park_timeout(idle);
     }
 }
 

@@ -5,7 +5,8 @@
 //!
 //! No thread belongs to a connection. On the core's I/O loops the server
 //! does only instant work: fault decisions, the program-size check,
-//! `metrics`, `job-result` and `shutdown`. Every other request is a job
+//! `metrics`, `job-result`, `shutdown` and a journaled submission's
+//! `Accepted` record. Every other request is a job
 //! for a worker (sized like `ssim-par`'s pool by default), which sends
 //! its response in completion order; responses carry the request id.
 //! Sweeps fan out through [`ssim_par::par_map`], so one job can still
@@ -29,13 +30,15 @@
 //! # Durability (the job journal)
 //!
 //! With [`ServerConfig::journal`] set, requests carrying a `"job"` key
-//! run through the crash-safe journal ([`crate::journal`]): accepted
-//! when a worker takes the job, before it runs; completed — payload
+//! run through the crash-safe journal ([`crate::journal`]): accepted on
+//! the I/O loop, before the job is queued; completed — payload
 //! included — before the ack is sent. Journaled jobs bypass the
 //! queue-capacity rejection (the journal *is* the backlog), survive
 //! client disconnects, and are re-enqueued on startup if the server
-//! died mid-flight. Re-submitting a completed key replays the stored
-//! response; `job-result` polls without re-submitting. Sweeps are
+//! died before completing them. Re-submitting a completed key replays
+//! the stored response; `job-result` polls without re-submitting. A
+//! journaled submission that races the shutdown drain is rejected but
+//! stays accepted, so the next start resumes it. Sweeps are
 //! deterministic, so a resumed job re-executes from scratch and digests
 //! identically.
 //!
@@ -143,13 +146,6 @@ impl Default for ServerConfig {
     }
 }
 
-struct Job {
-    env: Envelope,
-    /// Resumed from the journal on startup: its `Accepted` record is
-    /// already written.
-    resumed: bool,
-}
-
 /// In-memory view of a journaled job (rebuilt from the journal on
 /// startup, kept in lockstep with it afterwards).
 enum JobState {
@@ -172,25 +168,40 @@ struct Backend {
 }
 
 impl Backend {
-    /// Reserves a journaled submission's key on the I/O loop, or
-    /// returns the reply that answers it instead: a completed key replays
-    /// its stored response, a key in flight is told to poll. The mark is
-    /// in memory; the worker that takes the job makes it durable, and the
-    /// mark keeps a second submission of the key off the journal.
-    fn reserve(&self, key: &str, id: u64) -> Option<String> {
+    /// Journals a submission's `Accepted` record (durably, before the
+    /// job is queued), or returns the reply that answers it instead: a
+    /// completed key replays its stored response, a key in flight is
+    /// told to poll, and a failed append is an error. Every reply that
+    /// names the key as pending thus refers to a job a crash cannot lose.
+    fn reserve(&self, key: &str, env: &Envelope) -> Option<String> {
+        let journal = self.journal.as_ref()?;
+        // The jobs lock is held across the append so two connections
+        // racing on one key cannot both journal it.
         let mut jobs = self.jobs.lock().unwrap();
         match jobs.get(key) {
             Some(JobState::Done { ok, payload }) => {
                 OBS_JOURNAL_REACKED.inc();
-                Some(completed_response(id, *ok, payload))
+                Some(completed_response(env.id, *ok, payload))
             }
             Some(JobState::Pending) => Some(err_response(
-                id,
+                env.id,
                 &format!("job {key:?} is already in flight; poll with job-result"),
                 Some(100),
             )),
             None => {
+                let rec = Record::Accepted {
+                    job: key.to_string(),
+                    request: journaled_request(key, &env.req),
+                };
+                if let Err(e) = journal.append(&rec) {
+                    return Some(err_response(
+                        env.id,
+                        &format!("journal write failed: {e}"),
+                        None,
+                    ));
+                }
                 jobs.insert(key.to_string(), JobState::Pending);
+                OBS_JOURNAL_ACCEPTED.inc();
                 None
             }
         }
@@ -240,8 +251,8 @@ impl Backend {
                 payload: payload.clone(),
             };
             // Appended before the job map is locked, so a poll on an
-            // I/O loop never waits for the fsync; the key's pending mark
-            // keeps every other job off it meanwhile.
+            // I/O loop never waits for this fsync; the key's pending
+            // mark keeps every other submission off it meanwhile.
             let appended = journal.append(&rec);
             let mut jobs = self.jobs.lock().unwrap();
             if let Err(e) = appended {
@@ -495,9 +506,17 @@ impl Backend {
         })
     }
 
+    /// The fault plan, unless `env` is a shutdown: a chaos run must
+    /// still stop its servers deterministically.
+    fn fault(&self, env: &Envelope) -> Option<&FaultInjector> {
+        self.fault
+            .as_ref()
+            .filter(|_| !matches!(env.req, Request::Shutdown))
+    }
+
     /// The instant step for one parsed request: answered here, or
     /// queued as a job.
-    fn dispatch(&self, env: Envelope) -> Step<Job> {
+    fn dispatch(&self, env: Envelope) -> Step<Envelope> {
         // Oversized program sources are rejected here, on the I/O loop —
         // before the job queue and before the assembler parses a byte.
         // (The framing already caps whole lines at 16 MiB; this is the
@@ -531,7 +550,7 @@ impl Backend {
                 None,
             )),
             _ => {
-                if let Some(reply) = env.job.as_deref().and_then(|k| self.reserve(k, env.id)) {
+                if let Some(reply) = env.job.as_deref().and_then(|k| self.reserve(k, &env)) {
                     return Step::Reply(reply);
                 }
                 // Journaled jobs bypass the queue bound: the journal is
@@ -540,10 +559,7 @@ impl Backend {
                 Step::Job {
                     id: env.id,
                     bounded: env.job.is_none(),
-                    job: Job {
-                        env,
-                        resumed: false,
-                    },
+                    job: env,
                 }
             }
         }
@@ -552,29 +568,22 @@ impl Backend {
 
 impl Service for Backend {
     const NAME: &'static str = "serve";
-    type Job = Job;
+    type Job = Envelope;
     type Worker = ();
 
     fn worker(&self) {}
 
-    /// A journaled job the drain turned away releases its key.
-    fn rejected(&self, job: Job) {
-        if let Some(key) = &job.env.job {
-            self.jobs.lock().unwrap().remove(key);
-        }
+    /// A delay stalls this connection only — the fleet sees it as a slow
+    /// backend — and composes with the decision drawn after it.
+    fn delay(&self, env: &Envelope) -> Option<Duration> {
+        self.fault(env).and_then(FaultInjector::delay)
     }
 
-    fn on_request(&self, env: Envelope) -> Step<Job> {
-        // Shutdown is exempt from fault injection: a chaos run must
-        // still stop its servers deterministically.
-        let fault = self
-            .fault
-            .as_ref()
-            .filter(|_| !matches!(env.req, Request::Shutdown));
-        // A delay stalls this connection only — the fleet sees it as a
-        // slow backend — and composes with the decision drawn here.
-        let delay = fault.and_then(FaultInjector::delay);
-        let step = match fault.map_or(FaultAction::None, FaultInjector::decide) {
+    fn on_request(&self, env: Envelope) -> Step<Envelope> {
+        match self
+            .fault(&env)
+            .map_or(FaultAction::None, FaultInjector::decide)
+        {
             FaultAction::Drop => Step::Close,
             FaultAction::Reject { retry_after_ms } => Step::Reply(err_response(
                 env.id,
@@ -582,31 +591,10 @@ impl Service for Backend {
                 Some(retry_after_ms),
             )),
             FaultAction::None => self.dispatch(env),
-        };
-        match delay {
-            Some(d) => Step::Delay(d, Box::new(step)),
-            None => step,
         }
     }
 
-    fn run(&self, _: &mut (), job: Job, out: &Out) {
-        let Job { env, resumed } = job;
-        if let (Some(key), Some(journal), false) = (&env.job, &self.journal, resumed) {
-            let rec = Record::Accepted {
-                job: key.clone(),
-                request: journaled_request(key, &env.req),
-            };
-            if let Err(e) = journal.append(&rec) {
-                self.jobs.lock().unwrap().remove(key);
-                out.send(err_response(
-                    env.id,
-                    &format!("journal write failed: {e}"),
-                    None,
-                ));
-                return;
-            }
-            OBS_JOURNAL_ACCEPTED.inc();
-        }
+    fn run(&self, _: &mut (), env: Envelope, out: &Out) {
         // A journaled job outlives its client: the durable contract is
         // with the key, not the connection, so only ephemeral jobs are
         // dropped on disconnect.
@@ -669,7 +657,7 @@ impl Server {
         // journal order, ahead of any new traffic.
         let mut journal = None;
         let mut jobs = BTreeMap::new();
-        let mut resume: Vec<Job> = Vec::new();
+        let mut resume: Vec<Envelope> = Vec::new();
         if let Some(path) = &cfg.journal {
             let (j, records) = Journal::open(path)?;
             for rec in records {
@@ -683,7 +671,7 @@ impl Server {
                             // result is served through job-result.
                             Ok(mut env) => {
                                 env.job = Some(job.clone());
-                                resume.push(Job { env, resumed: true });
+                                resume.push(env);
                                 jobs.insert(job, JobState::Pending);
                             }
                             // The checksum makes this near-impossible,
@@ -703,7 +691,7 @@ impl Server {
                         }
                     }
                     Record::Completed { job, ok, payload } => {
-                        resume.retain(|r| r.env.job.as_ref() != Some(&job));
+                        resume.retain(|env| env.job.as_ref() != Some(&job));
                         jobs.insert(job, JobState::Done { ok, payload });
                     }
                 }

@@ -15,13 +15,17 @@
 //! If the whole sweep finishes before the kill, resume degenerates to
 //! a re-ack of the journaled result, which the rest of the drill still
 //! checks.
+//!
+//! A second drill kills the server while a journaled job still waits in
+//! the queue behind a running one: a job `job-result` has called
+//! pending must resume too, though no worker had taken it yet.
 
 use ssim_serve::json::Json;
 use ssim_serve::proto::{Envelope, ProfileParams};
 use ssim_serve::{Client, MachineSpec, PointResult, Request};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
@@ -39,16 +43,25 @@ impl Drop for Reap {
     }
 }
 
-/// Starts `ssim-serve serve` on the drill's journal with a private
-/// profile cache and no inherited fault plan (the drill checks journal
-/// recovery, not cache luck or injected chaos), and returns it with the
-/// address it published.
-fn spawn_server(dir: &Path) -> (Reap, String) {
+/// A fresh scratch directory for one drill.
+fn drill_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("ssim-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create drill dir");
+    dir
+}
+
+/// Starts `ssim-serve serve` with `workers` workers on the drill's
+/// journal, with a private profile cache and no inherited fault plan
+/// (the drill checks journal recovery, not cache luck or injected
+/// chaos), and returns it with the address it published.
+fn spawn_server(dir: &Path, workers: usize) -> (Reap, String) {
     let port_file = dir.join("serve.port");
     let _ = std::fs::remove_file(&port_file);
     let child = Reap(
         Command::new(env!("CARGO_BIN_EXE_ssim-serve"))
-            .args(["serve", "--addr", "127.0.0.1:0", "--workers", "2"])
+            .args(["serve", "--addr", "127.0.0.1:0", "--workers"])
+            .arg(workers.to_string())
             .arg("--journal")
             .arg(dir.join("journal.ndjson"))
             .arg("--port-file")
@@ -77,6 +90,24 @@ fn connect(addr: &str) -> Client {
     cl
 }
 
+/// `job-result` for `key`: the stored payload once done, `None` while
+/// pending; any other answer fails the drill.
+fn poll_job(cl: &mut Client, key: &str) -> Option<Json> {
+    let poll = Request::JobResult {
+        job: key.to_string(),
+    };
+    let resp = cl.call(&poll, None).expect("poll job-result");
+    if resp.ok {
+        return Some(resp.body);
+    }
+    let msg = resp.error.unwrap_or_default();
+    assert!(
+        msg.contains("pending"),
+        "job {key:?} neither pending nor done: {msg}"
+    );
+    None
+}
+
 /// The digest and per-point results of a completed sweep response.
 fn sweep_body(body: &Json, what: &str) -> (u64, Vec<PointResult>) {
     let digest = body
@@ -95,9 +126,7 @@ fn sweep_body(body: &Json, what: &str) -> (u64, Vec<PointResult>) {
 
 #[test]
 fn sigkilled_sweep_resumes_from_the_journal() {
-    let dir = std::env::temp_dir().join(format!("ssim-journal-chaos-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create drill dir");
+    let dir = drill_dir("journal-chaos");
 
     // Enough points that the SIGKILL lands mid-sweep: frames arrive per
     // fan-out chunk, so two frames in means most chunks are still
@@ -126,7 +155,7 @@ fn sigkilled_sweep_resumes_from_the_journal() {
     };
     let key = "chaos-1";
 
-    let (mut server, addr) = spawn_server(&dir);
+    let (mut server, addr) = spawn_server(&dir, 2);
 
     // Submit the journaled job raw: the blocking client API hides
     // frames behind a full merge, and here two frames are the kill
@@ -171,24 +200,12 @@ fn sigkilled_sweep_resumes_from_the_journal() {
 
     // Restart on the same journal: the accepted but incomplete job must
     // resume without any client re-submitting it.
-    let (mut server, addr) = spawn_server(&dir);
+    let (mut server, addr) = spawn_server(&dir, 2);
     let mut cl = connect(&addr);
-    let poll = Request::JobResult {
-        job: key.to_string(),
-    };
     let mut resumed = None;
     util::wait_until("the resumed job completes", || {
-        let resp = cl.call(&poll, None).expect("poll job-result");
-        if resp.ok {
-            resumed = Some(resp.body);
-            return true;
-        }
-        let msg = resp.error.unwrap_or_default();
-        assert!(
-            msg.contains("pending"),
-            "job neither pending nor done after restart: {msg}"
-        );
-        false
+        resumed = poll_job(&mut cl, key);
+        resumed.is_some()
     });
     let (resumed_digest, resumed_points) = sweep_body(&resumed.unwrap(), "resumed job");
 
@@ -262,6 +279,86 @@ fn sigkilled_sweep_resumes_from_the_journal() {
     assert!(
         status.is_some_and(|s| s.success()),
         "ssim-serve exited with {status:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sigkilled_queued_job_resumes_from_the_journal() {
+    let dir = drill_dir("journal-queued");
+    let profile = ProfileParams {
+        workload: "gzip".to_string(),
+        instructions: 150_000,
+        skip: 0,
+    };
+    let sweep = |widths: &[u64], seeds: u64| Request::Sweep {
+        profile: profile.clone(),
+        machines: widths
+            .iter()
+            .flat_map(|&w| {
+                [16u64, 32, 64, 128].iter().map(move |&win| MachineSpec {
+                    width: Some(w),
+                    window: Some(win),
+                    ..MachineSpec::default()
+                })
+            })
+            .collect(),
+        r: 12,
+        seeds: (1..=seeds).collect(),
+    };
+    // One worker: the long sweep holds it while the short one queues.
+    let long = sweep(&[2, 4, 8], 64);
+    let queued = sweep(&[4], 2);
+    let (mut server, addr) = spawn_server(&dir, 1);
+    let mut submitter = connect(&addr);
+    submitter
+        .submit_job(&long, None, Some("long"))
+        .expect("submit the long job");
+    submitter
+        .submit_job(&queued, None, Some("queued"))
+        .expect("submit the queued job");
+    let mut cl = connect(&addr);
+    util::wait_until("the queued job is known", || {
+        let poll = Request::JobResult {
+            job: "queued".to_string(),
+        };
+        let resp = cl.call(&poll, None).expect("poll job-result");
+        !resp.error.unwrap_or_default().contains("unknown job")
+    });
+    // Still pending, and the long job has not finished, so the lone
+    // worker has not taken the queued one.
+    assert!(
+        poll_job(&mut cl, "queued").is_none(),
+        "queued job ran early"
+    );
+    assert!(
+        poll_job(&mut cl, "long").is_none(),
+        "the long job finished before the kill; the drill needs it running"
+    );
+    server.0.kill().expect("SIGKILL ssim-serve");
+    let _ = server.0.wait();
+    drop((submitter, cl));
+
+    // Two workers after the restart, so the queued job need not wait
+    // for the long one to run again.
+    let (_server, addr) = spawn_server(&dir, 2);
+    let mut cl = connect(&addr);
+    let mut resumed = None;
+    util::wait_until("the queued job resumes and completes", || {
+        resumed = poll_job(&mut cl, "queued");
+        resumed.is_some()
+    });
+    let (resumed_digest, _) = sweep_body(&resumed.unwrap(), "resumed job");
+    let reference = cl.call(&queued, None).expect("reference sweep");
+    assert!(
+        reference.ok,
+        "reference sweep failed: {:?}",
+        reference.error
+    );
+    let (reference_digest, _) = sweep_body(&reference.body, "reference sweep");
+    assert_eq!(
+        resumed_digest, reference_digest,
+        "resumed queued job digest differs from the uninterrupted run"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
