@@ -117,9 +117,16 @@ impl LoadConn {
         OBS_SENT.inc();
     }
 
-    /// Pumps writes and reads; returns latencies of newly acked
-    /// requests, counting rejections/errors/duplicates into `tally`.
-    fn pump(&mut self, tally: &mut Tally, latencies: &mut Vec<u64>) -> bool {
+    /// Whether the connection has requests awaiting a reply or bytes
+    /// not yet written: the only ones a driver pass needs to pump.
+    fn active(&self) -> bool {
+        !self.broken && (!self.pending.is_empty() || self.wpos < self.wbuf.len())
+    }
+
+    /// Pumps writes and reads through the driver thread's read buffer
+    /// `buf`; returns latencies of newly acked requests, counting
+    /// rejections/errors/duplicates into `tally`.
+    fn pump(&mut self, buf: &mut [u8], tally: &mut Tally, latencies: &mut Vec<u64>) -> bool {
         if self.broken {
             return false;
         }
@@ -146,9 +153,8 @@ impl LoadConn {
             self.wbuf.clear();
             self.wpos = 0;
         }
-        let mut buf = [0u8; 16 * 1024];
         loop {
-            match self.stream.read(&mut buf) {
+            match self.stream.read(buf) {
                 Ok(0) => {
                     self.broken = true;
                     break;
@@ -324,6 +330,7 @@ fn main() {
                 let pool = &pool;
                 scope.spawn(move || {
                     let mut rng = SmallRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9e37));
+                    let mut buf = vec![0u8; 16 * 1024];
                     let mut latencies = Vec::new();
                     let mut tally = Tally::default();
                     let mut sent = 0u64;
@@ -358,28 +365,35 @@ fn main() {
                             }
                             next_arrival += expo(&mut rng);
                         }
+                        // Only connections with work in flight: pumping
+                        // idle ones costs a read call each and delays
+                        // the pass that times the next reply.
                         let mut progress = false;
-                        for c in &mut shard {
-                            progress |= c.pump(&mut tally, &mut latencies);
+                        for c in shard.iter_mut().filter(|c| c.active()) {
+                            progress |= c.pump(&mut buf, &mut tally, &mut latencies);
                         }
                         if !progress {
                             std::thread::sleep(Duration::from_micros(200));
                         }
                     }
                     // Drain: no new arrivals, pump until every pending
-                    // id is answered or the budget expires.
+                    // id is answered or the budget expires. The first
+                    // pass covers every connection, so one the server
+                    // closed while it sat idle counts as broken.
                     let drain_end = Instant::now() + drain_budget;
+                    let mut all = true;
                     loop {
+                        let mut progress = false;
+                        for c in shard.iter_mut().filter(|c| all || c.active()) {
+                            progress |= c.pump(&mut buf, &mut tally, &mut latencies);
+                        }
+                        all = false;
                         let outstanding: usize = shard
                             .iter()
                             .map(|c| if c.broken { 0 } else { c.lost() })
                             .sum();
                         if outstanding == 0 || Instant::now() > drain_end {
                             break;
-                        }
-                        let mut progress = false;
-                        for c in &mut shard {
-                            progress |= c.pump(&mut tally, &mut latencies);
                         }
                         if !progress {
                             std::thread::sleep(Duration::from_millis(1));

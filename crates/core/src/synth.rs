@@ -105,6 +105,19 @@ impl PackedInstr {
     /// Ten bits per dependency-distance field (distances are 1..=512).
     const DIST_MASK: u64 = 0x3FF;
 
+    /// The branch-present bit.
+    pub(crate) const BRANCH: u64 = 1 << 51;
+
+    /// Bits of which at least one is set at every correct-path position
+    /// that can stop fetch: an I-cache or ITLB miss flag, a taken branch
+    /// or an outcome other than correct. (The taken and outcome bits are
+    /// only ever set on a branch.)
+    pub(crate) const CORRECT_PATH_STOP: u64 = 1 << 44 | 1 << 46 | 1 << 52 | 0b11 << 53;
+
+    /// The bit set at every wrong-path position that stops fetch: a
+    /// taken branch.
+    pub(crate) const WRONG_PATH_STOP: u64 = 1 << 52;
+
     pub(crate) fn pack(i: &SyntheticInstr) -> Self {
         debug_assert!(i
             .dep
@@ -151,27 +164,37 @@ impl PackedInstr {
         Self::pack(&c)
     }
 
-    fn dist(self, shift: u64) -> Option<u32> {
-        let d = ((self.0 >> shift) & Self::DIST_MASK) as u32;
-        (d != 0).then_some(d)
+    #[inline]
+    fn raw_dist(self, shift: u64) -> u32 {
+        ((self.0 >> shift) & Self::DIST_MASK) as u32
     }
 
-    /// Instruction class.
+    /// Instruction class as its `InstrClass::index`.
     #[inline]
-    pub(crate) fn class(self) -> InstrClass {
-        InstrClass::ALL[(self.0 & 0xF) as usize]
+    pub(crate) fn class_index(self) -> usize {
+        (self.0 & 0xF) as usize
     }
 
-    /// True-dependency distances.
+    /// True-dependency distances, zero for none.
     #[inline]
-    pub(crate) fn dep_dists(self) -> [Option<u32>; 2] {
-        [self.dist(4), self.dist(14)]
+    pub(crate) fn dep_raw(self) -> [u32; 2] {
+        [self.raw_dist(4), self.raw_dist(14)]
     }
 
-    /// Anti-dependency (WAW, WAR) distances.
+    /// Anti-dependency (WAW, WAR) distances, zero for none.
     #[inline]
-    pub(crate) fn anti_dep_dists(self) -> [Option<u32>; 2] {
-        [self.dist(24), self.dist(34)]
+    pub(crate) fn anti_dep_raw(self) -> [u32; 2] {
+        [self.raw_dist(24), self.raw_dist(34)]
+    }
+
+    /// For a load with data-side flags, `(1, l1_miss)`; otherwise
+    /// `(0, 0)`. These are the DTLB and L2 accesses the load charges at
+    /// correct-path fetch.
+    #[inline]
+    pub(crate) fn fetch_data_side(self) -> (u64, u64) {
+        let is_load = self.class_index() == InstrClass::Load.index();
+        let flagged = u64::from(is_load) & (self.0 >> 47) & 1;
+        (flagged, flagged & (self.0 >> 48))
     }
 
     /// L1 instruction-cache miss flag.
@@ -220,9 +243,9 @@ impl PackedInstr {
     #[cfg(test)]
     pub(crate) fn unpack(self) -> SyntheticInstr {
         SyntheticInstr {
-            class: self.class(),
-            dep: self.dep_dists(),
-            anti_dep: self.anti_dep_dists(),
+            class: InstrClass::ALL[self.class_index()],
+            dep: self.dep_raw().map(|d| (d != 0).then_some(d)),
+            anti_dep: self.anti_dep_raw().map(|d| (d != 0).then_some(d)),
             l1i_miss: self.l1i_miss(),
             l2i_miss: self.l2i_miss(),
             itlb_miss: self.itlb_miss(),

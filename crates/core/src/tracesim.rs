@@ -20,9 +20,9 @@
 use crate::sampler::EmitSink;
 use crate::synth::{PackedInstr, SyntheticInstr, SyntheticOutcome, SyntheticTrace};
 use crate::CompiledSampler;
+use ssim_isa::InstrClass;
 use ssim_uarch::{
-    BranchResolution, Core, CoreScratch, DispatchInstr, DispatchOutcome, MachineConfig, MemKind,
-    OccupancyMeter, SimResult, Unit,
+    Core, CoreScratch, DispatchOutcome, MachineConfig, MemKind, OccupancyMeter, SimResult, Unit,
 };
 // Observability (all no-ops unless SSIM_METRICS enables recording).
 // Nothing is recorded per cycle: the run counters are added once per
@@ -456,56 +456,48 @@ impl<'a> TraceSim<'a> {
     /// Returns the number of instructions dispatched this cycle.
     ///
     /// Dispatch re-reads each instruction from the trace at `ifq_head`
-    /// and rebuilds its [`DispatchInstr`] on the spot — everything the
-    /// fetch stage knew is a pure function of the instruction's flags
-    /// and its stream position: an entry is wrong-path iff it sits at or
-    /// past the rewind cursor (fetch turns wrong-path mode on for the
-    /// position *after* the mispredicted branch and recovery empties the
-    /// queue before turning it off, so fetch-time and dispatch-time
-    /// status agree), and the mode-triggering branch itself is exactly
-    /// the entry just below the rewind cursor.
+    /// and hands its fields straight from the word to
+    /// [`Core::try_dispatch_dists`] — everything the fetch stage knew is
+    /// a pure function of the instruction's flags and its stream
+    /// position: an entry is wrong-path iff it sits at or past the
+    /// rewind cursor (fetch turns wrong-path mode on for the position
+    /// *after* the mispredicted branch and recovery empties the queue
+    /// before turning it off, so fetch-time and dispatch-time status
+    /// agree), and the mode-triggering branch itself is exactly the
+    /// entry just below the rewind cursor.
     fn dispatch(&mut self) -> u64 {
         let mut dispatched = 0;
         while self.ifq_head < self.cursor {
-            if self.core.dispatch_blocked() {
-                break;
-            }
             let pos = self.ifq_head;
             let w = PackedInstr(self.words[pos]);
             let wrong_path = self.wrong_path.is_some_and(|rw| pos >= rw);
             let mispredict_marker = self.wrong_path == Some(pos + 1);
-            let class = w.class();
-            let mem = match (class, w.dmem(), wrong_path) {
-                (ssim_isa::InstrClass::Load, Some(f), false) => Some(MemKind::Load {
-                    latency: self.load_latency(f),
-                }),
-                // Wrong-path loads (or flag-less loads) behave as L1 hits.
-                (ssim_isa::InstrClass::Load, _, _) => Some(MemKind::Load {
-                    latency: 1 + self.cfg.lat.l1d_hit,
-                }),
-                (ssim_isa::InstrClass::Store, _, _) => Some(MemKind::Store),
-                _ => None,
+            let class = w.class_index();
+            let mem = if class == InstrClass::Load.index() {
+                let latency = match w.dmem() {
+                    Some(f) if !wrong_path => self.load_latency(f),
+                    // Wrong-path loads (or flag-less loads) behave as
+                    // L1 hits.
+                    _ => 1 + self.cfg.lat.l1d_hit,
+                };
+                Some(MemKind::Load { latency })
+            } else if class == InstrClass::Store.index() {
+                Some(MemKind::Store)
+            } else {
+                None
             };
-            let di = DispatchInstr {
-                class: Some(class),
-                srcs: [None, None],
-                dep_dists: w.dep_dists(),
-                dest: None,
+            match self.core.try_dispatch_dists(
+                class,
+                w.dep_raw(),
+                w.anti_dep_raw(),
                 mem,
-                mem_dep_addr: None,
-                branch: if mispredict_marker {
-                    BranchResolution::Mispredict
-                } else {
-                    BranchResolution::None
-                },
                 wrong_path,
-                anti_dep_dists: w.anti_dep_dists(),
-            };
-            match self.core.try_dispatch(di) {
+                mispredict_marker,
+            ) {
                 DispatchOutcome::Dispatched(seq) => {
                     dispatched += 1;
                     self.ifq_head += 1;
-                    if w.branch().is_some() && !wrong_path {
+                    if w.0 & PackedInstr::BRANCH != 0 && !wrong_path {
                         // The synthetic machine still charges predictor
                         // update activity at dispatch.
                         let now = self.core.now();
@@ -539,6 +531,11 @@ impl<'a> TraceSim<'a> {
         1 + l // address generation
     }
 
+    /// Fetches up to the fetch width, the IFQ's room and the end of the
+    /// trace, stopping early where a position stops fetch. Positions
+    /// that cannot stop it (see [`TraceSim::fetch_run`]) are taken a
+    /// run at a time; each other position goes through
+    /// [`TraceSim::fetch_one`].
     fn fetch(&mut self) {
         let now = self.core.now();
         if now < self.fetch_stall_until {
@@ -546,19 +543,72 @@ impl<'a> TraceSim<'a> {
             return;
         }
         let mut budget = self.cfg.fetch_width();
-        while budget > 0 && self.ifq_len() < self.cfg.ifq_size {
-            let Some(&w) = self.words.get(self.cursor) else {
+        loop {
+            let room = budget.min(self.cfg.ifq_size.saturating_sub(self.ifq_len()));
+            let end = self.words.len().min(self.cursor + room);
+            let start = self.cursor;
+            self.fetch_run(end);
+            budget -= self.cursor - start;
+            if self.cursor == end {
                 break;
-            };
+            }
+            // The position at the cursor may stop fetch.
+            let w = PackedInstr(self.words[self.cursor]);
             self.cursor += 1;
-            let on_wrong_path = self.wrong_path.is_some();
-            let stop = self.fetch_one(PackedInstr(w), on_wrong_path);
             budget -= 1;
-            if stop {
+            if self.fetch_one(w, self.wrong_path.is_some()) {
                 break;
             }
         }
         self.ifq_meter.sample(self.ifq_len() as u64);
+    }
+
+    /// Fetches, as one group, the positions from the cursor up to `end`
+    /// that cannot stop fetch, stopping at the first that can. On the
+    /// correct path those carry no I-cache or ITLB miss flag, no taken
+    /// branch and no outcome other than correct; on the wrong path, no
+    /// taken branch. The group charges each unit once with
+    /// [`ActivityCounters::record_n`](ssim_uarch::ActivityCounters::record_n)
+    /// and adds its branch counts once: every record falls in this one
+    /// cycle, so the accesses and used cycles are those of
+    /// [`TraceSim::fetch_one`] run position by position.
+    fn fetch_run(&mut self, end: usize) {
+        let wrong_path = self.wrong_path.is_some();
+        let stop = if wrong_path {
+            PackedInstr::WRONG_PATH_STOP
+        } else {
+            PackedInstr::CORRECT_PATH_STOP
+        };
+        let (mut n, mut branches, mut dtlb, mut l2) = (0u64, 0u64, 0u64, 0u64);
+        for &w in &self.words[self.cursor..end] {
+            if w & stop != 0 {
+                break;
+            }
+            n += 1;
+            branches += u64::from(w & PackedInstr::BRANCH != 0);
+            let (d, l) = PackedInstr(w).fetch_data_side();
+            dtlb += d;
+            l2 += l;
+        }
+        if n == 0 {
+            return;
+        }
+        self.cursor += n as usize;
+        let now = self.core.now();
+        let activity = self.core.activity_mut();
+        activity.record_n(Unit::Fetch, now, n);
+        activity.record_n(Unit::Bpred, now, branches);
+        if wrong_path {
+            OBS_WRONG_PATH_INJECTED.add(n);
+        } else {
+            activity.record_n(Unit::ICache, now, n);
+            activity.record_n(Unit::Itlb, now, n);
+            activity.record_n(Unit::L2, now, l2);
+            activity.record_n(Unit::Dtlb, now, dtlb);
+            // Every branch of the run is a correct, not-taken one.
+            self.branch_stats.branches += branches;
+            self.branch_stats.correct += branches;
+        }
     }
 
     /// Fetches one synthetic instruction (the position just appended to
@@ -598,12 +648,9 @@ impl<'a> TraceSim<'a> {
                 stop = true;
             }
             // Correct-path loads touch the data-side structures at fetch.
-            if let (ssim_isa::InstrClass::Load, Some(f)) = (w.class(), w.dmem()) {
-                if f.l1_miss {
-                    self.core.activity_mut().record(Unit::L2, now);
-                }
-                self.core.activity_mut().record(Unit::Dtlb, now);
-            }
+            let (dtlb, l2) = w.fetch_data_side();
+            self.core.activity_mut().record_n(Unit::L2, now, l2);
+            self.core.activity_mut().record_n(Unit::Dtlb, now, dtlb);
         }
 
         if let Some(b) = w.branch() {
@@ -648,7 +695,6 @@ impl<'a> TraceSim<'a> {
 mod tests {
     use super::*;
     use crate::synth::{BranchFlags, DataFlags};
-    use ssim_isa::InstrClass;
 
     /// Hand-builds a trace (the generator is exercised elsewhere).
     fn trace_of(instrs: Vec<SyntheticInstr>) -> SyntheticTrace {

@@ -134,6 +134,171 @@ fn fused_empty_budget_matches_unfused() {
     assert_eq!(fused.cycles, 1);
 }
 
+/// Hand-built instructions for [`edge_case_traces_match_the_reference`].
+mod hand {
+    use ssim_core::{BranchFlags, DataFlags, SyntheticInstr, SyntheticOutcome};
+    use ssim_isa::InstrClass;
+
+    pub fn alu() -> SyntheticInstr {
+        SyntheticInstr {
+            class: InstrClass::IntAlu,
+            dep: [None, None],
+            l1i_miss: false,
+            l2i_miss: false,
+            itlb_miss: false,
+            dmem: None,
+            branch: None,
+            anti_dep: [None, None],
+        }
+    }
+
+    pub fn chained(dist: u32) -> SyntheticInstr {
+        SyntheticInstr {
+            dep: [Some(dist), None],
+            ..alu()
+        }
+    }
+
+    pub fn load(l1_miss: bool, l2_miss: bool, tlb_miss: bool) -> SyntheticInstr {
+        SyntheticInstr {
+            class: InstrClass::Load,
+            dmem: Some(DataFlags {
+                l1_miss,
+                l2_miss,
+                tlb_miss,
+            }),
+            ..alu()
+        }
+    }
+
+    pub fn store() -> SyntheticInstr {
+        SyntheticInstr {
+            class: InstrClass::Store,
+            ..alu()
+        }
+    }
+
+    pub fn branch(taken: bool, outcome: SyntheticOutcome) -> SyntheticInstr {
+        SyntheticInstr {
+            class: InstrClass::IntCondBranch,
+            branch: Some(BranchFlags { taken, outcome }),
+            ..alu()
+        }
+    }
+}
+
+/// Traces built by hand to pin fetch groups at their boundaries: runs
+/// longer than any run-length cap, fetch stops at the first and last
+/// position, branches and missing loads inside a run, wrong-path fetch
+/// that meets a taken branch or the end of the trace, and WAW/WAR
+/// distances. On every machine — the baseline, a 2-wide machine, an IFQ
+/// smaller than the fetch width, an in-order machine with register
+/// hazards, and one whose I-side miss latencies are zero (a flagged
+/// position that does not stop fetch) — `SimEngine::simulate` must equal
+/// the frozen reference, and an engine reused across all of them must
+/// equal a fresh one.
+#[test]
+fn edge_case_traces_match_the_reference() {
+    use hand::*;
+    use ssim_core::{SyntheticOutcome as O, SyntheticTrace};
+
+    let mut traces: Vec<(&str, Vec<ssim_core::SyntheticInstr>)> = Vec::new();
+    traces.push(("10,000 ALUs, no stop", vec![alu(); 10_000]));
+
+    let mut v = vec![chained(3); 400];
+    v[0].l1i_miss = true;
+    v[399].itlb_miss = true;
+    traces.push(("I-cache miss first, ITLB miss last", v));
+    let mut v = vec![alu(); 400];
+    v[0].itlb_miss = true;
+    v[399].l1i_miss = true;
+    v[399].l2i_miss = true;
+    traces.push(("ITLB miss first, I-cache and L2 miss last", v));
+    let mut v = vec![alu(); 300];
+    v[150].l2i_miss = true;
+    traces.push(("an L2 flag without an I-cache miss", v));
+
+    let in_runs: Vec<_> = (0..3_000)
+        .map(|i| match i % 9 {
+            1 => branch(false, O::Correct),
+            3 => load(i % 2 == 0, i % 4 == 1, i % 5 == 0),
+            5 => store(),
+            6 => load(false, false, false),
+            7 => chained(2),
+            _ => alu(),
+        })
+        .collect();
+    traces.push(("not-taken branches and missing loads in runs", in_runs));
+
+    let mut v = Vec::new();
+    for i in 0..400 {
+        v.extend(vec![chained(1); 6]);
+        v.push(match i % 4 {
+            0 => branch(false, O::FetchRedirect),
+            1 => branch(true, O::FetchRedirect),
+            2 => branch(false, O::Mispredict),
+            _ => branch(true, O::Correct),
+        });
+        // Fetched on the wrong path after a mispredict, not as the
+        // correct path, until the branch resolves.
+        v.push(branch(true, O::Mispredict));
+        v.push(load(true, true, true));
+    }
+    traces.push(("redirects, and taken branches on the wrong path", v));
+
+    let mut v = vec![chained(1); 60];
+    v.push(branch(true, O::Mispredict));
+    traces.push(("ends on a mispredicted branch", v));
+    let mut v = vec![alu(); 40];
+    v.push(load(true, true, false));
+    v.push(branch(false, O::Mispredict));
+    v.extend(vec![alu(); 5]);
+    traces.push(("wrong path runs off the end", v));
+
+    let hazards: Vec<_> = (0..2_000u32)
+        .map(|i| ssim_core::SyntheticInstr {
+            anti_dep: [(i % 3 != 0).then_some(1 + i % 5), (i % 4 == 0).then_some(2)],
+            ..if i % 7 == 3 {
+                load(true, false, false)
+            } else {
+                chained(1 + i % 3)
+            }
+        })
+        .collect();
+    traces.push(("WAW and WAR distances", hazards));
+
+    let mut zero_miss = MachineConfig::baseline();
+    zero_miss.lat.l2_hit = 0;
+    zero_miss.lat.tlb_miss = 0;
+    let cfgs = [
+        MachineConfig::baseline(),
+        MachineConfig::baseline().with_width(2),
+        MachineConfig::baseline().with_ifq(4),
+        MachineConfig::baseline().in_order(),
+        zero_miss,
+    ];
+    let mut engine = SimEngine::new();
+    for (c, cfg) in cfgs.iter().enumerate() {
+        for (label, instrs) in &traces {
+            let mut t = SyntheticTrace::default();
+            for &i in instrs {
+                t.push(i);
+            }
+            let reference = simulate_trace_reference(&t, cfg);
+            assert_eq!(
+                engine.simulate(&t, cfg),
+                reference,
+                "{label} cfg#{c}: reused engine diverged from the reference"
+            );
+            assert_eq!(
+                simulate_trace(&t, cfg),
+                reference,
+                "{label} cfg#{c}: fresh engine diverged from the reference"
+            );
+        }
+    }
+}
+
 /// Reduction factor of the walk-reuse tests: ~3k-instruction traces.
 const REUSE_R: u64 = 20;
 

@@ -343,6 +343,12 @@ pub struct Envelope {
     pub req: Request,
 }
 
+/// Most design points (machines × seeds) one sweep may name. The full
+/// §4.6 grid is 999 machines; without a bound, a line under the 16 MiB
+/// cap could name over 10^13 points, and the server reserves a result
+/// for each before it first checks the deadline.
+const MAX_SWEEP_POINTS: usize = 65_536;
+
 fn req_u64(v: &Json, key: &str) -> Result<u64, String> {
     v.get(key)
         .and_then(Json::as_u64)
@@ -421,6 +427,13 @@ impl Envelope {
                 };
                 if seeds.is_empty() {
                     return Err("\"seeds\" must be non-empty".to_string());
+                }
+                let points = machines.len().saturating_mul(seeds.len());
+                if points > MAX_SWEEP_POINTS {
+                    return Err(format!(
+                        "a sweep may name at most {MAX_SWEEP_POINTS} points (machines × seeds), \
+                         not {points}"
+                    ));
                 }
                 let profile = ProfileParams::from_json(&v)?;
                 let r = req_u64(&v, "r")?.max(1);
@@ -832,6 +845,17 @@ mod tests {
 
     #[test]
     fn malformed_requests_are_rejected() {
+        // A sweep of 256 seeds on `machines` empty overrides.
+        let sweep = |machines: usize| {
+            let seeds: Vec<String> = (0..256).map(|s| s.to_string()).collect();
+            format!(
+                "{{\"id\": 1, \"kind\": \"sweep\", \"workload\": \"gzip\", \
+                 \"instructions\": 5, \"machines\": [{}], \"r\": 1, \"seeds\": [{}]}}",
+                vec!["{}"; machines].join(","),
+                seeds.join(",")
+            )
+        };
+        let over_bound = sweep(MAX_SWEEP_POINTS / 256 + 1);
         for bad in [
             "{}",
             "{\"id\": 1}",
@@ -851,9 +875,12 @@ mod tests {
              \"instructions\": 5, \"machines\": [], \"r\": 1}",
             "{\"id\": 1, \"job\": 7, \"kind\": \"metrics\"}",
             "not json at all",
+            &over_bound,
         ] {
             assert!(Envelope::parse(bad).is_err(), "{bad:?} accepted");
         }
+        // A sweep of exactly the bound parses.
+        assert!(Envelope::parse(&sweep(MAX_SWEEP_POINTS / 256)).is_ok());
     }
 
     #[test]

@@ -4,9 +4,12 @@
 //! [`Core`] models a SimpleScalar-style register update unit (RUU): a
 //! unified issue window and reorder buffer, plus a load/store queue.
 //! Dependencies are expressed either through architectural registers
-//! (execution-driven simulation renames them internally) or through
-//! **dependency distances** (synthetic trace simulation, §2.2 step 4 of
-//! the paper); both resolve to producer *sequence numbers* at dispatch.
+//! (execution-driven simulation renames them internally, through
+//! [`Core::try_dispatch`]) or through **dependency distances**
+//! (synthetic trace simulation, §2.2 step 4 of the paper, through
+//! [`Core::try_dispatch_dists`]); both resolve to producer *sequence
+//! numbers* at dispatch and end in one routine that writes the window
+//! entry.
 
 use crate::activity::{ActivityCounters, Unit};
 use crate::config::MachineConfig;
@@ -38,32 +41,27 @@ pub enum BranchResolution {
     Mispredict,
 }
 
-/// One instruction handed to the backend.
+/// One register-named instruction handed to the backend by
+/// execution-driven simulation (see [`Core::try_dispatch`]; synthetic
+/// traces dispatch by distance through [`Core::try_dispatch_dists`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DispatchInstr {
     /// Semantic class (selects functional unit and latency).
     pub class: Option<InstrClass>,
-    /// Architectural source registers (execution-driven mode).
+    /// Architectural source registers.
     pub srcs: [Option<RegId>; 2],
-    /// Dependency distances (synthetic mode): operand *p* depends on the
-    /// instruction `dist` positions earlier in the dispatch stream.
-    pub dep_dists: [Option<u32>; 2],
-    /// Architectural destination register (execution-driven mode).
+    /// Architectural destination register.
     pub dest: Option<RegId>,
     /// Memory behaviour.
     pub mem: Option<MemKind>,
     /// Word-granularity effective address, for store→load dependence
-    /// detection (execution-driven mode).
+    /// detection.
     pub mem_dep_addr: Option<u64>,
     /// Branch resolution behaviour at writeback.
     pub branch: BranchResolution,
     /// Whether this instruction is from a misspeculated path (occupies
     /// resources but never commits and never triggers recovery).
     pub wrong_path: bool,
-    /// Synthetic-mode anti-dependency distances `(WAW, WAR)`, used only
-    /// when the machine models register hazards without renaming
-    /// (`MachineConfig::model_anti_deps`).
-    pub anti_dep_dists: [Option<u32>; 2],
 }
 
 /// Result of a dispatch attempt.
@@ -102,6 +100,76 @@ const F_FP: u8 = 1 << 7;
 /// Absent-dependency sentinel in the `deps` arrays (sequence numbers
 /// stay far below it for any realistic run length).
 const NO_SEQ: u64 = u64::MAX;
+
+/// What an instruction class alone fixes on one machine: its FU pool,
+/// its execute latency and its [`F_INT`]/[`F_FP`] bit. A memory
+/// operation overrides the pool and the latency (see
+/// [`Core::write_entry`]). [`Core::with_scratch`] builds one per class.
+#[derive(Debug, Clone, Copy, Default)]
+struct ClassInfo {
+    pool: u64,
+    lat: u64,
+    unit: u8,
+}
+
+impl ClassInfo {
+    fn new(cfg: &MachineConfig, class: InstrClass) -> Self {
+        let lat = &cfg.lat;
+        let (pool, lat) = match class {
+            InstrClass::IntAlu | InstrClass::IntCondBranch | InstrClass::IndirectBranch => {
+                (0, lat.int_alu)
+            }
+            InstrClass::Load | InstrClass::Store => (1, 1),
+            InstrClass::IntMul => (2, lat.int_mul),
+            InstrClass::IntDiv => (2, lat.int_div),
+            InstrClass::FpAlu | InstrClass::FpCondBranch => (3, lat.fp_alu),
+            InstrClass::FpMul => (4, lat.fp_mul),
+            InstrClass::FpDiv => (4, lat.fp_div),
+            InstrClass::FpSqrt => (4, lat.fp_sqrt),
+        };
+        let unit = match class {
+            InstrClass::FpAlu
+            | InstrClass::FpMul
+            | InstrClass::FpDiv
+            | InstrClass::FpSqrt
+            | InstrClass::FpCondBranch => F_FP,
+            InstrClass::Load | InstrClass::Store => 0,
+            _ => F_INT,
+        };
+        ClassInfo { pool, lat, unit }
+    }
+}
+
+/// Producer of the instruction `dist` positions before `seq` (synthetic
+/// mode); distance zero means none.
+#[inline]
+fn dist_seq(seq: u64, dist: u32) -> u64 {
+    if dist == 0 {
+        NO_SEQ
+    } else {
+        enc(seq.checked_sub(u64::from(dist)))
+    }
+}
+
+/// A window entry resolved by one of the two front halves
+/// ([`Core::try_dispatch`], [`Core::try_dispatch_dists`]), ready for
+/// [`Core::write_entry`].
+struct NewEntry {
+    /// `[dep0, dep1, waw, war, mem_dep]` producer sequence numbers.
+    deps: [u64; 5],
+    /// Index into [`Core::classes`] (`InstrClass::index`).
+    class: usize,
+    mem: Option<MemKind>,
+    wrong_path: bool,
+    /// A mispredicted branch (resolves at writeback unless wrong-path).
+    mispredict: bool,
+    /// Destination register dense index and its rename-map undo value.
+    dest: Option<(u16, u64)>,
+    /// Store address for store→load detection ([`NO_SEQ`] if none).
+    mem_addr: u64,
+    /// Register-file reads (source operands named by register).
+    reg_reads: u64,
+}
 
 #[inline]
 fn enc(seq: Option<u64>) -> u64 {
@@ -161,7 +229,8 @@ pub struct CoreScratch {
 ///    sequence number of a correct-path mispredicted branch that
 ///    resolved this cycle, if any;
 /// 2. on a resolution, call [`Core::squash_after`] and redirect fetch;
-/// 3. [`Core::try_dispatch`] up to `decode_width` instructions;
+/// 3. [`Core::try_dispatch`] (or [`Core::try_dispatch_dists`]) up to
+///    `decode_width` instructions;
 /// 4. [`Core::advance`] to start the next cycle.
 #[derive(Debug, Clone)]
 pub struct Core<'a> {
@@ -186,6 +255,15 @@ pub struct Core<'a> {
     mem_addr: Vec<u64>,
     /// Index mask for all window arrays (capacity − 1).
     mask: u64,
+    /// Per-class pool, latency and unit bit, indexed by
+    /// `InstrClass::index`; fixed by the machine, built once per core.
+    classes: [ClassInfo; InstrClass::ALL.len()],
+    /// Dependency slots the issue probe reads: the two true
+    /// dependences until some entry of this run fills a WAW, WAR or
+    /// store→load slot, all five from then on. Every entry is written
+    /// with all five slots, so while this is 2 the unread ones hold
+    /// [`NO_SEQ`] and would probe as satisfied.
+    live_slots: usize,
     /// Issued-but-not-complete instructions as `(done, seq)` records on
     /// a timing wheel indexed by `done & WHEEL_MASK`; writeback drains
     /// one slot per cycle. Records are validated lazily against the
@@ -285,6 +363,10 @@ impl<'a> Core<'a> {
                 slot.clear();
             }
         }
+        let mut classes = [ClassInfo::default(); InstrClass::ALL.len()];
+        for class in InstrClass::ALL {
+            classes[class.index()] = ClassInfo::new(cfg, class);
+        }
         Core {
             cfg,
             hot,
@@ -295,6 +377,8 @@ impl<'a> Core<'a> {
             prev_writer,
             mem_addr,
             mask: cap as u64 - 1,
+            classes,
+            live_slots: 2,
             ready,
             event_sched: !cfg.in_order_issue,
             wheel,
@@ -357,39 +441,6 @@ impl<'a> Core<'a> {
     /// driver records its own units here).
     pub fn activity_mut(&mut self) -> &mut ActivityCounters {
         &mut self.activity
-    }
-
-    fn execute_latency(cfg: &MachineConfig, class: InstrClass, mem: Option<MemKind>) -> u64 {
-        let lat = &cfg.lat;
-        match mem {
-            Some(MemKind::Load { latency }) => latency,
-            Some(MemKind::Store) => 1,
-            None => match class {
-                InstrClass::IntAlu | InstrClass::IntCondBranch | InstrClass::IndirectBranch => {
-                    lat.int_alu
-                }
-                InstrClass::IntMul => lat.int_mul,
-                InstrClass::IntDiv => lat.int_div,
-                InstrClass::FpAlu | InstrClass::FpCondBranch => lat.fp_alu,
-                InstrClass::FpMul => lat.fp_mul,
-                InstrClass::FpDiv => lat.fp_div,
-                InstrClass::FpSqrt => lat.fp_sqrt,
-                InstrClass::Load | InstrClass::Store => 1,
-            },
-        }
-    }
-
-    fn fu_pool(class: InstrClass, mem: Option<MemKind>) -> usize {
-        if mem.is_some() {
-            return 1; // load/store ports
-        }
-        match class {
-            InstrClass::Load | InstrClass::Store => 1,
-            InstrClass::IntAlu | InstrClass::IntCondBranch | InstrClass::IndirectBranch => 0,
-            InstrClass::IntMul | InstrClass::IntDiv => 2,
-            InstrClass::FpAlu | InstrClass::FpCondBranch => 3,
-            InstrClass::FpMul | InstrClass::FpDiv | InstrClass::FpSqrt => 4,
-        }
     }
 
     /// Schedules a completion record on the timing wheel.
@@ -488,6 +539,37 @@ impl<'a> Core<'a> {
                 Some(wake.max(now + 1) + self.lat[idx].max(1))
             }
         }
+    }
+
+    /// Probes an entry's live dependency slots (see
+    /// [`Core::live_slots`]): clears every satisfied slot for good and
+    /// returns the largest bound of the unsatisfied ones, if any. `Done`
+    /// is terminal until commit, and a producer is always older than its
+    /// consumer, so no squash can remove one while its consumer
+    /// survives.
+    #[inline]
+    fn probe(&self, slots: &mut [u64; 5], now: u64) -> Option<u64> {
+        if self.live_slots == 2 {
+            self.probe_first::<2>(slots, now)
+        } else {
+            self.probe_first::<5>(slots, now)
+        }
+    }
+
+    #[inline(always)]
+    fn probe_first<const N: usize>(&self, slots: &mut [u64; 5], now: u64) -> Option<u64> {
+        let mut blocked = false;
+        let mut bound = 0;
+        for slot in &mut slots[..N] {
+            match self.dep_bound(*slot, now) {
+                None => *slot = NO_SEQ,
+                Some(lb) => {
+                    blocked = true;
+                    bound = bound.max(lb);
+                }
+            }
+        }
+        blocked.then_some(bound)
     }
 
     /// Runs writeback, issue and commit for the current cycle.
@@ -611,27 +693,12 @@ impl<'a> Core<'a> {
                         min_wake = now + 1;
                         continue;
                     }
-                    // Probe the five dependency slots. A satisfied slot
-                    // is cleared for good: `Done` is terminal until
-                    // commit, and a producer is always older than its
-                    // consumer so no squash can remove one while its
-                    // consumer survives. Unsatisfied slots yield a
-                    // completion lower bound.
+                    // Unsatisfied slots yield a completion lower bound.
                     let mut slots = self.deps[idx];
-                    let mut blocked = false;
-                    let mut bound = 0;
-                    for slot in &mut slots {
-                        match self.dep_bound(*slot, now) {
-                            None => *slot = NO_SEQ,
-                            Some(lb) => {
-                                blocked = true;
-                                bound = bound.max(lb);
-                            }
-                        }
-                    }
+                    let blocked = self.probe(&mut slots, now);
                     let off = idx.wrapping_sub(front_idx) as u64 & self.mask;
                     let seq = self.front_seq + off;
-                    if blocked {
+                    if let Some(bound) = blocked {
                         // Sleep until the bound: clear the ready bit,
                         // memoise the bound (dependants chain through
                         // it) and schedule the wakeup.
@@ -683,18 +750,7 @@ impl<'a> Core<'a> {
                     break;
                 }
                 let mut slots = self.deps[idx];
-                let mut blocked = false;
-                let mut bound = 0;
-                for slot in &mut slots {
-                    match self.dep_bound(*slot, now) {
-                        None => *slot = NO_SEQ,
-                        Some(lb) => {
-                            blocked = true;
-                            bound = bound.max(lb);
-                        }
-                    }
-                }
-                if blocked {
+                if let Some(bound) = self.probe(&mut slots, now) {
                     min_wake = min_wake.min(bound);
                     self.deps[idx] = slots;
                     self.hot[idx] =
@@ -754,65 +810,40 @@ impl<'a> Core<'a> {
         resolved
     }
 
-    /// Whether the next [`Core::try_dispatch`] is certain to stall on
-    /// decode width or window capacity. (An LSQ-full stall additionally
-    /// depends on the instruction itself, so a `false` here is not a
-    /// dispatch guarantee.) Lets a driver skip building the candidate
-    /// instruction when the core cannot take it anyway.
+    /// Whether a dispatch this cycle stalls: decode width or RUU used
+    /// up, or, for a memory operation, a full LSQ.
     #[inline]
-    pub fn dispatch_blocked(&self) -> bool {
-        self.dispatched_this_cycle >= self.cfg.decode_width || self.in_flight() >= self.cfg.ruu_size
+    fn dispatch_stalls(&self, is_mem: bool) -> bool {
+        self.dispatched_this_cycle >= self.cfg.decode_width
+            || self.in_flight() >= self.cfg.ruu_size
+            || (is_mem && self.lsq_used >= self.cfg.lsq_size)
     }
 
-    /// Attempts to dispatch one instruction into the RUU/LSQ.
+    /// Attempts to dispatch one register-named instruction into the
+    /// RUU/LSQ (execution-driven simulation). Dependences resolve
+    /// through the rename map; on machines without renaming, WAW and
+    /// WAR hazards through the rename and last-reader tables; a load
+    /// depends on the youngest in-flight store to its word.
     ///
     /// At most `decode_width` instructions are accepted per cycle;
     /// further attempts stall.
     pub fn try_dispatch(&mut self, instr: DispatchInstr) -> DispatchOutcome {
-        if self.dispatched_this_cycle >= self.cfg.decode_width {
-            return DispatchOutcome::Stalled;
-        }
-        if self.in_flight() >= self.cfg.ruu_size {
-            return DispatchOutcome::Stalled;
-        }
-        let is_mem = instr.mem.is_some();
-        if is_mem && self.lsq_used >= self.cfg.lsq_size {
+        if self.dispatch_stalls(instr.mem.is_some()) {
             return DispatchOutcome::Stalled;
         }
         let seq = self.next_seq;
-        let now = self.cycle;
-        let class = instr.class.unwrap_or(InstrClass::IntAlu);
-        let idx = (seq & self.mask) as usize;
-
-        // Resolve register dependencies through the rename map, or
-        // dependency distances through sequence arithmetic.
         let mut deps = [NO_SEQ; 5];
-        for (p, slot) in deps[..2].iter_mut().enumerate() {
-            *slot = match (instr.srcs[p], instr.dep_dists[p]) {
-                (Some(reg), _) => enc(self.rename[reg.dense_index()]),
-                // A distance of zero would be a self-dependence; the
-                // synthetic generator never emits it, but guard anyway.
-                (None, Some(0)) => NO_SEQ,
-                (None, Some(dist)) => enc(seq.checked_sub(u64::from(dist))),
-                (None, None) => NO_SEQ,
-            };
+        for (slot, src) in deps[..2].iter_mut().zip(instr.srcs) {
+            *slot = src.map_or(NO_SEQ, |reg| enc(self.rename[reg.dense_index()]));
         }
 
         // WAW/WAR hazards (machines without register renaming): the
         // write must wait for the previous writer and the previous
-        // readers of its destination; synthetic mode supplies distances.
+        // readers of its destination.
         if self.cfg.model_anti_deps {
             if let Some(d) = instr.dest {
                 deps[2] = enc(self.rename[d.dense_index()]); // WAW
                 deps[3] = enc(self.last_reader[d.dense_index()]); // WAR
-            }
-            for (i, dist) in instr.anti_dep_dists.iter().enumerate() {
-                if deps[2 + i] == NO_SEQ {
-                    deps[2 + i] = match dist {
-                        Some(0) | None => NO_SEQ,
-                        Some(d) => enc(seq.checked_sub(u64::from(*d))),
-                    };
-                }
             }
             for src in instr.srcs.iter().flatten() {
                 self.last_reader[src.dense_index()] = Some(seq);
@@ -840,54 +871,123 @@ impl<'a> Core<'a> {
         }
 
         // Rename-map update with an undo log for squash recovery.
-        let mut f = 0u8;
-        let mut dest_idx = 0u16;
-        let mut prev = NO_SEQ;
-        if let Some(d) = instr.dest {
-            let slot = &mut self.rename[d.dense_index()];
-            prev = enc(*slot);
-            *slot = Some(seq);
-            dest_idx = d.dense_index() as u16;
-            f |= F_DEST;
+        let dest = instr.dest.map(|d| {
+            let prev = enc(self.rename[d.dense_index()].replace(seq));
+            (d.dense_index() as u16, prev)
+        });
+        let is_store = matches!(mem, Some(MemKind::Store));
+        self.write_entry(NewEntry {
+            deps,
+            class: instr.class.unwrap_or(InstrClass::IntAlu).index(),
+            mem,
+            wrong_path: instr.wrong_path,
+            mispredict: instr.branch == BranchResolution::Mispredict,
+            dest,
+            mem_addr: instr.mem_dep_addr.filter(|_| is_store).unwrap_or(NO_SEQ),
+            reg_reads: instr.srcs.iter().flatten().count() as u64,
+        })
+    }
+
+    /// Attempts to dispatch one synthetic-trace instruction into the
+    /// RUU/LSQ. Operand *p* depends on the instruction `deps[p]`
+    /// positions earlier in the dispatch stream; on machines that model
+    /// register hazards (`MachineConfig::model_anti_deps`), the write
+    /// also waits for the instructions `anti[0]` (WAW) and `anti[1]`
+    /// (WAR) positions earlier. A distance of zero means none. `class`
+    /// is the instruction's `InstrClass::index`; a load carries its
+    /// resolved latency in `mem`. A `mispredict` branch that is not on
+    /// the wrong path reports its resolution at writeback.
+    ///
+    /// At most `decode_width` instructions are accepted per cycle;
+    /// further attempts stall.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `class` is not a class index.
+    #[inline]
+    pub fn try_dispatch_dists(
+        &mut self,
+        class: usize,
+        deps: [u32; 2],
+        anti: [u32; 2],
+        mem: Option<MemKind>,
+        wrong_path: bool,
+        mispredict: bool,
+    ) -> DispatchOutcome {
+        if self.dispatch_stalls(mem.is_some()) {
+            return DispatchOutcome::Stalled;
         }
-        f |= match mem {
-            Some(MemKind::Load { .. }) => F_MEM | F_LOAD,
-            Some(MemKind::Store) => F_MEM | F_STORE,
-            None => 0,
+        let seq = self.next_seq;
+        let anti = if self.cfg.model_anti_deps {
+            anti
+        } else {
+            [0, 0]
         };
-        if instr.wrong_path {
+        self.write_entry(NewEntry {
+            deps: [
+                dist_seq(seq, deps[0]),
+                dist_seq(seq, deps[1]),
+                dist_seq(seq, anti[0]),
+                dist_seq(seq, anti[1]),
+                NO_SEQ,
+            ],
+            class,
+            mem,
+            wrong_path,
+            mispredict,
+            dest: None,
+            mem_addr: NO_SEQ,
+            reg_reads: 0,
+        })
+    }
+
+    /// Writes a resolved entry into the window at `next_seq` — the one
+    /// place both front halves put an instruction into the RUU/LSQ —
+    /// and charges its dispatch activity. The caller has checked that
+    /// the dispatch does not stall.
+    #[inline(always)]
+    fn write_entry(&mut self, e: NewEntry) -> DispatchOutcome {
+        let seq = self.next_seq;
+        let now = self.cycle;
+        let idx = (seq & self.mask) as usize;
+        let info = self.classes[e.class];
+        let (mem_flags, pool, lat) = match e.mem {
+            Some(MemKind::Load { latency }) => (F_MEM | F_LOAD, 1, latency),
+            Some(MemKind::Store) => (F_MEM | F_STORE, 1, 1),
+            None => (0, info.pool, info.lat),
+        };
+        let mut f = info.unit | mem_flags;
+        if e.wrong_path {
             f |= F_WRONG_PATH;
-        }
-        if instr.branch == BranchResolution::Mispredict && !instr.wrong_path {
+        } else if e.mispredict {
             f |= F_RESOLVES;
         }
-        f |= match class {
-            InstrClass::FpAlu
-            | InstrClass::FpMul
-            | InstrClass::FpDiv
-            | InstrClass::FpSqrt
-            | InstrClass::FpCondBranch => F_FP,
-            InstrClass::Load | InstrClass::Store => 0,
-            _ => F_INT,
+        let (dest_idx, prev) = match e.dest {
+            Some(d) => {
+                f |= F_DEST;
+                d
+            }
+            None => (0, NO_SEQ),
         };
+        // All three hazard slots empty ANDs to NO_SEQ (all ones).
+        if e.deps[2] & e.deps[3] & e.deps[4] != NO_SEQ {
+            self.live_slots = 5;
+        }
 
         self.first_waiting = self.first_waiting.min(self.in_flight());
         if self.event_sched {
             self.ready[idx / 64] |= 1u64 << (idx % 64);
         }
-        let pool = Self::fu_pool(class, mem) as u64;
         self.hot[idx] = HOT_WAITING | (pool << HOT_POOL_SHIFT);
-        self.lat[idx] = Self::execute_latency(self.cfg, class, mem);
-        self.deps[idx] = deps;
+        self.lat[idx] = lat;
+        self.deps[idx] = e.deps;
         self.flags[idx] = f;
         self.dest[idx] = dest_idx;
         self.prev_writer[idx] = prev;
-        self.mem_addr[idx] = match (f & F_STORE != 0, instr.mem_dep_addr) {
-            (true, Some(a)) => a,
-            _ => NO_SEQ,
-        };
+        self.mem_addr[idx] = e.mem_addr;
         self.next_seq += 1;
         self.peak_ruu = self.peak_ruu.max(self.in_flight());
+        let is_mem = e.mem.is_some();
         if is_mem {
             self.lsq_used += 1;
             self.peak_lsq = self.peak_lsq.max(self.lsq_used);
@@ -895,11 +995,7 @@ impl<'a> Core<'a> {
         self.dispatched_this_cycle += 1;
         self.activity.record(Unit::Dispatch, now);
         self.activity.record(Unit::Ruu, now);
-        self.activity.record_n(
-            Unit::RegFile,
-            now,
-            instr.srcs.iter().flatten().count() as u64,
-        );
+        self.activity.record_n(Unit::RegFile, now, e.reg_reads);
         if is_mem {
             self.activity.record(Unit::Lsq, now);
         }
@@ -927,9 +1023,12 @@ impl<'a> Core<'a> {
         // Reader tracking must not survive the squash: sequence numbers
         // are reused, so a stale reader entry would alias a *future*
         // instruction and (under in-order issue) deadlock the pipe.
-        for slot in &mut self.last_reader {
-            if slot.is_some_and(|s| s > seq) {
-                *slot = None;
+        // Only machines that model register hazards write the table.
+        if self.cfg.model_anti_deps {
+            for slot in &mut self.last_reader {
+                if slot.is_some_and(|s| s > seq) {
+                    *slot = None;
+                }
             }
         }
         squashed
@@ -1005,6 +1104,16 @@ mod tests {
             dest: Some(dest),
             ..Default::default()
         }
+    }
+
+    /// Dispatches a correct-path instruction by distance.
+    fn dists(
+        core: &mut Core,
+        class: InstrClass,
+        deps: [u32; 2],
+        anti: [u32; 2],
+    ) -> DispatchOutcome {
+        core.try_dispatch_dists(class.index(), deps, anti, None, false, false)
     }
 
     fn run_empty(core: &mut Core) -> u64 {
@@ -1198,16 +1307,9 @@ mod tests {
         let cfg = small_cfg();
         let mut core = Core::new(&cfg);
         // seq 0: long divide producing (synthetically) a value.
-        core.try_dispatch(DispatchInstr {
-            class: Some(InstrClass::IntDiv),
-            ..Default::default()
-        });
+        dists(&mut core, InstrClass::IntDiv, [0, 0], [0, 0]);
         // seq 1: depends on distance 1 => seq 0.
-        core.try_dispatch(DispatchInstr {
-            class: Some(InstrClass::IntAlu),
-            dep_dists: [Some(1), None],
-            ..Default::default()
-        });
+        dists(&mut core, InstrClass::IntAlu, [1, 0], [0, 0]);
         let cycles = run_empty(&mut core);
         assert!(
             cycles >= 20,
@@ -1217,6 +1319,7 @@ mod tests {
 
     #[test]
     fn store_to_load_same_word_serialises() {
+        let r1 = RegId::Int(ssim_isa::Reg::R1);
         let cfg = small_cfg();
         let mut core = Core::new(&cfg);
         let store = DispatchInstr {
@@ -1224,11 +1327,12 @@ mod tests {
             mem: Some(MemKind::Store),
             mem_dep_addr: Some(64),
             // Make the store wait on a divide so it stays not-done.
-            dep_dists: [Some(1), None],
+            srcs: [Some(r1), None],
             ..Default::default()
         };
         core.try_dispatch(DispatchInstr {
             class: Some(InstrClass::IntDiv),
+            dest: Some(r1),
             ..Default::default()
         });
         core.try_dispatch(store);
@@ -1280,29 +1384,15 @@ mod tests {
         // A divide that waits on a (missing-producer) distance handled
         // as ready — instead make the second op depend on the divide so
         // the head is a genuine stall for op 3.
-        core.try_dispatch(DispatchInstr {
-            class: Some(InstrClass::IntDiv),
-            ..Default::default()
-        });
-        core.try_dispatch(DispatchInstr {
-            class: Some(InstrClass::IntAlu),
-            dep_dists: [Some(1), None],
-            ..Default::default()
-        });
+        dists(&mut core, InstrClass::IntDiv, [0, 0], [0, 0]);
+        dists(&mut core, InstrClass::IntAlu, [1, 0], [0, 0]);
         core.try_dispatch(alu());
         let in_order_cycles = run_empty(&mut core);
 
         let ooo_cfg = small_cfg();
         let mut ooo = Core::new(&ooo_cfg);
-        ooo.try_dispatch(DispatchInstr {
-            class: Some(InstrClass::IntDiv),
-            ..Default::default()
-        });
-        ooo.try_dispatch(DispatchInstr {
-            class: Some(InstrClass::IntAlu),
-            dep_dists: [Some(1), None],
-            ..Default::default()
-        });
+        dists(&mut ooo, InstrClass::IntDiv, [0, 0], [0, 0]);
+        dists(&mut ooo, InstrClass::IntAlu, [1, 0], [0, 0]);
         ooo.try_dispatch(alu());
         let ooo_cycles = run_empty(&mut ooo);
         assert!(
@@ -1369,20 +1459,38 @@ mod tests {
         );
     }
 
+    /// On a machine that models register hazards, a squash forgets the
+    /// squashed readers: the next writer of their register reuses a
+    /// squashed reader's sequence number and would otherwise wait on
+    /// itself.
+    #[test]
+    fn squash_forgets_squashed_readers() {
+        let r1 = RegId::Int(ssim_isa::Reg::R1);
+        let r2 = RegId::Int(ssim_isa::Reg::R2);
+        let mut cfg = small_cfg();
+        cfg.model_anti_deps = true;
+        let mut core = Core::new(&cfg);
+        core.try_dispatch(alu());
+        core.try_dispatch(DispatchInstr {
+            wrong_path: true,
+            ..alu_rw(r2, r1)
+        });
+        assert_eq!(core.squash_after(0), 1);
+        assert_eq!(
+            core.try_dispatch(alu_rw(r1, r2)),
+            DispatchOutcome::Dispatched(1)
+        );
+        run_empty(&mut core);
+        assert_eq!(core.committed(), 2);
+    }
+
     #[test]
     fn synthetic_anti_dep_distances_serialise() {
         let mut cfg = small_cfg();
         cfg.model_anti_deps = true;
         let mut core = Core::new(&cfg);
-        core.try_dispatch(DispatchInstr {
-            class: Some(InstrClass::IntDiv),
-            ..Default::default()
-        });
-        core.try_dispatch(DispatchInstr {
-            class: Some(InstrClass::IntAlu),
-            anti_dep_dists: [Some(1), None],
-            ..Default::default()
-        });
+        dists(&mut core, InstrClass::IntDiv, [0, 0], [0, 0]);
+        dists(&mut core, InstrClass::IntAlu, [0, 0], [1, 0]);
         let cycles = run_empty(&mut core);
         assert!(
             cycles >= 20,

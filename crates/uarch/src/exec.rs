@@ -331,15 +331,11 @@ impl<'a, 'p> ExecSim<'a, 'p> {
         DispatchInstr {
             class: Some(instr.class()),
             srcs,
-            dep_dists: [None, None],
             dest: instr.dest,
             mem,
             mem_dep_addr,
             branch: BranchResolution::None,
             wrong_path,
-            // EDS resolves WAW/WAR hazards through the backend's own
-            // register tables; distances are a synthetic-mode input.
-            anti_dep_dists: [None, None],
         }
     }
 

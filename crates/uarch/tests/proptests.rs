@@ -1,10 +1,12 @@
 //! Property-based tests for the out-of-order backend: arbitrary
-//! well-formed instruction streams must drain without deadlock and
-//! conserve instructions.
+//! well-formed instruction streams, dispatched by distance as synthetic
+//! traces are, must drain without deadlock and conserve instructions,
+//! on out-of-order and in-order machines, with and without register
+//! hazards (`model_anti_deps`, which makes WAW/WAR distances bind).
 
 use proptest::prelude::*;
 use ssim_isa::InstrClass;
-use ssim_uarch::{BranchResolution, Core, DispatchInstr, DispatchOutcome, MachineConfig, MemKind};
+use ssim_uarch::{Core, DispatchOutcome, MachineConfig, MemKind};
 
 /// A simplified instruction description the strategy generates.
 #[derive(Debug, Clone, Copy)]
@@ -12,10 +14,13 @@ struct Gen {
     class_pick: u8,
     dep1: u32,
     dep2: u32,
+    waw: u32,
+    war: u32,
     load_latency: u64,
 }
 
-fn to_instr(g: &Gen) -> DispatchInstr {
+/// Dispatches `g` by distance; distances of zero mean none.
+fn dispatch(core: &mut Core, g: &Gen) -> DispatchOutcome {
     let class = match g.class_pick % 6 {
         0 => InstrClass::IntAlu,
         1 => InstrClass::Load,
@@ -31,35 +36,45 @@ fn to_instr(g: &Gen) -> DispatchInstr {
         InstrClass::Store => Some(MemKind::Store),
         _ => None,
     };
-    DispatchInstr {
-        class: Some(class),
-        srcs: [None, None],
-        dep_dists: [
-            (!g.dep1.is_multiple_of(40)).then_some(g.dep1 % 40),
-            (!g.dep2.is_multiple_of(64)).then_some(g.dep2 % 64),
-        ],
-        dest: None,
+    core.try_dispatch_dists(
+        class.index(),
+        [g.dep1 % 40, g.dep2 % 64],
+        [g.waw % 48, g.war % 32],
         mem,
-        mem_dep_addr: None,
-        branch: BranchResolution::None,
-        wrong_path: false,
-        anti_dep_dists: [None, None],
-    }
-}
-
-fn gen_strategy() -> impl Strategy<Value = Gen> {
-    (any::<u8>(), any::<u32>(), any::<u32>(), any::<u64>()).prop_map(
-        |(class_pick, dep1, dep2, load_latency)| Gen {
-            class_pick,
-            dep1,
-            dep2,
-            load_latency,
-        },
+        false,
+        false,
     )
 }
 
-fn small_config(ruu: usize, width: usize) -> MachineConfig {
+fn gen_strategy() -> impl Strategy<Value = Gen> {
+    (
+        any::<u8>(),
+        any::<u32>(),
+        any::<u32>(),
+        any::<u32>(),
+        any::<u32>(),
+        any::<u64>(),
+    )
+        .prop_map(|(class_pick, dep1, dep2, waw, war, load_latency)| Gen {
+            class_pick,
+            dep1,
+            dep2,
+            waw,
+            war,
+            load_latency,
+        })
+}
+
+/// A `ruu`-entry, `width`-wide machine: out of order with renaming
+/// (`kind` 0), out of order with register hazards (1), or
+/// `MachineConfig::in_order` (2, which also models register hazards).
+fn small_config(ruu: usize, width: usize, kind: u8) -> MachineConfig {
     let mut cfg = MachineConfig::baseline();
+    match kind % 3 {
+        0 => {}
+        1 => cfg.model_anti_deps = true,
+        _ => cfg = cfg.in_order(),
+    }
     cfg.ruu_size = ruu;
     cfg.lsq_size = (ruu / 2).max(1);
     cfg.decode_width = width;
@@ -78,15 +93,16 @@ proptest! {
         instrs in prop::collection::vec(gen_strategy(), 1..300),
         ruu in 2usize..32,
         width in 1usize..8,
+        kind in 0u8..3,
     ) {
-        let cfg = small_config(ruu, width);
+        let cfg = small_config(ruu, width, kind);
         let mut core = Core::new(&cfg);
         let mut sent = 0usize;
         let mut cycles_guard = 0u64;
         while sent < instrs.len() || !core.is_empty() {
             core.cycle();
             while sent < instrs.len() {
-                match core.try_dispatch(to_instr(&instrs[sent])) {
+                match dispatch(&mut core, &instrs[sent]) {
                     DispatchOutcome::Dispatched(_) => sent += 1,
                     DispatchOutcome::Stalled => break,
                 }
@@ -105,16 +121,17 @@ proptest! {
     fn squash_conserves_prefix(
         instrs in prop::collection::vec(gen_strategy(), 2..60),
         cut in 0usize..59,
+        kind in 0u8..3,
     ) {
         let cut = cut % instrs.len();
-        let cfg = small_config(64, 8);
+        let cfg = small_config(64, 8, kind);
         let mut core = Core::new(&cfg);
         let mut seqs = Vec::new();
         let mut sent = 0;
         // Dispatch everything (advancing cycles as needed).
         let mut guard = 0;
         while sent < instrs.len() {
-            match core.try_dispatch(to_instr(&instrs[sent])) {
+            match dispatch(&mut core, &instrs[sent]) {
                 DispatchOutcome::Dispatched(s) => {
                     seqs.push(s);
                     sent += 1;
@@ -152,17 +169,21 @@ proptest! {
     }
 
     /// More resources never hurt: a wider/deeper machine finishes a
-    /// fixed stream in no more cycles than a narrower one.
+    /// fixed stream in no more cycles than a narrower one of the same
+    /// kind.
     #[test]
-    fn monotone_in_resources(instrs in prop::collection::vec(gen_strategy(), 20..150)) {
+    fn monotone_in_resources(
+        instrs in prop::collection::vec(gen_strategy(), 20..150),
+        kind in 0u8..3,
+    ) {
         let run = |ruu: usize, width: usize| -> u64 {
-            let cfg = small_config(ruu, width);
+            let cfg = small_config(ruu, width, kind);
             let mut core = Core::new(&cfg);
             let mut sent = 0usize;
             while sent < instrs.len() || !core.is_empty() {
                 core.cycle();
                 while sent < instrs.len() {
-                    match core.try_dispatch(to_instr(&instrs[sent])) {
+                    match dispatch(&mut core, &instrs[sent]) {
                         DispatchOutcome::Dispatched(_) => sent += 1,
                         DispatchOutcome::Stalled => break,
                     }
