@@ -22,7 +22,8 @@ use crate::synth::{PackedInstr, SyntheticInstr, SyntheticOutcome, SyntheticTrace
 use crate::CompiledSampler;
 use ssim_isa::InstrClass;
 use ssim_uarch::{
-    Core, CoreScratch, DispatchOutcome, MachineConfig, MemKind, OccupancyMeter, SimResult, Unit,
+    Core, CoreScratch, CoreSnapshot, DispatchOutcome, MachineConfig, MemKind, OccupancyMeter,
+    SimResult, Unit,
 };
 // Observability (all no-ops unless SSIM_METRICS enables recording).
 // Nothing is recorded per cycle: the run counters are added once per
@@ -36,6 +37,7 @@ static OBS_WRONG_PATH_SQUASHED: ssim_obs::Counter =
     ssim_obs::Counter::new("tracesim.wrong_path_squashed");
 static OBS_WALKS_REUSED: ssim_obs::Counter = ssim_obs::Counter::new("tracesim.walks_reused");
 static OBS_POINTS_REUSED: ssim_obs::Counter = ssim_obs::Counter::new("tracesim.points_reused");
+static OBS_POINTS_RESUMED: ssim_obs::Counter = ssim_obs::Counter::new("tracesim.points_resumed");
 
 /// Simulates a synthetic trace on the configured machine.
 ///
@@ -114,7 +116,28 @@ impl EmitSink for PackedSink<'_> {
 /// workers keep their engines for the life of the process.
 const KEPT_MAX: usize = 1024;
 
-/// An earlier fused result on the engine's current walk.
+/// A run takes a state record only at a first full-queue check that
+/// comes once it has committed this share of the trace, in percent: on
+/// the benchmark's sweep, records earlier in the trace were most of the
+/// records and saved under 3% of the cycles (DESIGN §11).
+const RECORD_FROM_PCT: u64 = 20;
+
+/// Most bytes of state records a [`SimEngine`] keeps for one walk; it
+/// stops taking more when full. The benchmark's sweep keeps at most
+/// about 300 KB per walk (DESIGN §11).
+const RECORD_BYTES_MAX: usize = 512 << 10;
+
+/// Whether a run with capacities `new` takes the same branch at every
+/// capacity check as an earlier run on the same walk and masked machine
+/// took while its peaks were `peak` and its capacities `old`: for each
+/// queue, the new capacity is the old one, or the peak stayed below
+/// both.
+fn fits(old: (usize, usize), peak: (usize, usize), new: (usize, usize)) -> bool {
+    let one = |old: usize, new: usize, peak: usize| new == old || peak < old.min(new);
+    one(old.0, new.0, peak.0) && one(old.1, new.1, peak.1)
+}
+
+/// An earlier fused run on the engine's current walk.
 #[derive(Debug)]
 struct Kept {
     /// The machine it ran on, `ruu_size` and `lsq_size` zeroed.
@@ -124,19 +147,61 @@ struct Kept {
     /// The run's [`Core::peak_occupancy`].
     peak: (usize, usize),
     result: SimResult,
+    /// The run's state records, in run order.
+    records: Vec<Record>,
 }
 
 impl Kept {
     /// Whether a run on the same walk with `masked` and capacities
-    /// `sizes` must produce this result: the machines differ at most in
-    /// the two capacities, and for each capacity the new one is the old
-    /// one, or the peak stayed below both.
+    /// `sizes` must produce this result.
     fn answers(&self, masked: &MachineConfig, sizes: (usize, usize)) -> bool {
-        let fits = |old: usize, new: usize, peak: usize| new == old || peak < old.min(new);
-        fits(self.sizes.0, sizes.0, self.peak.0)
-            && fits(self.sizes.1, sizes.1, self.peak.1)
-            && self.masked == *masked
+        fits(self.sizes, self.peak, sizes) && self.masked == *masked
     }
+
+    /// The records a run with the same masked machine and capacities
+    /// `sizes` passes through.
+    fn resumes(&self, sizes: (usize, usize)) -> impl Iterator<Item = &Record> {
+        self.records
+            .iter()
+            .filter(move |r| fits(self.sizes, r.peak, sizes))
+    }
+}
+
+/// A run's state just before its first full-RUU or its first full-LSQ
+/// check, from which a later point may resume.
+#[derive(Debug)]
+struct Record {
+    /// The run's peaks before the check. The queue found full had peak
+    /// `capacity - 1`: occupancy rises by one per dispatch, and the
+    /// check before each dispatch saw the occupancy it rose from. At an
+    /// LSQ record, the RUU peak includes the check's own RUU test, which
+    /// can only make [`fits`] refuse more.
+    peak: (usize, usize),
+    driver: DriverState,
+    /// Taken after the check; the check changed only the peaks, and a
+    /// resumed run repeats it, which raises them to the same values.
+    core: CoreSnapshot,
+}
+
+impl Record {
+    fn bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + self.core.heap_bytes()
+    }
+}
+
+/// What [`TraceSim`] keeps besides the core and the trace, as a record
+/// copies it.
+#[derive(Debug, Clone, Copy)]
+struct DriverState {
+    cursor: usize,
+    ifq_head: usize,
+    ifq_meter: OccupancyMeter,
+    branch_stats: ssim_uarch::BranchStats,
+    fetch_stall_until: u64,
+    wrong_path: Option<usize>,
+    pending_seq: Option<u64>,
+    progress: (u64, u64),
+    cycle_committed: u64,
 }
 
 /// A reusable synthetic-simulation engine.
@@ -171,18 +236,32 @@ impl Kept {
 ///
 /// **Capacity reuse.** For the walk it holds, the engine also keeps the
 /// results of earlier fused calls with each run's peak RUU and LSQ
-/// occupancy ([`Core::peak_occupancy`]). A call whose machine differs
-/// from a kept one only in `ruu_size`/`lsq_size` gets the kept result
-/// back without running the driver when, for each of the two
-/// capacities, `new == old || peak < min(old, new)`. This is exact: on
-/// this path the capacities are read only by the core's full-queue
-/// checks (and for array sizing, which never changes a result), so a
-/// run whose peaks stayed below both capacities takes the same branch
-/// at every check under either. The config is validated before the
-/// lookup, so an invalid one still panics. Kept results are dropped
-/// wherever the walk key is, and at most 1,024 are kept per walk.
-/// Hits count in `tracesim.points_reused` and record no `tracesim.*`
-/// time, instructions or cycles.
+/// occupancy at the capacity checks ([`Core::peak_occupancy`]). A call
+/// whose machine differs from a kept one only in `ruu_size`/`lsq_size`
+/// gets the kept result back without running the driver when, for each
+/// of the two capacities, `new == old || peak < min(old, new)`. This is
+/// exact: on this path the capacities are read only by the core's
+/// full-queue checks (and for array sizing, which never changes a
+/// result), so a run whose peaks stayed below both capacities takes the
+/// same branch at every check under either. The config is validated
+/// before the lookup, so an invalid one still panics. Kept results are
+/// dropped wherever the walk key is, and at most 1,024 are kept per
+/// walk. Hits count in `tracesim.points_reused` and record no
+/// `tracesim.*` time, instructions or cycles.
+///
+/// **Resume.** A kept run also keeps copies of its state just before
+/// its first full-RUU check and just before its first full-LSQ check,
+/// each with the peaks the run had reached before it. A call that no
+/// kept result answers starts from the latest record whose peaks pass
+/// the same rule against the new capacities: every check before the
+/// record then takes the same branch, so the record lies on the new
+/// point's own trajectory. The resumed run enters the driver loop at
+/// the record's dispatch stage and takes its own records. Records are
+/// taken only once a fifth of the trace has committed, up to 512 KiB
+/// per walk, and kept only after their run completes. Resumes count in
+/// `tracesim.points_resumed` (and, as driver runs over a kept walk, in
+/// `tracesim.walks_reused`); a resumed run records in `tracesim.*` only
+/// the time, cycles and instructions it simulated after the record.
 #[derive(Debug, Default)]
 pub struct SimEngine {
     scratch: CoreScratch,
@@ -195,14 +274,25 @@ pub struct SimEngine {
     /// `(sampler id, seed)` of the walk `packed` holds; `None` when
     /// `packed` holds anything else (or nothing complete).
     walked: Option<(u64, u64)>,
-    /// Results of earlier fused calls on the walk `walked` names.
+    /// Earlier fused runs on the walk `walked` names.
     kept: Vec<Kept>,
+    /// Bytes of the state records in `kept`.
+    record_bytes: usize,
 }
 
 impl SimEngine {
     /// Creates an engine with empty working buffers.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Forgets the walk `packed` holds, with everything kept for it.
+    fn forget_walk(&mut self) {
+        self.walked = None;
+        self.kept.clear();
+        self.record_bytes = 0;
+        self.packed.clear();
+        self.has_dest.clear();
     }
 
     /// Simulates a materialised trace (see [`simulate_trace`]).
@@ -216,16 +306,14 @@ impl SimEngine {
         // Hand-built traces may carry dependency distances outside the
         // generator's range — those clamp to `1..=MAX_DEP_DISTANCE`,
         // the range the wire format represents.
-        self.walked = None;
-        self.kept.clear();
-        self.packed.clear();
+        self.forget_walk();
         self.packed.extend(
             trace
                 .instrs()
                 .iter()
                 .map(|i| PackedInstr::pack_clamped(i).0),
         );
-        self.run(cfg).0
+        drive(cfg, &self.packed, &mut self.scratch, None, false).result
     }
 
     /// Generates and simulates in one call (see [`simulate_fused`]).
@@ -234,8 +322,9 @@ impl SimEngine {
     /// is skipped and only the driver runs; and if an earlier call on
     /// that walk ran a machine that differs only in RUU/LSQ capacities
     /// neither run could fill, its result is returned without running
-    /// the driver (see the type docs). The result is the same either
-    /// way.
+    /// the driver, or else the driver may start from a state an earlier
+    /// run passed through (see the type docs). The result is the same
+    /// either way.
     ///
     /// # Panics
     ///
@@ -257,17 +346,24 @@ impl SimEngine {
         };
         let sizes = (cfg.ruu_size, cfg.lsq_size);
         let key = (sampler.id, seed);
+        let mut from = None;
         if self.walked == Some(key) {
             if let Some(k) = self.kept.iter().find(|k| k.answers(&masked, sizes)) {
                 OBS_POINTS_REUSED.inc();
                 return k.result.clone();
             }
             OBS_WALKS_REUSED.inc();
+            from = self
+                .kept
+                .iter()
+                .filter(|k| k.masked == masked)
+                .flat_map(|k| k.resumes(sizes))
+                .max_by_key(|r| r.core.at());
+            if from.is_some() {
+                OBS_POINTS_RESUMED.inc();
+            }
         } else {
-            self.walked = None;
-            self.kept.clear();
-            self.packed.clear();
-            self.has_dest.clear();
+            self.forget_walk();
             let mut sink = PackedSink {
                 words: &mut self.packed,
                 has_dest: &mut self.has_dest,
@@ -275,26 +371,57 @@ impl SimEngine {
             sampler.emit_walk(seed, &mut sink);
             self.walked = Some(key);
         }
-        let (result, peak) = self.run(cfg);
-        if self.kept.len() < KEPT_MAX {
+        let keep = self.kept.len() < KEPT_MAX;
+        let record = keep && self.record_bytes < RECORD_BYTES_MAX;
+        let run = drive(cfg, &self.packed, &mut self.scratch, from, record);
+        if keep {
+            let mut records = run.records;
+            records.retain(|r| {
+                let bytes = self.record_bytes + r.bytes();
+                let room = bytes <= RECORD_BYTES_MAX;
+                if room {
+                    self.record_bytes = bytes;
+                }
+                room
+            });
             self.kept.push(Kept {
                 masked,
                 sizes,
-                peak,
-                result: result.clone(),
+                peak: run.peak,
+                result: run.result.clone(),
+                records,
             });
         }
-        result
+        run.result
     }
+}
 
-    /// Runs the driver over the packed words; returns the result and
-    /// the run's [`Core::peak_occupancy`].
-    fn run(&mut self, cfg: &MachineConfig) -> (SimResult, (usize, usize)) {
-        let scratch = std::mem::take(&mut self.scratch);
-        let (result, peak, scratch) = TraceSim::new(cfg, &self.packed, scratch).run();
-        self.scratch = scratch;
-        (result, peak)
+/// Runs the driver over `words` on `cfg`, from the start or from `from`,
+/// a record of an earlier run on the same words; takes records if
+/// `record`. The core borrows its working memory from `scratch`.
+fn drive(
+    cfg: &MachineConfig,
+    words: &[u64],
+    scratch: &mut CoreScratch,
+    from: Option<&Record>,
+    record: bool,
+) -> Run {
+    let mut sim = TraceSim::new(cfg, words, std::mem::take(scratch), record);
+    if let Some(r) = from {
+        sim.restore(r);
     }
+    let (run, returned) = sim.run(from.is_some());
+    *scratch = returned;
+    run
+}
+
+/// A finished driver run.
+struct Run {
+    result: SimResult,
+    /// The run's [`Core::peak_occupancy`].
+    peak: (usize, usize),
+    /// Its state records, in run order.
+    records: Vec<Record>,
 }
 
 struct TraceSim<'a> {
@@ -319,10 +446,20 @@ struct TraceSim<'a> {
     /// branch).
     wrong_path: Option<usize>,
     pending_seq: Option<u64>,
+    /// Deadlock watchdog: the cycle and committed count when commits
+    /// last advanced.
+    progress: (u64, u64),
+    /// Instructions committed before the current cycle.
+    cycle_committed: u64,
+    /// Whether this run takes state records.
+    record: bool,
+    /// Whether a capacity check has found the RUU, and the LSQ, full.
+    filled: (bool, bool),
+    records: Vec<Record>,
 }
 
 impl<'a> TraceSim<'a> {
-    fn new(cfg: &'a MachineConfig, words: &'a [u64], scratch: CoreScratch) -> Self {
+    fn new(cfg: &'a MachineConfig, words: &'a [u64], scratch: CoreScratch, record: bool) -> Self {
         TraceSim {
             cfg,
             words,
@@ -334,6 +471,11 @@ impl<'a> TraceSim<'a> {
             fetch_stall_until: 0,
             wrong_path: None,
             pending_seq: None,
+            progress: (0, 0),
+            cycle_committed: 0,
+            record,
+            filled: (false, false),
+            records: Vec::new(),
         }
     }
 
@@ -343,45 +485,74 @@ impl<'a> TraceSim<'a> {
         self.cursor - self.ifq_head
     }
 
-    fn run(mut self) -> (SimResult, (usize, usize), CoreScratch) {
+    fn driver_state(&self) -> DriverState {
+        DriverState {
+            cursor: self.cursor,
+            ifq_head: self.ifq_head,
+            ifq_meter: self.ifq_meter,
+            branch_stats: self.branch_stats,
+            fetch_stall_until: self.fetch_stall_until,
+            wrong_path: self.wrong_path,
+            pending_seq: self.pending_seq,
+            progress: self.progress,
+            cycle_committed: self.cycle_committed,
+        }
+    }
+
+    /// Puts this fresh driver in the state of `r`, an earlier run's
+    /// record on the same words whose peaks fit this machine.
+    fn restore(&mut self, r: &Record) {
+        self.core.restore(&r.core);
+        let d = r.driver;
+        self.cursor = d.cursor;
+        self.ifq_head = d.ifq_head;
+        self.ifq_meter = d.ifq_meter;
+        self.branch_stats = d.branch_stats;
+        self.fetch_stall_until = d.fetch_stall_until;
+        self.wrong_path = d.wrong_path;
+        self.pending_seq = d.pending_seq;
+        self.progress = d.progress;
+        self.cycle_committed = d.cycle_committed;
+    }
+
+    /// Which queues a capacity check has found full: a peak reaches its
+    /// capacity only there.
+    fn full_queues(&self) -> (bool, bool) {
+        let (ruu, lsq) = self.core.peak_occupancy();
+        (ruu >= self.cfg.ruu_size, lsq >= self.cfg.lsq_size)
+    }
+
+    /// Runs to the end of the trace. A run restored from a record
+    /// (`resumed`) enters the loop at the dispatch stage of the
+    /// record's cycle, where the record was taken.
+    fn run(mut self, resumed: bool) -> (Run, CoreScratch) {
         let _span = OBS_SIM_TIME.span();
-        let mut last_progress = (0u64, 0u64);
-        loop {
-            let committed = self.core.committed();
-            // Done when the machine has fully drained and the trace is
-            // exhausted. (A trace ending in a mispredict never stalls
-            // here: resolution and the rewind both happen inside one
-            // `cycle()` call, so `wrong_path` is `None` again by the
-            // time the drain check can pass.)
-            if self.wrong_path.is_none()
-                && self.ifq_len() == 0
-                && self.core.is_empty()
-                && self.cursor == self.words.len()
-            {
-                break;
-            }
-            if let Some(seq) = self.core.cycle() {
-                self.recover(seq);
-            }
-            let dispatched = self.dispatch();
+        let start = (self.core.now(), self.core.committed());
+        self.filled = self.full_queues();
+        let mut done = !resumed && self.begin_cycle();
+        while !done {
+            self.dispatch();
+            let dispatched = self.core.dispatched();
             let cursor_before = self.cursor;
             self.fetch();
             self.core.advance();
             self.skip_quiet_cycles(dispatched, cursor_before);
 
             let now = self.core.now();
-            if committed > last_progress.1 {
-                last_progress = (now, committed);
+            if self.cycle_committed > self.progress.1 {
+                self.progress = (now, self.cycle_committed);
             }
             assert!(
-                now - last_progress.0 < 500_000,
-                "synthetic pipeline deadlock at cycle {now} (committed {committed})"
+                now - self.progress.0 < 500_000,
+                "synthetic pipeline deadlock at cycle {now} (committed {})",
+                self.cycle_committed
             );
+            done = self.begin_cycle();
         }
         let cycles = self.core.now().max(1);
         let instructions = self.core.committed();
-        OBS_CYCLES.add(cycles);
-        OBS_INSTRUCTIONS.add(instructions);
+        OBS_CYCLES.add(cycles - start.0);
+        OBS_INSTRUCTIONS.add(instructions - start.1);
         let peak = self.core.peak_occupancy();
         let (mut activity, ruu, lsq, scratch) = self.core.finish_reuse();
         activity.set_cycles(cycles);
@@ -395,7 +566,33 @@ impl<'a> TraceSim<'a> {
             cache: Default::default(),
             activity,
         };
-        (result, peak, scratch)
+        let run = Run {
+            result,
+            peak,
+            records: self.records,
+        };
+        (run, scratch)
+    }
+
+    /// Starts a cycle: writeback, issue and commit, then the recovery
+    /// from a mispredict that resolved. Returns `true` instead when the
+    /// machine has fully drained and the trace is exhausted. (A trace
+    /// ending in a mispredict never stalls here: resolution and the
+    /// rewind both happen inside one `cycle()` call, so `wrong_path` is
+    /// `None` again by the time the drain check can pass.)
+    fn begin_cycle(&mut self) -> bool {
+        self.cycle_committed = self.core.committed();
+        if self.wrong_path.is_none()
+            && self.ifq_len() == 0
+            && self.core.is_empty()
+            && self.cursor == self.words.len()
+        {
+            return true;
+        }
+        if let Some(seq) = self.core.cycle() {
+            self.recover(seq);
+        }
+        false
     }
 
     /// Fast-forwards over cycles in which provably nothing can happen.
@@ -409,7 +606,7 @@ impl<'a> TraceSim<'a> {
     /// would idle through the same cycles touching nothing — so only the
     /// per-cycle occupancy samples need to be replayed, in one batched
     /// step each. Results are bit-identical.
-    fn skip_quiet_cycles(&mut self, dispatched: u64, cursor_before: usize) {
+    fn skip_quiet_cycles(&mut self, dispatched: usize, cursor_before: usize) {
         if dispatched != 0 || self.cursor != cursor_before {
             return;
         }
@@ -453,7 +650,7 @@ impl<'a> TraceSim<'a> {
         self.fetch_stall_until = self.core.now() + self.cfg.redirect_latency;
     }
 
-    /// Returns the number of instructions dispatched this cycle.
+    /// Dispatches from the IFQ until a check stalls.
     ///
     /// Dispatch re-reads each instruction from the trace at `ifq_head`
     /// and hands its fields straight from the word to
@@ -465,8 +662,7 @@ impl<'a> TraceSim<'a> {
     /// before turning it off, so fetch-time and dispatch-time status
     /// agree), and the mode-triggering branch itself is exactly the
     /// entry just below the rewind cursor.
-    fn dispatch(&mut self) -> u64 {
-        let mut dispatched = 0;
+    fn dispatch(&mut self) {
         while self.ifq_head < self.cursor {
             let pos = self.ifq_head;
             let w = PackedInstr(self.words[pos]);
@@ -495,7 +691,6 @@ impl<'a> TraceSim<'a> {
                 mispredict_marker,
             ) {
                 DispatchOutcome::Dispatched(seq) => {
-                    dispatched += 1;
                     self.ifq_head += 1;
                     if w.0 & PackedInstr::BRANCH != 0 && !wrong_path {
                         // The synthetic machine still charges predictor
@@ -507,10 +702,40 @@ impl<'a> TraceSim<'a> {
                         self.pending_seq = Some(seq);
                     }
                 }
-                DispatchOutcome::Stalled => break,
+                DispatchOutcome::Stalled => {
+                    if self.record {
+                        self.note_stall();
+                    }
+                    break;
+                }
             }
         }
-        dispatched
+    }
+
+    /// After a stalled dispatch check: if it found a queue full for the
+    /// first time in this run, and the run has committed at least
+    /// [`RECORD_FROM_PCT`] percent of the trace, takes a record. A check
+    /// finds at most one queue full, since the LSQ is checked only once
+    /// the RUU check has passed.
+    fn note_stall(&mut self) {
+        let full = self.full_queues();
+        if full == self.filled {
+            return;
+        }
+        let (ruu, lsq) = self.core.peak_occupancy();
+        let peak = if full.0 != self.filled.0 {
+            (ruu - 1, lsq)
+        } else {
+            (ruu, lsq - 1)
+        };
+        self.filled = full;
+        if self.core.committed() * 100 >= self.words.len() as u64 * RECORD_FROM_PCT {
+            self.records.push(Record {
+                peak,
+                driver: self.driver_state(),
+                core: self.core.snapshot(),
+            });
+        }
     }
 
     /// Total load latency for pre-assigned flags.

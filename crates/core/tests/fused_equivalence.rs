@@ -407,6 +407,89 @@ fn capacity_reuse_refuses_a_queue_that_filled() {
     assert_ne!(got, filled, "a 2-entry LSQ must throttle gcc");
 }
 
+/// Runs `(ruu, lsq)` points of one `width` in order on a fresh engine
+/// (so its window arrays start at the smallest size that holds the first
+/// point) and checks each result against a fresh engine's.
+fn check_in_order(
+    sampler: &CompiledSampler,
+    seed: u64,
+    width: usize,
+    points: &[(usize, usize)],
+    label: &str,
+) {
+    let mut engine = SimEngine::new();
+    for &(ruu, lsq) in points {
+        let cfg = MachineConfig {
+            ruu_size: ruu,
+            lsq_size: lsq,
+            ..MachineConfig::baseline().with_width(width)
+        };
+        assert_eq!(
+            engine.simulate_fused(sampler, seed, &cfg),
+            fresh(sampler, seed, &cfg),
+            "{label}: RUU {ruu}, LSQ {lsq}"
+        );
+    }
+}
+
+/// A point that differs from an earlier run only in a larger LSQ
+/// resumes from that run's first full-LSQ check. On bzip2 at seed 1 and
+/// width 2, a 12-entry LSQ first fills once 84% of the trace has
+/// committed, and a 96-entry RUU never fills.
+#[test]
+fn resume_from_a_late_full_lsq_stall() {
+    let [_, bzip2_p] = reuse_profiles();
+    check_in_order(
+        &bzip2_p.compile(REUSE_R),
+        1,
+        2,
+        &[(96, 12), (96, 16)],
+        "bzip2",
+    );
+}
+
+/// The same for the RUU: on bzip2 at seed 1 and width 2, a 48-entry RUU
+/// first fills at 84% of the trace, and a 128-entry RUU resumes there.
+/// The window arrays grow from 64 to 128 entries between the two runs,
+/// so the entries must be laid out again under the larger mask.
+#[test]
+fn resume_from_a_late_full_ruu_stall() {
+    let [_, bzip2_p] = reuse_profiles();
+    check_in_order(
+        &bzip2_p.compile(REUSE_R),
+        1,
+        2,
+        &[(48, 48), (128, 48)],
+        "bzip2",
+    );
+}
+
+/// A record taken after the RUU filled cannot serve a larger RUU. On gcc
+/// at seed 1 and width 2, a 24-entry RUU fills early and a 4-entry LSQ
+/// first fills at 83% of the trace; the point with a 32-entry RUU and
+/// an 8-entry LSQ must run from the start.
+#[test]
+fn resume_refuses_a_record_after_the_ruu_filled() {
+    let [gcc_p, _] = reuse_profiles();
+    check_in_order(&gcc_p.compile(REUSE_R), 1, 2, &[(24, 4), (32, 8)], "gcc");
+}
+
+/// A resumed run takes its own records, and a later point resumes from
+/// them: the 16-entry LSQ run resumes from the 12-entry one's record and
+/// first fills later, at its own record, where the 24-entry LSQ run
+/// starts.
+#[test]
+fn resume_from_a_resumed_run() {
+    let [_, bzip2_p] = reuse_profiles();
+    check_in_order(
+        &bzip2_p.compile(REUSE_R),
+        1,
+        2,
+        &[(96, 12), (96, 16), (96, 24)],
+        "bzip2",
+    );
+}
+
 /// The config is validated before the kept results are searched. Every
 /// capacity here is above the trace length, which no occupancy can
 /// exceed, so the valid run's result would answer the invalid machine

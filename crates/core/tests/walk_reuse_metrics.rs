@@ -83,6 +83,13 @@ fn runs_and_points() -> (u64, u64, u64) {
     (runs, points, instrs)
 }
 
+/// `tracesim.points_resumed` so far.
+fn points_resumed() -> u64 {
+    ssim_obs::snapshot()
+        .counter("tracesim.points_resumed")
+        .unwrap_or(0)
+}
+
 /// How a fused call must be answered.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Answer {
@@ -164,4 +171,86 @@ fn capacity_reuse_counts_points_and_runs_no_driver() {
         .map(|(_, r)| r.instructions)
         .sum();
     assert_eq!(after.1 .2 - before.1 .2, simulated);
+}
+
+/// Resumes count in `tracesim.points_resumed` and, as driver runs over a
+/// kept walk, in `tracesim.walks_reused`; a resumed run adds only the
+/// instructions it simulated after its record. The schedule is the one
+/// `fused_equivalence.rs` checks for results (bzip2 at seed 1, width 2):
+/// three points resume, each from a record taken after 84% of the
+/// trace had committed.
+#[test]
+fn resumed_points_count_only_what_they_simulate() {
+    let _serial = serial();
+    ssim_obs::force_enable();
+    let w = ssim_workloads::by_name("bzip2").expect("suite workload");
+    let p = profile(
+        &w.program(),
+        &ProfileConfig::new(&MachineConfig::baseline())
+            .order(1)
+            .instructions(60_000),
+    );
+    let sampler = p.compile(20);
+    let sized = |ruu: usize, lsq: usize| MachineConfig {
+        ruu_size: ruu,
+        lsq_size: lsq,
+        ..MachineConfig::baseline().with_width(2)
+    };
+    // (machine, how the engine must answer it, resumed)
+    let schedule = [
+        (sized(96, 12), Walk, false),
+        (sized(96, 16), Run, true),
+        (sized(96, 24), Run, true),
+        // Neither queue of the 24-entry LSQ run filled before its RUU did.
+        (sized(96, 32), Hit, false),
+        (sized(48, 48), Run, false),
+        (sized(128, 48), Run, true),
+    ];
+    let mut engine = SimEngine::new();
+    let before = (walks_and_reuses(), runs_and_points(), points_resumed());
+    let got: Vec<_> = schedule
+        .iter()
+        .map(|(cfg, _, _)| engine.simulate_fused(&sampler, 1, cfg))
+        .collect();
+    let after = (walks_and_reuses(), runs_and_points(), points_resumed());
+
+    let count = |how: Answer| schedule.iter().filter(|s| s.1 == how).count() as u64;
+    assert_eq!(
+        (
+            after.0 .0 - before.0 .0,
+            after.0 .1 - before.0 .1,
+            after.1 .1 - before.1 .1,
+            after.2 - before.2,
+        ),
+        (
+            count(Walk),
+            count(Run),
+            count(Hit),
+            schedule.iter().filter(|s| s.2).count() as u64
+        ),
+        "(walks, walks reused, points reused, points resumed)"
+    );
+    assert_eq!(after.1 .0 - before.1 .0, count(Walk) + count(Run));
+    // The two runs from the start simulate the whole trace; the three
+    // resumed ones only the part after their records: 1,371 of their
+    // 9,018 committed instructions.
+    let from_start: u64 = schedule
+        .iter()
+        .zip(&got)
+        .filter(|(s, _)| s.1 != Hit && !s.2)
+        .map(|(_, r)| r.instructions)
+        .sum();
+    let resumed: u64 = schedule
+        .iter()
+        .zip(&got)
+        .filter(|(s, _)| s.2)
+        .map(|(_, r)| r.instructions)
+        .sum();
+    assert_eq!((from_start, resumed), (6_012, 9_018));
+    let simulated = after.1 .2 - before.1 .2;
+    assert_eq!(
+        simulated - from_start,
+        1_371,
+        "instructions after the records"
+    );
 }

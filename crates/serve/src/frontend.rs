@@ -26,6 +26,7 @@ use crate::proto::{err_response, ok_response, Envelope};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{JoinHandle, Thread};
@@ -267,7 +268,8 @@ impl<S: Service> Core<S> {
         }
     }
 
-    /// Runs jobs until the drain leaves none.
+    /// Runs jobs until the drain leaves none. A job that panics counts
+    /// as finished, and the next job gets fresh worker state.
     fn work(&self) {
         let mut worker = self.service.worker();
         let mut st = self.state();
@@ -282,7 +284,12 @@ impl<S: Service> Core<S> {
             st.in_flight += 1;
             self.gauges(&st);
             drop(st);
-            self.service.run(&mut worker, job, &out);
+            let run = panic::catch_unwind(AssertUnwindSafe(|| {
+                self.service.run(&mut worker, job, &out);
+            }));
+            if run.is_err() {
+                worker = self.service.worker();
+            }
             if let Some(o) = &out.outbox {
                 // After the job's last send: a loop that reads zero
                 // here already holds every line the job wrote.
@@ -709,6 +716,58 @@ impl<S: Service> Frontend<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A service whose job 0 panics; every other job logs the worker
+    /// state it ran on.
+    struct Flaky {
+        /// Worker states made so far.
+        workers: AtomicUsize,
+        ran: Mutex<Vec<(usize, u32)>>,
+    }
+
+    impl Service for Flaky {
+        const NAME: &'static str = "flaky";
+        type Job = u32;
+        /// How many worker states were made before this one.
+        type Worker = usize;
+
+        fn worker(&self) -> usize {
+            self.workers.fetch_add(1, Ordering::Relaxed)
+        }
+
+        fn on_request(&self, _env: Envelope) -> Step<u32> {
+            Step::Close
+        }
+
+        fn run(&self, worker: &mut usize, job: u32, _out: &Out) {
+            assert_ne!(job, 0, "job 0 panics");
+            self.ran.lock().unwrap().push((*worker, job));
+        }
+    }
+
+    /// A job that panics does not take its worker down: the next job on
+    /// the same one-worker core runs, on fresh worker state, and the
+    /// in-flight count returns to zero.
+    #[test]
+    fn a_panicking_job_leaves_the_worker_running() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let service = Flaky {
+            workers: AtomicUsize::new(0),
+            ran: Mutex::new(Vec::new()),
+        };
+        let front = Frontend::start(listener, service, 1, 8, vec![0, 1]).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while front.queue_stats() != (0, 0) || front.core.service.ran.lock().unwrap().is_empty() {
+            assert!(
+                Instant::now() < deadline,
+                "the job after the panic never ran"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(*front.core.service.ran.lock().unwrap(), [(1, 1)]);
+        front.stop();
+        front.join();
+    }
 
     fn lines_of(lines: &mut Lines) -> Vec<String> {
         std::iter::from_fn(|| lines.next_line().map(|l| String::from_utf8_lossy(l).into()))

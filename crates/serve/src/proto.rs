@@ -215,6 +215,33 @@ impl MachineSpec {
         Json::obj(pairs)
     }
 
+    /// Checks that the resolved machine is one a worker can simulate:
+    /// no queue over [`MAX_QUEUE_ENTRIES`], no width over [`MAX_WIDTH`],
+    /// and an LSQ no larger than the RUU. Every size is positive by
+    /// parsing, so [`MachineConfig::validate`] then holds.
+    pub fn check(&self) -> Result<(), String> {
+        let cfg = self.resolve();
+        for (name, v, max) in [
+            ("RUU", cfg.ruu_size, MAX_QUEUE_ENTRIES),
+            ("LSQ", cfg.lsq_size, MAX_QUEUE_ENTRIES),
+            ("IFQ", cfg.ifq_size, MAX_QUEUE_ENTRIES),
+            ("decode width", cfg.decode_width, MAX_WIDTH),
+            ("issue width", cfg.issue_width, MAX_WIDTH),
+            ("commit width", cfg.commit_width, MAX_WIDTH),
+        ] {
+            if v > max {
+                return Err(format!("machine {name} {v} is over the limit of {max}"));
+            }
+        }
+        if cfg.lsq_size > cfg.ruu_size {
+            return Err(format!(
+                "machine LSQ {} may not exceed the RUU {}",
+                cfg.lsq_size, cfg.ruu_size
+            ));
+        }
+        Ok(())
+    }
+
     /// Resolves the overrides against the Table 2 baseline.
     pub fn resolve(&self) -> MachineConfig {
         let mut cfg = MachineConfig::baseline();
@@ -349,6 +376,22 @@ pub struct Envelope {
 /// for each before it first checks the deadline.
 const MAX_SWEEP_POINTS: usize = 65_536;
 
+/// Most entries a requested RUU, LSQ or IFQ may have. The §4.6 grid
+/// tops out at a 128-entry RUU, and the core sizes its window arrays
+/// from the RUU, so an unbounded size could ask for terabytes.
+const MAX_QUEUE_ENTRIES: usize = 4096;
+
+/// Widest decode, issue or commit stage a request may ask for.
+const MAX_WIDTH: usize = 64;
+
+/// Parses one machine override object and checks it (see
+/// [`MachineSpec::check`]).
+fn req_machine(v: &Json) -> Result<MachineSpec, String> {
+    let m = MachineSpec::from_json(v)?;
+    m.check()?;
+    Ok(m)
+}
+
 fn req_u64(v: &Json, key: &str) -> Result<u64, String> {
     v.get(key)
         .and_then(Json::as_u64)
@@ -400,7 +443,7 @@ impl Envelope {
                 profile: ProfileParams::from_json(&v)?,
                 machine: match v.get("machine") {
                     None => MachineSpec::default(),
-                    Some(m) => MachineSpec::from_json(m)?,
+                    Some(m) => req_machine(m)?,
                 },
                 r: req_u64(&v, "r")?.max(1),
                 seed: req_u64(&v, "seed")?,
@@ -411,7 +454,7 @@ impl Envelope {
                     .and_then(Json::as_arr)
                     .ok_or("missing \"machines\"")?
                     .iter()
-                    .map(MachineSpec::from_json)
+                    .map(req_machine)
                     .collect::<Result<Vec<_>, _>>()?;
                 if machines.is_empty() {
                     return Err("\"machines\" must be non-empty".to_string());
@@ -876,11 +919,30 @@ mod tests {
             "{\"id\": 1, \"job\": 7, \"kind\": \"metrics\"}",
             "not json at all",
             &over_bound,
+            // An LSQ larger than the RUU, an RUU no window array could
+            // hold, and a window and a width over the limits.
+            "{\"id\": 1, \"kind\": \"simulate\", \"workload\": \"gzip\", \
+             \"instructions\": 5, \"machine\": {\"ruu\": 8, \"lsq\": 64}, \"r\": 1, \
+             \"seed\": 1}",
+            "{\"id\": 1, \"kind\": \"simulate\", \"workload\": \"gzip\", \
+             \"instructions\": 5, \"machine\": {\"ruu\": 1099511627776}, \"r\": 1, \
+             \"seed\": 1}",
+            "{\"id\": 1, \"kind\": \"sweep\", \"workload\": \"gzip\", \
+             \"instructions\": 5, \"machines\": [{}, {\"window\": 8192}], \"r\": 1}",
+            "{\"id\": 1, \"kind\": \"sweep-stream\", \"workload\": \"gzip\", \
+             \"instructions\": 5, \"machines\": [{\"width\": 65}], \"r\": 1}",
         ] {
             assert!(Envelope::parse(bad).is_err(), "{bad:?} accepted");
         }
-        // A sweep of exactly the bound parses.
+        // A sweep of exactly the bound parses, and so do machines at the
+        // size and width limits.
         assert!(Envelope::parse(&sweep(MAX_SWEEP_POINTS / 256)).is_ok());
+        assert!(Envelope::parse(
+            "{\"id\": 1, \"kind\": \"simulate\", \"workload\": \"gzip\", \
+             \"instructions\": 5, \"machine\": {\"ruu\": 4096, \"lsq\": 4096, \
+             \"ifq\": 4096, \"width\": 64}, \"r\": 1, \"seed\": 1}"
+        )
+        .is_ok());
     }
 
     #[test]

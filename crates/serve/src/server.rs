@@ -59,6 +59,7 @@ use crate::proto::{
 };
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -566,6 +567,15 @@ impl Backend {
     }
 }
 
+/// The message a panic carried, if it was a string.
+fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
+    panic
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("a panic without a message")
+}
+
 impl Service for Backend {
     const NAME: &'static str = "serve";
     type Job = Envelope;
@@ -606,7 +616,10 @@ impl Service for Backend {
             OBS_DEADLINE.inc();
             Err("deadline exceeded in queue".to_string())
         } else {
-            self.run_request(&env, out)
+            // A panic fails the job like any error: it is answered, and
+            // journaled so that a restart does not run it again.
+            std::panic::catch_unwind(AssertUnwindSafe(|| self.run_request(&env, out)))
+                .unwrap_or_else(|panic| Err(format!("internal error: {}", panic_message(&*panic))))
         };
         let line = self.complete(&env, result);
         let latency_us = out.accepted.elapsed().as_micros() as u64;

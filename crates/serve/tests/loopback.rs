@@ -403,3 +403,42 @@ fn metrics_endpoint_exposes_registry() {
     assert!(shut.ok);
     server.join();
 }
+
+/// A machine whose LSQ is larger than its RUU is a bad request, answered
+/// at parse; it never reaches the one worker, which then answers a
+/// normal `simulate` on the same connection.
+#[test]
+fn invalid_machine_is_a_bad_request_and_the_worker_stays() {
+    setup_env();
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut cl = Client::connect(server.addr()).unwrap();
+    cl.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let simulate = |machine: MachineSpec| Request::Simulate {
+        profile: small_profile(40_000),
+        machine,
+        r: 10,
+        seed: 1,
+    };
+    let bad = cl
+        .call(
+            &simulate(MachineSpec {
+                ruu: Some(8),
+                lsq: Some(64),
+                ..MachineSpec::default()
+            }),
+            None,
+        )
+        .unwrap();
+    assert!(!bad.ok);
+    let error = bad.error.unwrap_or_default();
+    assert!(error.starts_with("bad request"), "{error}");
+    let good = cl.call(&simulate(MachineSpec::default()), None).unwrap();
+    assert!(good.ok, "{:?}", good.error);
+    assert!(cl.call(&Request::Shutdown, None).unwrap().ok);
+    server.join();
+}

@@ -212,6 +212,61 @@ pub struct CoreScratch {
     wheel: Vec<Vec<(u64, u64)>>,
 }
 
+/// One live window entry of a [`CoreSnapshot`].
+#[derive(Debug, Clone, Copy)]
+struct SavedEntry {
+    hot: u64,
+    lat: u64,
+    deps: [u64; 5],
+    flags: u8,
+    ready: bool,
+}
+
+/// A copy of a [`Core`] driven by distance ([`Core::try_dispatch_dists`]
+/// only), taken by [`Core::snapshot`] and put back by [`Core::restore`].
+///
+/// It holds what that path reads: the live window in sequence order
+/// (hot word, latency, dependency slots, flags and ready bit of each
+/// entry), the pending timing-wheel records, the scalars, the activity
+/// counters and the occupancy meters. It holds no rename or last-reader
+/// table and no destination or store-address slots: dispatch by distance
+/// never writes the first two and never reads the others. It knows no
+/// window mask, so a core of any capacity that holds the window can
+/// resume from it.
+#[derive(Debug, Clone)]
+pub struct CoreSnapshot {
+    entries: Vec<SavedEntry>,
+    /// Wheel records in slot order, each slot's in its own order.
+    wheel: Vec<(u64, u64)>,
+    front_seq: u64,
+    cycle: u64,
+    committed: u64,
+    lsq_used: usize,
+    peak: (usize, usize),
+    first_waiting: usize,
+    live_slots: usize,
+    quiet_until: u64,
+    dispatched_this_cycle: usize,
+    activity: ActivityCounters,
+    ruu_meter: OccupancyMeter,
+    lsq_meter: OccupancyMeter,
+}
+
+impl CoreSnapshot {
+    /// Bytes the snapshot holds on the heap.
+    pub fn heap_bytes(&self) -> usize {
+        self.entries.len() * std::mem::size_of::<SavedEntry>()
+            + self.wheel.len() * std::mem::size_of::<(u64, u64)>()
+    }
+
+    /// Where it was taken: the cycle, and the instructions dispatched so
+    /// far in that cycle. Snapshots taken between dispatch checks of one
+    /// run order by this.
+    pub fn at(&self) -> (u64, usize) {
+        (self.cycle, self.dispatched_this_cycle)
+    }
+}
+
 /// The out-of-order backend shared by execution-driven and synthetic
 /// simulation.
 ///
@@ -290,8 +345,8 @@ pub struct Core<'a> {
     front_seq: u64,
     next_seq: u64,
     lsq_used: usize,
-    /// Highest RUU and LSQ occupancy reached, taken right after each
-    /// dispatch (see [`Core::peak_occupancy`]).
+    /// Highest RUU and LSQ occupancy a capacity check has seen (see
+    /// [`Core::peak_occupancy`]).
     peak_ruu: usize,
     peak_lsq: usize,
     dispatched_this_cycle: usize,
@@ -421,20 +476,26 @@ impl<'a> Core<'a> {
         self.front_seq == self.next_seq
     }
 
-    /// The highest `(RUU, LSQ)` occupancy this core has reached, taken
-    /// right after every dispatch; commits and squashes never lower it.
+    /// The highest `(RUU, LSQ)` occupancy that a capacity check of the
+    /// dispatch stall test has seen; commits and squashes never lower
+    /// it. The RUU is checked on every dispatch attempt that the decode
+    /// width allows, the LSQ on such an attempt by a memory operation
+    /// once the RUU check has passed.
     ///
-    /// A run whose RUU peak stayed below `ruu_size` never stalled on a
-    /// full RUU (dispatch stalls only at `in_flight() >= ruu_size`, and
-    /// occupancy grows only by dispatch), and likewise for the LSQ. The
-    /// core reads the two capacities nowhere else that can change its
-    /// behaviour, so the same calls on a core with any capacities above
-    /// the peaks take the same branch at every check and produce the
-    /// same result. The per-cycle occupancy meters sample after commit
-    /// and can miss the post-dispatch high point, so they cannot stand
-    /// in for this.
+    /// These checks are the only reads of the two capacities that can
+    /// change the core's behaviour. So a core whose RUU peak is below
+    /// `ruu_size` never stalled on a full RUU, and the same calls on a
+    /// core with any RUU size above the peak take the same branch at
+    /// every check; likewise for the LSQ. A peak equal to its capacity
+    /// means that queue was found full. The per-cycle occupancy meters
+    /// sample after commit, so they cannot stand in for this.
     pub fn peak_occupancy(&self) -> (usize, usize) {
         (self.peak_ruu, self.peak_lsq)
+    }
+
+    /// Instructions dispatched so far in the current cycle.
+    pub fn dispatched(&self) -> usize {
+        self.dispatched_this_cycle
     }
 
     /// Mutable access to the shared activity counters (the fetch-side
@@ -811,12 +872,23 @@ impl<'a> Core<'a> {
     }
 
     /// Whether a dispatch this cycle stalls: decode width or RUU used
-    /// up, or, for a memory operation, a full LSQ.
+    /// up, or, for a memory operation, a full LSQ. Each capacity check
+    /// that runs raises its queue's peak (see [`Core::peak_occupancy`]).
     #[inline]
-    fn dispatch_stalls(&self, is_mem: bool) -> bool {
-        self.dispatched_this_cycle >= self.cfg.decode_width
-            || self.in_flight() >= self.cfg.ruu_size
-            || (is_mem && self.lsq_used >= self.cfg.lsq_size)
+    fn dispatch_stalls(&mut self, is_mem: bool) -> bool {
+        if self.dispatched_this_cycle >= self.cfg.decode_width {
+            return true;
+        }
+        let ruu = self.in_flight();
+        self.peak_ruu = self.peak_ruu.max(ruu);
+        if ruu >= self.cfg.ruu_size {
+            return true;
+        }
+        if is_mem {
+            self.peak_lsq = self.peak_lsq.max(self.lsq_used);
+            return self.lsq_used >= self.cfg.lsq_size;
+        }
+        false
     }
 
     /// Attempts to dispatch one register-named instruction into the
@@ -986,11 +1058,9 @@ impl<'a> Core<'a> {
         self.prev_writer[idx] = prev;
         self.mem_addr[idx] = e.mem_addr;
         self.next_seq += 1;
-        self.peak_ruu = self.peak_ruu.max(self.in_flight());
         let is_mem = e.mem.is_some();
         if is_mem {
             self.lsq_used += 1;
-            self.peak_lsq = self.peak_lsq.max(self.lsq_used);
         }
         self.dispatched_this_cycle += 1;
         self.activity.record(Unit::Dispatch, now);
@@ -1032,6 +1102,90 @@ impl<'a> Core<'a> {
             }
         }
         squashed
+    }
+
+    /// Copies the state of a core driven by distance (see
+    /// [`CoreSnapshot`]).
+    pub fn snapshot(&self) -> CoreSnapshot {
+        debug_assert!(
+            self.rename.iter().all(Option::is_none),
+            "a snapshot holds no rename map"
+        );
+        let entries = (self.front_seq..self.next_seq)
+            .map(|seq| {
+                let idx = (seq & self.mask) as usize;
+                SavedEntry {
+                    hot: self.hot[idx],
+                    lat: self.lat[idx],
+                    deps: self.deps[idx],
+                    flags: self.flags[idx],
+                    ready: self.ready[idx / 64] & (1u64 << (idx % 64)) != 0,
+                }
+            })
+            .collect();
+        CoreSnapshot {
+            entries,
+            wheel: self.wheel.iter().flatten().copied().collect(),
+            front_seq: self.front_seq,
+            cycle: self.cycle,
+            committed: self.committed,
+            lsq_used: self.lsq_used,
+            peak: (self.peak_ruu, self.peak_lsq),
+            first_waiting: self.first_waiting,
+            live_slots: self.live_slots,
+            quiet_until: self.quiet_until,
+            dispatched_this_cycle: self.dispatched_this_cycle,
+            activity: self.activity.clone(),
+            ruu_meter: self.ruu_meter,
+            lsq_meter: self.lsq_meter,
+        }
+    }
+
+    /// Puts a fresh core (straight from [`Core::with_scratch`]) in the
+    /// state `s` was taken in. Each window entry is laid out again by
+    /// its sequence number under this core's mask, which differs from
+    /// the snapshot core's when the capacities do, and the wheel records
+    /// go back into their slots in their order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the core has run, or if its RUU cannot hold the
+    /// snapshot's window.
+    pub fn restore(&mut self, s: &CoreSnapshot) {
+        assert!(
+            self.cycle == 0 && self.next_seq == 0,
+            "restore into a fresh core"
+        );
+        assert!(
+            s.entries.len() <= self.cfg.ruu_size,
+            "the RUU cannot hold the snapshot's window"
+        );
+        for (seq, e) in (s.front_seq..).zip(&s.entries) {
+            let idx = (seq & self.mask) as usize;
+            self.hot[idx] = e.hot;
+            self.lat[idx] = e.lat;
+            self.deps[idx] = e.deps;
+            self.flags[idx] = e.flags;
+            if e.ready {
+                self.ready[idx / 64] |= 1u64 << (idx % 64);
+            }
+        }
+        for &(done, rec) in &s.wheel {
+            self.arm(done, rec);
+        }
+        self.front_seq = s.front_seq;
+        self.next_seq = s.front_seq + s.entries.len() as u64;
+        self.cycle = s.cycle;
+        self.committed = s.committed;
+        self.lsq_used = s.lsq_used;
+        (self.peak_ruu, self.peak_lsq) = s.peak;
+        self.first_waiting = s.first_waiting;
+        self.live_slots = s.live_slots;
+        self.quiet_until = s.quiet_until;
+        self.dispatched_this_cycle = s.dispatched_this_cycle;
+        self.activity = s.activity.clone();
+        self.ruu_meter = s.ruu_meter;
+        self.lsq_meter = s.lsq_meter;
     }
 
     /// Advances to the next cycle.
@@ -1498,11 +1652,14 @@ mod tests {
         );
     }
 
+    /// Peaks are the occupancies the capacity checks saw, which can stay
+    /// below what a dispatch leaves: the RUU is checked on every attempt
+    /// the decode width lets through, the LSQ on such an attempt by a
+    /// memory operation once the RUU check has passed. A peak reaches
+    /// its capacity only at a check that finds the queue full.
     #[test]
-    fn peak_occupancy_tracks_the_dispatch_high_point() {
-        let cfg = small_cfg();
-        let mut core = Core::new(&cfg);
-        assert_eq!(core.peak_occupancy(), (0, 0));
+    fn peak_occupancy_tracks_what_the_checks_saw() {
+        let cfg = small_cfg(); // decode width 4, RUU 8, LSQ 4
         let load = DispatchInstr {
             class: Some(InstrClass::Load),
             mem: Some(MemKind::Load { latency: 150 }),
@@ -1519,34 +1676,58 @@ mod tests {
                 DispatchOutcome::Dispatched(_)
             ));
         };
+        let next_cycle = |core: &mut Core| {
+            core.cycle();
+            core.advance();
+        };
+
+        let mut core = Core::new(&cfg);
+        assert_eq!(core.peak_occupancy(), (0, 0));
         // Cycle 0: a long load at the head keeps everything behind it
-        // from committing.
+        // from committing. Each check sees the occupancy before its
+        // dispatch: the RUU checks 0 to 3, the LSQ checks 0, 1 and 2.
         for i in [load, alu(), store, load] {
             dispatch(&mut core, i);
         }
-        assert_eq!(core.peak_occupancy(), (4, 3));
-        core.cycle();
-        core.advance();
+        assert_eq!((core.in_flight(), core.peak_occupancy()), (4, (3, 2)));
+        // A fifth attempt stalls on the decode width before either
+        // capacity check.
+        assert_eq!(core.try_dispatch(load), DispatchOutcome::Stalled);
+        assert_eq!(core.peak_occupancy(), (3, 2));
+        next_cycle(&mut core);
         dispatch(&mut core, alu());
         dispatch(&mut core, alu());
-        assert_eq!(core.peak_occupancy(), (6, 3));
+        assert_eq!(core.peak_occupancy(), (5, 2));
         // Squashing the four youngest (a store and a load among them)
-        // leaves the peaks where they were...
+        // leaves the peaks where they were, and so do checks below them.
         assert_eq!(core.squash_after(1), 4);
-        assert_eq!(core.peak_occupancy(), (6, 3));
-        // ... and so does refilling below them.
         dispatch(&mut core, load);
-        assert_eq!((core.in_flight(), core.peak_occupancy()), (3, (6, 3)));
-        core.cycle();
-        core.advance();
-        for _ in 0..4 {
-            dispatch(&mut core, alu());
+        dispatch(&mut core, store);
+        assert_eq!((core.in_flight(), core.peak_occupancy()), (4, (5, 2)));
+        next_cycle(&mut core);
+        for i in [alu(), alu(), alu(), load] {
+            dispatch(&mut core, i);
         }
-        assert_eq!(core.peak_occupancy(), (7, 3));
+        assert_eq!((core.in_flight(), core.peak_occupancy()), (8, (7, 3)));
+        // The next check finds the RUU full: its peak reaches the
+        // capacity, and the LSQ (full too, at 4) goes unchecked.
+        next_cycle(&mut core);
+        assert_eq!(core.try_dispatch(load), DispatchOutcome::Stalled);
+        assert_eq!(core.peak_occupancy(), (8, 3));
         // Commits drain the window; the peaks stay.
         run_empty(&mut core);
-        assert_eq!(core.committed(), 7);
-        assert_eq!(core.peak_occupancy(), (7, 3));
+        assert_eq!(core.committed(), 8);
+        assert_eq!(core.peak_occupancy(), (8, 3));
+
+        // With room in the RUU, a memory operation's check finds the
+        // LSQ full.
+        let mut core = Core::new(&cfg);
+        for _ in 0..4 {
+            dispatch(&mut core, load);
+        }
+        next_cycle(&mut core);
+        assert_eq!(core.try_dispatch(store), DispatchOutcome::Stalled);
+        assert_eq!(core.peak_occupancy(), (4, 4));
     }
 
     #[test]

@@ -42,7 +42,9 @@ mod exec;
 mod result;
 
 pub use activity::{ActivityCounters, Unit, UnitActivity};
-pub use backend::{BranchResolution, Core, CoreScratch, DispatchInstr, DispatchOutcome, MemKind};
+pub use backend::{
+    BranchResolution, Core, CoreScratch, CoreSnapshot, DispatchInstr, DispatchOutcome, MemKind,
+};
 pub use config::{FuConfig, LatencyConfig, MachineConfig};
 pub use exec::ExecSim;
 pub use result::{BranchStats, OccupancyMeter, SimResult};
