@@ -12,8 +12,9 @@
 #   ./ci.sh test       # full test suite (includes the journal
 #                      # SIGKILL-and-resume drill against the real
 #                      # ssim-serve binary)
-#   ./ci.sh smoke      # the 2-thread sweep-scaling smoke and the §4.6
-#                      # sweep diffed at 1 vs 2 threads (SSIM_QUICK)
+#   ./ci.sh smoke      # the 2-thread sweep-scaling smoke, and the §4.6
+#                      # sweep (SSIM_QUICK) and two server sweeps each
+#                      # diffed at 1 vs 2 threads
 #   ./ci.sh asm        # assembler front-end: corpus assembles through
 #                      # the real CLI, native workloads re-emit to
 #                      # identical streams, parser fuzz smoke
@@ -94,6 +95,12 @@ do_smoke() {
   # results.
   stage "sec46_design_space (1 vs 2 threads, byte-identical)"
   sec46_thread_diff
+  # The same for the server: `cargo test` runs the serve tests at the
+  # host's thread count only, and at 1 thread a sweep runs on the
+  # worker's own engine, whose kept walk and results outlive the
+  # request.
+  stage "ssim-serve sweeps (1 vs 2 threads, byte-identical)"
+  serve_thread_diff
 }
 
 # Runs sec46_design_space at 1 and at 2 threads with quick budgets and
@@ -107,6 +114,39 @@ sec46_thread_diff() (
     SSIM_QUICK=1 SSIM_PROFILE_INSTR=300000 SSIM_EDS_INSTR=200000 SSIM_SKIP=100000 \
       SSIM_THREADS="$t" cargo run --release -q -p ssim-bench --bin sec46_design_space \
       >"$tmp/threads$t.txt"
+  done
+  diff "$tmp/threads1.txt" "$tmp/threads2.txt"
+)
+
+# Starts `ssim-serve serve` at 1 and at 2 threads, sends each the same
+# two multi-seed sweeps with `ssim-serve client` and diffs the replies.
+# The sweeps share a seed but no machine, so at 1 thread the second one
+# starts on the walk the first left on the worker's engine, and answers
+# its 1,024-entry window from the first's kept 512-entry result. A
+# subshell, so the EXIT trap always stops the servers and removes the
+# temp dir, pass or fail.
+serve_thread_diff() (
+  set -euo pipefail
+  tmp="$(mktemp -d)"
+  pids=()
+  trap '[ "${#pids[@]}" -eq 0 ] || kill "${pids[@]}" 2>/dev/null || true; rm -rf "$tmp"' EXIT
+  cargo build --release -q -p ssim-serve
+  bin="$root/target/release/ssim-serve"
+  profile='"workload":"gzip","instructions":300000,"skip":100000,"r":15'
+  first='{"kind":"sweep",'"$profile"',"seeds":[1,2],
+    "machines":[{"window":64},{"window":512},{"width":2,"window":16}]}'
+  second='{"kind":"sweep",'"$profile"',"seeds":[2,3],
+    "machines":[{"window":128},{"window":1024},{"width":2,"window":24}]}'
+  for t in 1 2; do
+    SSIM_THREADS="$t" SSIM_PROFILE_CACHE_DIR="${SSIM_PROFILE_CACHE_DIR:-$root/results/.profile-cache}" \
+      "$bin" serve --addr 127.0.0.1:0 --port-file "$tmp/t$t.port" >"$tmp/t$t.log" 2>&1 &
+    pids+=($!)
+    wait_port "$tmp/t$t.port"
+    addr="$(cat "$tmp/t$t.port")"
+    "$bin" client "$addr" "$first" >"$tmp/threads$t.txt"
+    "$bin" client "$addr" "$second" >>"$tmp/threads$t.txt"
+    "$bin" client "$addr" shutdown >/dev/null
+    wait "${pids[-1]}"
   done
   diff "$tmp/threads1.txt" "$tmp/threads2.txt"
 )

@@ -42,7 +42,7 @@ fn metrics(r: &SimResult, cfg: &MachineConfig) -> Vec<f64> {
         r.ifq_occupancy.max(1e-9),
         b.unit(Unit::Ruu),
         b.unit(Unit::Lsq),
-        b.unit(Unit::Fetch) + b.unit(Unit::ICache),
+        b.fetch_unit(),
         b.unit(Unit::Dispatch),
         b.unit(Unit::Issue),
         b.unit(Unit::Bpred),

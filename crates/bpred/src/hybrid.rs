@@ -236,11 +236,6 @@ impl HybridPredictor {
         }
     }
 
-    /// Direct access to the RAS (used by pipeline recovery models).
-    pub fn ras_mut(&mut self) -> &mut ReturnAddressStack {
-        &mut self.ras
-    }
-
     /// Checkpoints the RAS pointer (see
     /// [`ReturnAddressStack::pointer`]).
     pub fn ras_checkpoint(&self) -> (usize, usize) {

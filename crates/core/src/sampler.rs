@@ -771,15 +771,6 @@ impl CompiledSampler {
         report
     }
 
-    /// The hot successor of `node`: the target of its highest-count
-    /// outgoing edge (ties to the lowest block id), or `None` for dead
-    /// ends. This relation drives the physical layout of the macro-op
-    /// table.
-    pub fn hot_successor(&self, node: usize) -> Option<usize> {
-        let e = *self.hot_succ.get(node)?;
-        (e != u32::MAX).then(|| self.edges[e as usize].target as usize)
-    }
-
     /// A deterministic digest over every lowered table — node budgets,
     /// CSR edges, macro-op words, chain layout — pinned by the frozen
     /// wire-format tests so accidental changes to the lowering are

@@ -290,12 +290,6 @@ impl Instr {
         self
     }
 
-    /// Builder-style static target.
-    pub fn with_target(mut self, target: usize) -> Self {
-        self.target = Some(target);
-        self
-    }
-
     /// The instruction's semantic class.
     pub fn class(&self) -> InstrClass {
         self.op.class()

@@ -584,14 +584,6 @@ impl Snapshot {
             .map(|(_, v)| *v)
     }
 
-    /// Looks up a timer's total seconds by name.
-    pub fn timer_total_s(&self, name: &str) -> Option<f64> {
-        self.timers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, (_, total, _))| *total as f64 / 1e9)
-    }
-
     /// Whether nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty()

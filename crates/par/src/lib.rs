@@ -205,16 +205,6 @@ fn steal(slices: &[Slice], me: usize) -> Option<Range<usize>> {
     }
 }
 
-/// Runs `f` over `items` in parallel for its side effects on the return
-/// values' Drop — a convenience wrapper when results are unit.
-pub fn par_for_each<T, F>(items: &[T], f: F)
-where
-    T: Sync,
-    F: Fn(&T) + Sync,
-{
-    par_map(items, |t| f(t));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,7 +250,7 @@ mod tests {
     fn visits_every_item_exactly_once() {
         let hits: Vec<AtomicU64> = (0..257).map(|_| AtomicU64::new(0)).collect();
         let items: Vec<usize> = (0..hits.len()).collect();
-        par_for_each(&items, |&i| {
+        par_map(&items, |&i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));

@@ -230,9 +230,10 @@ impl Client {
         let mut attempts = 0;
         'attempt: loop {
             let id = self.submit(req, deadline_ms)?;
-            // Completion order is not index order (a gateway shards
-            // the sweep across backends), so frames land in a sparse
-            // index map and are sealed by the final response.
+            // Completion order is not index order (a server works the
+            // points seed-major, a gateway shards them across
+            // backends), so frames land in a sparse index map and are
+            // sealed by the final response.
             let mut merged: std::collections::BTreeMap<usize, PointResult> =
                 std::collections::BTreeMap::new();
             let mut frames = 0usize;

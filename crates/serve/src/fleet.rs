@@ -12,7 +12,8 @@
 //!
 //! * **Sharding with deterministic merge.** A sweep is expanded into
 //!   independent single-point `simulate` requests, indexed in the same
-//!   `machines × seeds` order the server's own `sweep` endpoint uses.
+//!   `machines × seeds` order the server's own `sweep` endpoint uses
+//!   and handed out in its seed-major work order ([`sweep_order`]).
 //!   Results land in a slot array by point index, so the merged output
 //!   is **byte-identical** to a single-backend (or direct library) run
 //!   regardless of backend count, scheduling or retries. The
@@ -37,7 +38,7 @@
 //! [`ssim_obs::dyn_counter`] once per backend per sweep.
 
 use crate::client::Client;
-use crate::proto::{MachineSpec, PointResult, ProfileParams, Request};
+use crate::proto::{sweep_order, MachineSpec, PointResult, ProfileParams, Request};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -136,11 +137,11 @@ impl Default for FleetConfig {
 pub struct SweepSpec {
     /// The profile every point samples.
     pub profile: ProfileParams,
-    /// Machine overrides — outer loop of the point order.
+    /// Machine overrides — outer loop of the point index.
     pub machines: Vec<MachineSpec>,
     /// Reduction factor.
     pub r: u64,
-    /// Generation seeds — inner loop of the point order.
+    /// Generation seeds — inner loop of the point index.
     pub seeds: Vec<u64>,
 }
 
@@ -199,6 +200,7 @@ pub struct SweepOutcome {
 /// exactly one worker, or answered: only a failed attempt puts it back
 /// on the queue, so every result slot is written once.
 struct SweepState {
+    /// Points waiting for a backend, in work order.
     pending: VecDeque<usize>,
     results: Vec<Option<PointResult>>,
     /// Backends that have failed each point (steal detection).
@@ -567,7 +569,7 @@ impl Fleet {
         OBS_POINTS.add(n as u64);
         let coord = Coordinator {
             state: Mutex::new(SweepState {
-                pending: (0..n).collect(),
+                pending: sweep_order(spec.machines.len(), spec.seeds.len()).into(),
                 results: vec![None; n],
                 failed_on: vec![Vec::new(); n],
                 requeued_at: vec![None; n],

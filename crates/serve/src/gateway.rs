@@ -22,7 +22,8 @@
 //! * `profile` / `synth` / `simulate` / `assemble` / `job-result` —
 //!   forwarded to one backend, round-robin with failover: a transport
 //!   error marks the backend dead for a probe interval and the next
-//!   backend takes the request.
+//!   backend takes the request, unless it was a timeout, which the
+//!   client gets back as an error instead.
 //! * `sweep` — sharded across all backends through [`Fleet`]; the
 //!   merged result is byte-identical to a single-backend sweep except
 //!   that the payload omits `profile_hash` (the gateway never touches
@@ -75,9 +76,6 @@ pub struct GatewayConfig {
     /// Forward-queue bound; beyond it requests are rejected with
     /// `retry_after_ms`.
     pub queue_capacity: usize,
-    /// Sharding/retry knobs for sweeps and failover timing for
-    /// single requests (`backends` is overwritten with the gateway's).
-    pub fleet: FleetConfig,
 }
 
 impl Default for GatewayConfig {
@@ -87,7 +85,6 @@ impl Default for GatewayConfig {
             backends: Vec::new(),
             workers: 0,
             queue_capacity: 4096,
-            fleet: FleetConfig::default(),
         }
     }
 }
@@ -107,7 +104,8 @@ impl GwShared {
     /// forwarding skips it until the mark expires (the next attempt is
     /// the probe).
     fn mark_dead(&self, bi: usize) {
-        let until = Instant::now() + Duration::from_millis(self.cfg.fleet.probe_interval_ms);
+        let probe_interval = FleetConfig::default().probe_interval_ms;
+        let until = Instant::now() + Duration::from_millis(probe_interval);
         self.dead_until.lock().expect("dead list lock")[bi] = Some(until);
     }
 
@@ -258,15 +256,14 @@ fn run_sweep(shared: &GwShared, job: &Envelope, out: &Out) -> String {
         unreachable!("run_sweep runs sweeps")
     };
     // The fleet over this gateway's backends, within the job's deadline.
-    let mut fc = shared.cfg.fleet.clone();
-    fc.backends = shared.cfg.backends.clone();
+    let mut fc = FleetConfig {
+        backends: shared.cfg.backends.clone(),
+        ..FleetConfig::default()
+    };
     if let Some(d) = job.deadline_ms {
         fc.sweep_timeout_ms = fc.sweep_timeout_ms.min(d.max(1));
     }
-    let fleet = match Fleet::new(fc) {
-        Ok(f) => f,
-        Err(msg) => return err_response(job.id, &msg, None),
-    };
+    let fleet = Fleet::new(fc).expect("a gateway has backends");
     let spec = SweepSpec {
         profile: profile.clone(),
         machines: machines.clone(),
@@ -290,8 +287,15 @@ fn run_sweep(shared: &GwShared, job: &Envelope, out: &Out) -> String {
     }
 }
 
-/// Calls backend `bi` (connecting lazily), tearing the pooled
-/// connection down on any transport error.
+/// How long a forward waits for its backend's reply.
+fn forward_timeout_ms(deadline_ms: Option<u64>) -> u64 {
+    deadline_ms
+        .unwrap_or(FleetConfig::default().request_deadline_ms)
+        .max(1)
+}
+
+/// Calls backend `bi` (connecting lazily) under the request's deadline,
+/// tearing the pooled connection down on any transport error.
 fn call_backend(
     shared: &GwShared,
     pools: &mut [Option<Client>],
@@ -299,14 +303,14 @@ fn call_backend(
     req: &Request,
     deadline_ms: Option<u64>,
 ) -> std::io::Result<crate::client::Response> {
-    let deadline = deadline_ms.unwrap_or(shared.cfg.fleet.request_deadline_ms);
     if pools[bi].is_none() {
-        let cl = Client::connect(shared.cfg.backends[bi].as_str())?;
-        cl.set_read_timeout(Some(Duration::from_millis(deadline.max(1))))?;
-        pools[bi] = Some(cl);
+        pools[bi] = Some(Client::connect(shared.cfg.backends[bi].as_str())?);
     }
     let cl = pools[bi].as_mut().expect("pool slot just filled");
-    let resp = cl.call_retry(req, deadline_ms, 3);
+    let timeout = Duration::from_millis(forward_timeout_ms(deadline_ms));
+    let resp = cl
+        .set_read_timeout(Some(timeout))
+        .and_then(|()| cl.call_retry(req, deadline_ms, 3));
     if resp.is_err() {
         // The stream may hold a half-read response; reconnect next use.
         pools[bi] = None;
@@ -314,9 +318,12 @@ fn call_backend(
     resp
 }
 
-/// Round-robin single-request forwarding with failover: transport
-/// errors mark the backend dead for a probe interval and the next one
-/// takes the request.
+/// Round-robin single-request forwarding with failover: a connect
+/// failure or reset marks the backend dead for a probe interval and the
+/// next one takes the request. A timeout marks it dead too, but answers
+/// the client with an error: the request has spent its deadline, and
+/// re-sending it would carry one slow or poison request to every
+/// backend in turn.
 fn forward_single(shared: &GwShared, pools: &mut [Option<Client>], job: &Envelope) -> String {
     let n = shared.cfg.backends.len();
     let start = shared.rr.fetch_add(1, Relaxed);
@@ -330,8 +337,14 @@ fn forward_single(shared: &GwShared, pools: &mut [Option<Client>], job: &Envelop
             Ok(resp) => return with_id(job.id, &resp.body),
             Err(e) => {
                 shared.mark_dead(bi);
+                let backend = &shared.cfg.backends[bi];
+                if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
+                    let ms = forward_timeout_ms(job.deadline_ms);
+                    let msg = format!("backend {backend} timed out after {ms} ms");
+                    return err_response(job.id, &msg, None);
+                }
                 OBS_FAILOVER.inc();
-                last_err = format!("{}: {e}", shared.cfg.backends[bi]);
+                last_err = format!("{backend}: {e}");
             }
         }
     }

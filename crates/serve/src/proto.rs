@@ -19,8 +19,8 @@
 //! ```
 //!
 //! `sweep-stream` is `sweep` with progress: the server emits one
-//! `frame` line per finished design point (in completion order, which
-//! under a fleet gateway is not index order) before the final `ok`
+//! `frame` line per finished design point (in completion order, not
+//! index order) before the final `ok`
 //! response. Both sweep kinds carry a `digest` — an order-sensitive
 //! FxHash-64 over `(cycles, instructions, ipc)` per point — so a
 //! client that merges frames by `index` can verify its merge is
@@ -659,6 +659,15 @@ impl PointResult {
     }
 }
 
+/// The order a sweep's points are worked in: seed-major, machines in
+/// request order within each seed (point `i` is machine `i / seeds`,
+/// seed `i % seeds`), so an engine reuses its kept walk and results.
+pub fn sweep_order(machines: usize, seeds: usize) -> Vec<usize> {
+    (0..seeds)
+        .flat_map(|s| (0..machines).map(move |m| m * seeds + s))
+        .collect()
+}
+
 /// The body of a sweep response: its shape, the points in index order,
 /// and their digest.
 pub(crate) fn sweep_payload(
@@ -1038,5 +1047,19 @@ mod tests {
         let err = Json::parse(&err_response(4, "queue full", Some(50))).unwrap();
         assert_eq!(err.get("ok").unwrap().as_bool(), Some(false));
         assert_eq!(err.get("retry_after_ms").unwrap().as_u64(), Some(50));
+    }
+
+    #[test]
+    fn sweep_order_is_a_seed_major_permutation() {
+        for (machines, seeds) in [(0, 3), (3, 0), (1, 4), (5, 1), (7, 3), (296, 2)] {
+            let mut order = sweep_order(machines, seeds);
+            // Seed by seed, machines in request order within each.
+            for (k, &i) in order.iter().enumerate() {
+                assert_eq!((i % seeds, i / seeds), (k / machines, k % machines));
+            }
+            order.sort_unstable();
+            assert!(order.into_iter().eq(0..machines * seeds));
+        }
+        assert_eq!(sweep_order(2, 3), [0, 3, 1, 4, 2, 5]);
     }
 }

@@ -9,8 +9,8 @@
 //! `Accepted` record. Every other request is a job
 //! for a worker (sized like `ssim-par`'s pool by default), which sends
 //! its response in completion order; responses carry the request id.
-//! Sweeps fan out through [`ssim_par::par_map`], so one job can still
-//! saturate the machine.
+//! A sweep fans out through one seed-major [`ssim_par::par_map`] call,
+//! so one job can still saturate the machine.
 //!
 //! # Backpressure, deadlines, cancellation, shutdown
 //!
@@ -18,8 +18,9 @@
 //! immediately** with `retry_after_ms`: no connection waits for queue
 //! space, and no accepted job is silently dropped. A job past its
 //! deadline (client-supplied `deadline_ms` or the server default) when
-//! popped — or mid-sweep between chunks — fails with `deadline
-//! exceeded`; a job whose client disconnected before it ran is skipped.
+//! popped — or a sweep's before any point — fails with `deadline
+//! exceeded`; a job whose client disconnected is skipped, or stopped
+//! before its next sweep point.
 //! A `shutdown` request closes the accept gate, waits until no job is
 //! queued or in flight, then replies, so its ack certifies that every
 //! accepted job has answered; later submissions get a non-retryable
@@ -45,9 +46,9 @@
 //! # Streaming sweeps
 //!
 //! `sweep-stream` runs exactly like `sweep` but sends one progress
-//! frame per finished design point down the job's connection; the
-//! final response is the blocking payload plus a `digest` the client
-//! verifies its frame merge against.
+//! frame per finished design point down the job's connection, in
+//! completion order; the final response is the blocking payload plus a
+//! `digest` the client verifies its index-order merge against.
 
 use crate::artifacts::{trace_digest, ArtifactStore};
 use crate::fault::{FaultAction, FaultInjector, FaultPlan};
@@ -55,7 +56,8 @@ use crate::frontend::{Frontend, Out, Service, Step};
 use crate::journal::{Journal, Record};
 use crate::json::Json;
 use crate::proto::{
-    completed_response, err_response, point_frame, sweep_payload, Envelope, PointResult, Request,
+    completed_response, err_response, point_frame, sweep_order, sweep_payload, Envelope,
+    PointResult, Request,
 };
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
@@ -328,19 +330,13 @@ impl Backend {
                 let artifact = self.store.profile(profile)?;
                 let cfg = machine.resolve();
                 let point = self.store.simulate_point(&artifact, &cfg, *r, *seed);
-                let mut payload = vec![("profile_hash", Json::hex_u64(artifact.hash))];
-                if let Json::Obj(pairs) = point.to_json() {
-                    for (k, v) in pairs {
-                        // Flatten the point into the response body.
-                        payload.push(match k.as_str() {
-                            "cycles" => ("cycles", v),
-                            "instructions" => ("instructions", v),
-                            "ipc" => ("ipc", v),
-                            _ => ("cached", v),
-                        });
-                    }
-                }
-                Ok(payload)
+                Ok(vec![
+                    ("profile_hash", Json::hex_u64(artifact.hash)),
+                    ("cycles", Json::Num(point.cycles as f64)),
+                    ("instructions", Json::Num(point.instructions as f64)),
+                    ("ipc", Json::Num(point.ipc)),
+                    ("cached", Json::Bool(point.cached)),
+                ])
             }
             Request::Sweep { .. } => {
                 OBS_REQ_SWEEP.inc();
@@ -423,14 +419,14 @@ impl Backend {
         }
     }
 
-    /// The sweep engine shared by `sweep` and `sweep-stream`: chunked
-    /// fan-out over `ssim_par`; a `sweep-stream` sends one frame per
-    /// finished point (in index order within each chunk) as chunks
-    /// complete. A resumed job has no connection and its frames fall on
-    /// the floor, which is fine — the durable artifact is the final
-    /// payload. The payload carries an order-sensitive digest so any
-    /// re-assembly of the points — streamed, resumed, fleet-sharded — can
-    /// be verified against the blocking result.
+    /// The sweep engine shared by `sweep` and `sweep-stream`: one
+    /// [`ssim_par::par_map`] over the points in [`sweep_order`], each
+    /// `sweep-stream` point sending its own frame. A resumed job has no
+    /// connection and its frames fall on the floor, which is fine — the
+    /// durable artifact is the final payload. The payload carries an
+    /// order-sensitive digest so any re-assembly of the points —
+    /// streamed, resumed, fleet-sharded — can be verified against the
+    /// blocking result.
     fn sweep_core(&self, env: &Envelope, out: &Out) -> Result<Vec<(&'static str, Json)>, String> {
         let (Request::Sweep {
             profile,
@@ -454,40 +450,38 @@ impl Backend {
         // traces, per-thread simulator buffers reused).
         let _ = artifact.sampler(*r);
         let configs: Vec<_> = machines.iter().map(|m| m.resolve()).collect();
-        let points: Vec<(usize, usize)> = (0..configs.len())
-            .flat_map(|m| (0..seeds.len()).map(move |s| (m, s)))
-            .collect();
-        OBS_SWEEP_POINTS.add(points.len() as u64);
-        let mut results: Vec<PointResult> = Vec::with_capacity(points.len());
-        // Chunked fan-out: each chunk runs on ssim-par's pool;
-        // between chunks the job re-checks its deadline and
-        // whether the client is still there.
-        let chunk = (ssim_par::num_threads() * 4).max(8);
-        for batch in points.chunks(chunk) {
-            if env.job.is_none() && out.gone() {
+        let order = sweep_order(machines.len(), seeds.len());
+        OBS_SWEEP_POINTS.add(order.len() as u64);
+        let stream = matches!(env.req, Request::SweepStream { .. });
+        // The shared stop condition. Both halves stay true once true, so
+        // after the first point skips, every later one does too.
+        let client_gone = || env.job.is_none() && out.gone();
+        let worked = ssim_par::par_map(&order, |&i| {
+            if client_gone() || Instant::now() > deadline {
+                return None;
+            }
+            let (m, s) = (&configs[i / seeds.len()], seeds[i % seeds.len()]);
+            let point = self.store.simulate_point(&artifact, m, *r, s);
+            if stream {
+                OBS_STREAM_FRAMES.inc();
+                out.send(point_frame(env.id, i, &point));
+            }
+            Some(point)
+        });
+        let done = worked.iter().flatten().count();
+        if done < order.len() {
+            if client_gone() {
                 OBS_CANCELLED.inc();
                 return Err("client disconnected".to_string());
             }
-            if Instant::now() > deadline {
-                OBS_DEADLINE.inc();
-                return Err(format!(
-                    "deadline exceeded after {} of {} points",
-                    results.len(),
-                    points.len()
-                ));
-            }
-            let base = results.len();
-            results.extend(ssim_par::par_map(batch, |&(m, s)| {
-                self.store
-                    .simulate_point(&artifact, &configs[m], *r, seeds[s])
-            }));
-            if matches!(env.req, Request::SweepStream { .. }) {
-                for (offset, point) in results[base..].iter().enumerate() {
-                    OBS_STREAM_FRAMES.inc();
-                    out.send(point_frame(env.id, base + offset, point));
-                }
-            }
+            OBS_DEADLINE.inc();
+            let total = order.len();
+            return Err(format!("deadline exceeded after {done} of {total} points"));
         }
+        // Back to index order.
+        let mut indexed: Vec<_> = order.into_iter().zip(worked).collect();
+        indexed.sort_unstable_by_key(|&(i, _)| i);
+        let results: Vec<PointResult> = indexed.into_iter().filter_map(|(_, p)| p).collect();
         let mut payload = vec![("profile_hash", Json::hex_u64(artifact.hash))];
         payload.extend(sweep_payload(machines.len(), seeds.len(), &results));
         Ok(payload)

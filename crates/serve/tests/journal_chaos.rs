@@ -128,9 +128,9 @@ fn sweep_body(body: &Json, what: &str) -> (u64, Vec<PointResult>) {
 fn sigkilled_sweep_resumes_from_the_journal() {
     let dir = drill_dir("journal-chaos");
 
-    // Enough points that the SIGKILL lands mid-sweep: frames arrive per
-    // fan-out chunk, so two frames in means most chunks are still
-    // pending on the 2-worker server.
+    // Enough points that the SIGKILL lands mid-sweep: a frame arrives
+    // as each point finishes, so two frames in means most of the 96
+    // points are still pending on the 2-worker server.
     let machines: Vec<MachineSpec> = [2u64, 4, 8]
         .iter()
         .flat_map(|&w| {
