@@ -93,7 +93,7 @@ do_smoke() {
   # 1 and 2 threads, so per-thread engine state (working buffers, the
   # walk an engine keeps for its next point) can never leak into
   # results.
-  stage "sec46_design_space (1 vs 2 threads, byte-identical)"
+  stage "sec46_design_space (1 vs 2 threads, byte-identical; segments replayed)"
   sec46_thread_diff
   # The same for the server: `cargo test` runs the serve tests at the
   # host's thread count only, and at 1 thread a sweep runs on the
@@ -104,18 +104,29 @@ do_smoke() {
 }
 
 # Runs sec46_design_space at 1 and at 2 threads with quick budgets and
-# diffs the two reports. A subshell, so the EXIT trap always removes
-# the temp dir, pass or fail.
+# diffs the two reports. The 1-thread run also reports its metrics (on
+# stderr, so the diffed stdout is unchanged), and the stage fails if it
+# replayed no segment: segment reuse keeps results exact whether or not
+# its boundary test ever matches, so nothing else would notice it stop.
+# A subshell, so the EXIT trap always removes the temp dir, pass or
+# fail.
 sec46_thread_diff() (
   set -euo pipefail
   tmp="$(mktemp -d)"
   trap 'rm -rf "$tmp"' EXIT
   for t in 1 2; do
     SSIM_QUICK=1 SSIM_PROFILE_INSTR=300000 SSIM_EDS_INSTR=200000 SSIM_SKIP=100000 \
-      SSIM_THREADS="$t" cargo run --release -q -p ssim-bench --bin sec46_design_space \
-      >"$tmp/threads$t.txt"
+      SSIM_THREADS="$t" SSIM_METRICS="$((t == 1))" \
+      cargo run --release -q -p ssim-bench --bin sec46_design_space \
+      >"$tmp/threads$t.txt" 2>"$tmp/metrics$t.txt"
   done
   diff "$tmp/threads1.txt" "$tmp/threads2.txt"
+  reused="$(awk '$1 == "counter" && $2 == "tracesim.segments_reused" { print $3 }' "$tmp/metrics1.txt")"
+  if [ "${reused:-0}" -eq 0 ]; then
+    echo "sec46_design_space replayed no segment (tracesim.segments_reused: ${reused:-absent})" >&2
+    exit 1
+  fi
+  echo "tracesim.segments_reused $reused at 1 thread"
 )
 
 # Starts `ssim-serve serve` at 1 and at 2 threads, sends each the same

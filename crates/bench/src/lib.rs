@@ -221,17 +221,20 @@ thread_local! {
 /// `simulate_fused` calls on one thread with the same `(sampler, seed)`
 /// walk once and rerun only the driver. On that walk it keeps earlier
 /// results too, and answers a machine that differs from a kept one only
-/// in RUU/LSQ sizes neither run filled without running the driver (see
-/// [`SimEngine`]). Sweeps get the most from this by ordering their
-/// points `(sampler, seed)`-major, so each [`par_map`] worker's slice
-/// shares one walk and its kept results. Results never depend on the
+/// in RUU/LSQ sizes neither run filled without running the driver;
+/// otherwise the driver replays the segments earlier runs on the walk
+/// simulated between empty pipelines wherever the new capacities fit
+/// them, and simulates only the rest (see [`SimEngine`]). Sweeps get
+/// the most from this by ordering their points `(sampler, seed)`-major,
+/// so each [`par_map`] worker's slice shares one walk, its kept results
+/// and its segments. Results never depend on the
 /// order. [`par_map`] workers are fresh threads on every call, so their
 /// engines start empty and nothing is kept from one call to the next;
 /// with one thread, though, `par_map` runs on the calling thread and
 /// its engine. A timing loop that reruns the same points on this
 /// thread must start each timed pass with a fresh engine
-/// (`with_engine(|e| *e = SimEngine::new())`), or the kept results
-/// answer the pass.
+/// (`with_engine(|e| *e = SimEngine::new())`), or the kept results and
+/// segments answer the pass.
 pub fn with_engine<T>(f: impl FnOnce(&mut SimEngine) -> T) -> T {
     ENGINE.with(|e| f(&mut e.borrow_mut()))
 }

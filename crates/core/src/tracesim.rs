@@ -14,20 +14,22 @@
 //! Callers running many simulations (design-space sweeps, convergence
 //! studies) should hold a [`SimEngine`] and reuse its working memory
 //! across runs instead of calling the free functions in a loop (an
-//! engine also reuses its last fused walk, and results across RUU/LSQ
-//! sizes on it; see [`SimEngine`]).
+//! engine also reuses its last fused walk, results across RUU/LSQ sizes
+//! on it, and the stretches of its runs between empty pipelines; see
+//! [`SimEngine`]).
 
 use crate::sampler::EmitSink;
 use crate::synth::{PackedInstr, SyntheticInstr, SyntheticOutcome, SyntheticTrace};
-use crate::CompiledSampler;
+use crate::{CompiledSampler, FxHashMap};
 use ssim_isa::InstrClass;
 use ssim_uarch::{
-    Core, CoreScratch, CoreSnapshot, DispatchOutcome, MachineConfig, MemKind, OccupancyMeter,
-    SimResult, Unit,
+    Core, CoreScratch, DispatchOutcome, MachineConfig, MemKind, OccupancyMeter, SimResult, Unit,
+    CORE_COUNTERS,
 };
 // Observability (all no-ops unless SSIM_METRICS enables recording).
 // Nothing is recorded per cycle: the run counters are added once per
-// run, the wrong-path ones once per squash and per injected instruction.
+// run, the wrong-path ones once per squash and per injected
+// instruction, and reused segments once per segment.
 static OBS_SIM_TIME: ssim_obs::TimerStat = ssim_obs::TimerStat::new("tracesim.time");
 static OBS_INSTRUCTIONS: ssim_obs::Counter = ssim_obs::Counter::new("tracesim.instructions");
 static OBS_CYCLES: ssim_obs::Counter = ssim_obs::Counter::new("tracesim.cycles");
@@ -37,7 +39,7 @@ static OBS_WRONG_PATH_SQUASHED: ssim_obs::Counter =
     ssim_obs::Counter::new("tracesim.wrong_path_squashed");
 static OBS_WALKS_REUSED: ssim_obs::Counter = ssim_obs::Counter::new("tracesim.walks_reused");
 static OBS_POINTS_REUSED: ssim_obs::Counter = ssim_obs::Counter::new("tracesim.points_reused");
-static OBS_POINTS_RESUMED: ssim_obs::Counter = ssim_obs::Counter::new("tracesim.points_resumed");
+static OBS_SEGMENTS_REUSED: ssim_obs::Counter = ssim_obs::Counter::new("tracesim.segments_reused");
 
 /// Simulates a synthetic trace on the configured machine.
 ///
@@ -78,7 +80,7 @@ pub fn simulate_trace(trace: &SyntheticTrace, cfg: &MachineConfig) -> SimResult 
 /// by the `synth.time` observability timer and simulation by
 /// `tracesim.time`, as on the generate-then-simulate path. A fresh
 /// engine walks on every call; hold a [`SimEngine`] to reuse the walk,
-/// and results across RUU/LSQ sizes, across machine points.
+/// and results and segments across machine points.
 ///
 /// # Panics
 ///
@@ -112,29 +114,36 @@ impl EmitSink for PackedSink<'_> {
 }
 
 /// Most results a [`SimEngine`] keeps for one walk. It stops keeping
-/// more when full (about 0.9 MiB, at under 1 KiB an entry): `ssim-serve`
-/// workers keep their engines for the life of the process.
+/// more when full (about 0.9 MiB, at 904 B an entry on 64-bit targets):
+/// `ssim-serve` workers keep their engines for the life of the process.
 const KEPT_MAX: usize = 1024;
 
-/// A run takes a state record only at a first full-queue check that
-/// comes once it has committed this share of the trace, in percent: on
-/// the benchmark's sweep, records earlier in the trace were most of the
-/// records and saved under 3% of the cycles (DESIGN §11).
-const RECORD_FROM_PCT: u64 = 20;
+/// Most bytes a walk's segment memo holds; it adds nothing once full.
+const MEMO_BYTES_MAX: usize = 4 << 20;
 
-/// Most bytes of state records a [`SimEngine`] keeps for one walk; it
-/// stops taking more when full. The benchmark's sweep keeps at most
-/// about 300 KB per walk (DESIGN §11).
-const RECORD_BYTES_MAX: usize = 512 << 10;
+/// A segment in which a queue filled passes only runs with that queue's
+/// capacity, so it is added only while the memo holds fewer bytes than
+/// this. The rest of the room goes to segments that pass every larger
+/// capacity.
+const MEMO_FILLED_BYTES_MAX: usize = 1 << 20;
+
+/// How many values [`TraceSim::counters`] returns: the core's, then the
+/// IFQ occupancy sum and the five branch counts.
+const COUNTERS: usize = CORE_COUNTERS + 6;
 
 /// Whether a run with capacities `new` takes the same branch at every
-/// capacity check as an earlier run on the same walk and masked machine
-/// took while its peaks were `peak` and its capacities `old`: for each
-/// queue, the new capacity is the old one, or the peak stayed below
-/// both.
+/// capacity check as an earlier run (or segment of one) on the same
+/// walk and masked machine took while its peaks were `peak` and its
+/// capacities `old`: for each queue, the new capacity is the old one,
+/// or the peak stayed below both.
 fn fits(old: (usize, usize), peak: (usize, usize), new: (usize, usize)) -> bool {
     let one = |old: usize, new: usize, peak: usize| new == old || peak < old.min(new);
     one(old.0, new.0, peak.0) && one(old.1, new.1, peak.1)
+}
+
+/// The larger of two peak pairs, queue by queue.
+fn max_peak(a: (usize, usize), b: (usize, usize)) -> (usize, usize) {
+    (a.0.max(b.0), a.1.max(b.1))
 }
 
 /// An earlier fused run on the engine's current walk.
@@ -144,11 +153,9 @@ struct Kept {
     masked: MachineConfig,
     /// The `(ruu_size, lsq_size)` it ran with.
     sizes: (usize, usize),
-    /// The run's [`Core::peak_occupancy`].
+    /// The run's peak RUU and LSQ occupancy at the capacity checks.
     peak: (usize, usize),
     result: SimResult,
-    /// The run's state records, in run order.
-    records: Vec<Record>,
 }
 
 impl Kept {
@@ -157,51 +164,150 @@ impl Kept {
     fn answers(&self, masked: &MachineConfig, sizes: (usize, usize)) -> bool {
         fits(self.sizes, self.peak, sizes) && self.masked == *masked
     }
+}
 
-    /// The records a run with the same masked machine and capacities
-    /// `sizes` passes through.
-    fn resumes(&self, sizes: (usize, usize)) -> impl Iterator<Item = &Record> {
-        self.records
-            .iter()
-            .filter(move |r| fits(self.sizes, r.peak, sizes))
+/// The segments the fused runs on one walk simulated (see
+/// [`SimEngine`]), keyed by masked machine and start cursor.
+#[derive(Debug, Default)]
+struct SegmentMemo {
+    /// The masked machines of the walk's runs; a key names one by its
+    /// index here.
+    machines: Vec<MachineConfig>,
+    /// The newest entry of each key, `machine << 32 | start cursor`, as
+    /// an offset into `arena`.
+    heads: FxHashMap<u64, u32>,
+    /// The entries, in chunks of [`CHUNK`] bytes; an offset `at` names
+    /// byte `at % CHUNK` of chunk `at / CHUNK`, and no entry spans two
+    /// chunks. Each entry is the offset of the next older entry of its
+    /// key (4 bytes, little-endian, `u32::MAX` for none), then LEB128
+    /// varints: the `(ruu_size, lsq_size)` its run had, its segment
+    /// peaks, and the [`COUNTERS`] differences across it.
+    arena: Vec<Vec<u8>>,
+}
+
+/// Bytes per chunk of a segment memo's arena. Chunks this size stay
+/// under glibc's mmap threshold (128 KiB at the least), so they come
+/// from its heap, and the next engine's memo reuses them. One growing
+/// buffer instead, freed and grown again by the short-lived worker
+/// threads of every sweep, left about 5 MiB more resident in a 2-thread
+/// sweep of the benchmark's shape: each large block freed raises
+/// glibc's mmap and trim thresholds, and the next ones land on fresh
+/// heap pages.
+const CHUNK: usize = 32 << 10;
+
+/// Most bytes one entry takes: the link, then at most 10 bytes per
+/// varint.
+const ENTRY_MAX: usize = 4 + (4 + COUNTERS) * 10;
+
+impl SegmentMemo {
+    fn clear(&mut self) {
+        self.machines.clear();
+        self.heads.clear();
+        self.arena.clear();
     }
-}
 
-/// A run's state just before its first full-RUU or its first full-LSQ
-/// check, from which a later point may resume.
-#[derive(Debug)]
-struct Record {
-    /// The run's peaks before the check. The queue found full had peak
-    /// `capacity - 1`: occupancy rises by one per dispatch, and the
-    /// check before each dispatch saw the occupancy it rose from. At an
-    /// LSQ record, the RUU peak includes the check's own RUU test, which
-    /// can only make [`fits`] refuse more.
-    peak: (usize, usize),
-    driver: DriverState,
-    /// Taken after the check; the check changed only the peaks, and a
-    /// resumed run repeats it, which raises them to the same values.
-    core: CoreSnapshot,
-}
-
-impl Record {
+    /// Bytes held: the arena's chunks, and each key and machine at its
+    /// size.
     fn bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.core.heap_bytes()
+        self.arena.len() * CHUNK
+            + self.heads.len() * std::mem::size_of::<(u64, u32)>()
+            + self.machines.len() * std::mem::size_of::<MachineConfig>()
+    }
+
+    /// The index of `masked` among the walk's machines, added if new;
+    /// `None` if it is new and the memo is full.
+    fn machine(&mut self, masked: &MachineConfig) -> Option<u32> {
+        if let Some(i) = self.machines.iter().position(|m| m == masked) {
+            return Some(i as u32);
+        }
+        if self.bytes() + std::mem::size_of::<MachineConfig>() > MEMO_BYTES_MAX {
+            return None;
+        }
+        self.machines.push(masked.clone());
+        Some(self.machines.len() as u32 - 1)
+    }
+
+    /// An entry of `key` whose run's capacities and segment peaks
+    /// [`fits`] passes against `sizes`: its peaks and differences.
+    fn find(&self, key: u64, sizes: (usize, usize)) -> Option<((usize, usize), [u64; COUNTERS])> {
+        let mut at = *self.heads.get(&key)? as usize;
+        while at != u32::MAX as usize {
+            let entry = &self.arena[at / CHUNK][at % CHUNK..];
+            let mut pos = 4;
+            let mut next = || read_varint(entry, &mut pos);
+            let old = (next() as usize, next() as usize);
+            let peak = (next() as usize, next() as usize);
+            if fits(old, peak, sizes) {
+                let mut d = [0; COUNTERS];
+                d.fill_with(next);
+                return Some((peak, d));
+            }
+            at = u32::from_le_bytes(entry[..4].try_into().expect("4-byte link")) as usize;
+        }
+        None
+    }
+
+    /// Adds the segment a run with capacities `sizes` simulated from the
+    /// boundary `key` names, if there is room (see [`MEMO_BYTES_MAX`]
+    /// and [`MEMO_FILLED_BYTES_MAX`]).
+    fn insert(
+        &mut self,
+        key: u64,
+        sizes: (usize, usize),
+        peak: (usize, usize),
+        d: &[u64; COUNTERS],
+    ) {
+        let filled = peak.0 >= sizes.0 || peak.1 >= sizes.1;
+        let room = if filled {
+            MEMO_FILLED_BYTES_MAX
+        } else {
+            MEMO_BYTES_MAX
+        };
+        let new_chunk = self
+            .arena
+            .last()
+            .is_none_or(|c| c.len() + ENTRY_MAX > CHUNK);
+        let grows = usize::from(new_chunk) * CHUNK + std::mem::size_of::<(u64, u32)>();
+        if self.bytes() + grows > room {
+            return;
+        }
+        if new_chunk {
+            self.arena.push(Vec::with_capacity(CHUNK));
+        }
+        let last = self.arena.len() - 1;
+        let chunk = &mut self.arena[last];
+        let at = (last * CHUNK + chunk.len()) as u32;
+        let next = self.heads.get(&key).copied().unwrap_or(u32::MAX);
+        chunk.extend_from_slice(&next.to_le_bytes());
+        for v in [sizes.0, sizes.1, peak.0, peak.1] {
+            write_varint(chunk, v as u64);
+        }
+        for &v in d {
+            write_varint(chunk, v);
+        }
+        self.heads.insert(key, at);
     }
 }
 
-/// What [`TraceSim`] keeps besides the core and the trace, as a record
-/// copies it.
-#[derive(Debug, Clone, Copy)]
-struct DriverState {
-    cursor: usize,
-    ifq_head: usize,
-    ifq_meter: OccupancyMeter,
-    branch_stats: ssim_uarch::BranchStats,
-    fetch_stall_until: u64,
-    wrong_path: Option<usize>,
-    pending_seq: Option<u64>,
-    progress: (u64, u64),
-    cycle_committed: u64,
+fn write_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+fn read_varint(bytes: &[u8], pos: &mut usize) -> u64 {
+    let (mut v, mut shift) = (0, 0);
+    loop {
+        let b = bytes[*pos];
+        *pos += 1;
+        v |= u64::from(b & 0x7f) << shift;
+        if b < 0x80 {
+            return v;
+        }
+        shift += 7;
+    }
 }
 
 /// A reusable synthetic-simulation engine.
@@ -249,19 +355,25 @@ struct DriverState {
 /// walk. Hits count in `tracesim.points_reused` and record no
 /// `tracesim.*` time, instructions or cycles.
 ///
-/// **Resume.** A kept run also keeps copies of its state just before
-/// its first full-RUU check and just before its first full-LSQ check,
-/// each with the peaks the run had reached before it. A call that no
-/// kept result answers starts from the latest record whose peaks pass
-/// the same rule against the new capacities: every check before the
-/// record then takes the same branch, so the record lies on the new
-/// point's own trajectory. The resumed run enters the driver loop at
-/// the record's dispatch stage and takes its own records. Records are
-/// taken only once a fifth of the trace has committed, up to 512 KiB
-/// per walk, and kept only after their run completes. Resumes count in
-/// `tracesim.points_resumed` (and, as driver runs over a kept walk, in
-/// `tracesim.walks_reused`); a resumed run records in `tracesim.*` only
-/// the time, cycles and instructions it simulated after the record.
+/// **Segment reuse.** A *boundary* is a cycle start at which the RUU,
+/// the LSQ and the IFQ are empty, no wrong path is pending, and fetch
+/// is free to run (or the trace is done). From a boundary the rest of a
+/// run depends only on the trace position and the machine, so for the
+/// walk it holds the engine also keeps a memo of every *segment* its
+/// fused runs simulated between two boundaries, keyed by masked machine
+/// and start position: the capacities the run had, the segment's own
+/// peak RUU and LSQ occupancy at the checks, and what it added to every
+/// counter of the result. A driver run replays, boundary after
+/// boundary, each entry whose peaks pass the same rule against its
+/// capacities, and simulates only from the first boundary with none,
+/// adding its own segments as it goes. A replay adds the segment's
+/// differences (cycles, commits, occupancy sums, unit activity, branch
+/// counts) and moves the cursors on, which is exactly what simulating
+/// it would do. A walk's memo holds at most 4 MiB, and a segment in
+/// which a queue filled is added only while it holds under 1 MiB; it is
+/// dropped with the kept results. Replays count in
+/// `tracesim.segments_reused`; `tracesim.cycles` and
+/// `tracesim.instructions` count only what the driver simulated.
 #[derive(Debug, Default)]
 pub struct SimEngine {
     scratch: CoreScratch,
@@ -276,8 +388,8 @@ pub struct SimEngine {
     walked: Option<(u64, u64)>,
     /// Earlier fused runs on the walk `walked` names.
     kept: Vec<Kept>,
-    /// Bytes of the state records in `kept`.
-    record_bytes: usize,
+    /// The segments of those runs.
+    memo: SegmentMemo,
 }
 
 impl SimEngine {
@@ -290,7 +402,7 @@ impl SimEngine {
     fn forget_walk(&mut self) {
         self.walked = None;
         self.kept.clear();
-        self.record_bytes = 0;
+        self.memo.clear();
         self.packed.clear();
         self.has_dest.clear();
     }
@@ -313,7 +425,7 @@ impl SimEngine {
                 .iter()
                 .map(|i| PackedInstr::pack_clamped(i).0),
         );
-        drive(cfg, &self.packed, &mut self.scratch, None, false).result
+        drive(cfg, &self.packed, &mut self.scratch, None).result
     }
 
     /// Generates and simulates in one call (see [`simulate_fused`]).
@@ -322,9 +434,9 @@ impl SimEngine {
     /// is skipped and only the driver runs; and if an earlier call on
     /// that walk ran a machine that differs only in RUU/LSQ capacities
     /// neither run could fill, its result is returned without running
-    /// the driver, or else the driver may start from a state an earlier
-    /// run passed through (see the type docs). The result is the same
-    /// either way.
+    /// the driver, or else the driver replays the segments earlier runs
+    /// simulated wherever their capacity checks fit (see the type docs).
+    /// The result is the same either way.
     ///
     /// # Panics
     ///
@@ -346,22 +458,12 @@ impl SimEngine {
         };
         let sizes = (cfg.ruu_size, cfg.lsq_size);
         let key = (sampler.id, seed);
-        let mut from = None;
         if self.walked == Some(key) {
             if let Some(k) = self.kept.iter().find(|k| k.answers(&masked, sizes)) {
                 OBS_POINTS_REUSED.inc();
                 return k.result.clone();
             }
             OBS_WALKS_REUSED.inc();
-            from = self
-                .kept
-                .iter()
-                .filter(|k| k.masked == masked)
-                .flat_map(|k| k.resumes(sizes))
-                .max_by_key(|r| r.core.at());
-            if from.is_some() {
-                OBS_POINTS_RESUMED.inc();
-            }
         } else {
             self.forget_walk();
             let mut sink = PackedSink {
@@ -371,46 +473,31 @@ impl SimEngine {
             sampler.emit_walk(seed, &mut sink);
             self.walked = Some(key);
         }
-        let keep = self.kept.len() < KEPT_MAX;
-        let record = keep && self.record_bytes < RECORD_BYTES_MAX;
-        let run = drive(cfg, &self.packed, &mut self.scratch, from, record);
-        if keep {
-            let mut records = run.records;
-            records.retain(|r| {
-                let bytes = self.record_bytes + r.bytes();
-                let room = bytes <= RECORD_BYTES_MAX;
-                if room {
-                    self.record_bytes = bytes;
-                }
-                room
-            });
+        let memo = self.memo.machine(&masked).map(|m| (&mut self.memo, m));
+        let run = drive(cfg, &self.packed, &mut self.scratch, memo);
+        if self.kept.len() < KEPT_MAX {
             self.kept.push(Kept {
                 masked,
                 sizes,
                 peak: run.peak,
                 result: run.result.clone(),
-                records,
             });
         }
         run.result
     }
 }
 
-/// Runs the driver over `words` on `cfg`, from the start or from `from`,
-/// a record of an earlier run on the same words; takes records if
-/// `record`. The core borrows its working memory from `scratch`.
+/// Runs the driver over `words` on `cfg`, replaying and adding segments
+/// of the memo under the given machine index if there is one. The core
+/// borrows its working memory from `scratch`.
 fn drive(
     cfg: &MachineConfig,
     words: &[u64],
     scratch: &mut CoreScratch,
-    from: Option<&Record>,
-    record: bool,
+    memo: Option<(&mut SegmentMemo, u32)>,
 ) -> Run {
-    let mut sim = TraceSim::new(cfg, words, std::mem::take(scratch), record);
-    if let Some(r) = from {
-        sim.restore(r);
-    }
-    let (run, returned) = sim.run(from.is_some());
+    let sim = TraceSim::new(cfg, words, std::mem::take(scratch), memo);
+    let (run, returned) = sim.run();
     *scratch = returned;
     run
 }
@@ -418,10 +505,8 @@ fn drive(
 /// A finished driver run.
 struct Run {
     result: SimResult,
-    /// The run's [`Core::peak_occupancy`].
+    /// The run's peak RUU and LSQ occupancy at the capacity checks.
     peak: (usize, usize),
-    /// Its state records, in run order.
-    records: Vec<Record>,
 }
 
 struct TraceSim<'a> {
@@ -451,15 +536,26 @@ struct TraceSim<'a> {
     progress: (u64, u64),
     /// Instructions committed before the current cycle.
     cycle_committed: u64,
-    /// Whether this run takes state records.
-    record: bool,
-    /// Whether a capacity check has found the RUU, and the LSQ, full.
-    filled: (bool, bool),
-    records: Vec<Record>,
+    /// The walk's segment memo and this run's masked machine in it;
+    /// `None` on the unfused path.
+    memo: Option<(&'a mut SegmentMemo, u32)>,
+    /// The segment being simulated: its start cursor and
+    /// [`TraceSim::counters`] there.
+    segment: Option<(usize, [u64; COUNTERS])>,
+    /// Peaks of the segments before the current one, replayed ones
+    /// included (the core's cover only the current segment).
+    peak: (usize, usize),
+    /// Cycles and instructions replayed rather than simulated.
+    replayed: (u64, u64),
 }
 
 impl<'a> TraceSim<'a> {
-    fn new(cfg: &'a MachineConfig, words: &'a [u64], scratch: CoreScratch, record: bool) -> Self {
+    fn new(
+        cfg: &'a MachineConfig,
+        words: &'a [u64],
+        scratch: CoreScratch,
+        memo: Option<(&'a mut SegmentMemo, u32)>,
+    ) -> Self {
         TraceSim {
             cfg,
             words,
@@ -473,9 +569,10 @@ impl<'a> TraceSim<'a> {
             pending_seq: None,
             progress: (0, 0),
             cycle_committed: 0,
-            record,
-            filled: (false, false),
-            records: Vec::new(),
+            memo,
+            segment: None,
+            peak: (0, 0),
+            replayed: (0, 0),
         }
     }
 
@@ -485,52 +582,16 @@ impl<'a> TraceSim<'a> {
         self.cursor - self.ifq_head
     }
 
-    fn driver_state(&self) -> DriverState {
-        DriverState {
-            cursor: self.cursor,
-            ifq_head: self.ifq_head,
-            ifq_meter: self.ifq_meter,
-            branch_stats: self.branch_stats,
-            fetch_stall_until: self.fetch_stall_until,
-            wrong_path: self.wrong_path,
-            pending_seq: self.pending_seq,
-            progress: self.progress,
-            cycle_committed: self.cycle_committed,
-        }
-    }
-
-    /// Puts this fresh driver in the state of `r`, an earlier run's
-    /// record on the same words whose peaks fit this machine.
-    fn restore(&mut self, r: &Record) {
-        self.core.restore(&r.core);
-        let d = r.driver;
-        self.cursor = d.cursor;
-        self.ifq_head = d.ifq_head;
-        self.ifq_meter = d.ifq_meter;
-        self.branch_stats = d.branch_stats;
-        self.fetch_stall_until = d.fetch_stall_until;
-        self.wrong_path = d.wrong_path;
-        self.pending_seq = d.pending_seq;
-        self.progress = d.progress;
-        self.cycle_committed = d.cycle_committed;
-    }
-
-    /// Which queues a capacity check has found full: a peak reaches its
-    /// capacity only there.
-    fn full_queues(&self) -> (bool, bool) {
-        let (ruu, lsq) = self.core.peak_occupancy();
-        (ruu >= self.cfg.ruu_size, lsq >= self.cfg.lsq_size)
-    }
-
-    /// Runs to the end of the trace. A run restored from a record
-    /// (`resumed`) enters the loop at the dispatch stage of the
-    /// record's cycle, where the record was taken.
-    fn run(mut self, resumed: bool) -> (Run, CoreScratch) {
+    /// Runs to the end of the trace.
+    fn run(mut self) -> (Run, CoreScratch) {
         let _span = OBS_SIM_TIME.span();
-        let start = (self.core.now(), self.core.committed());
-        self.filled = self.full_queues();
-        let mut done = !resumed && self.begin_cycle();
-        while !done {
+        loop {
+            if self.memo.is_some() && self.at_boundary() {
+                self.boundary();
+            }
+            if self.begin_cycle() {
+                break;
+            }
             self.dispatch();
             let dispatched = self.core.dispatched();
             let cursor_before = self.cursor;
@@ -547,13 +608,12 @@ impl<'a> TraceSim<'a> {
                 "synthetic pipeline deadlock at cycle {now} (committed {})",
                 self.cycle_committed
             );
-            done = self.begin_cycle();
         }
         let cycles = self.core.now().max(1);
         let instructions = self.core.committed();
-        OBS_CYCLES.add(cycles - start.0);
-        OBS_INSTRUCTIONS.add(instructions - start.1);
-        let peak = self.core.peak_occupancy();
+        OBS_CYCLES.add(cycles - self.replayed.0);
+        OBS_INSTRUCTIONS.add(instructions - self.replayed.1);
+        let peak = max_peak(self.peak, self.core.peak_occupancy());
         let (mut activity, ruu, lsq, scratch) = self.core.finish_reuse();
         activity.set_cycles(cycles);
         let result = SimResult {
@@ -566,12 +626,94 @@ impl<'a> TraceSim<'a> {
             cache: Default::default(),
             activity,
         };
-        let run = Run {
-            result,
-            peak,
-            records: self.records,
+        (Run { result, peak }, scratch)
+    }
+
+    /// Whether this cycle start is a boundary: the window and the IFQ
+    /// are empty, no wrong path is pending, and fetch is free to run or
+    /// the trace is done. From here on the run depends only on the
+    /// cursor and the machine: a pending fetch stall would carry its
+    /// remaining cycles across, and nothing else does (see
+    /// [`Core::replay`]). Quiet-cycle skips never jump over a boundary:
+    /// at one, fetch moves or the run ends.
+    #[inline]
+    fn at_boundary(&self) -> bool {
+        self.ifq_head == self.cursor
+            && self.wrong_path.is_none()
+            && self.core.is_empty()
+            && (self.core.now() >= self.fetch_stall_until || self.cursor == self.words.len())
+    }
+
+    /// At a boundary: adds the segment that ends here to the memo, then
+    /// replays memo entries from here while one fits this machine, and
+    /// starts the next segment.
+    fn boundary(&mut self) {
+        let peak = self.core.take_peak_occupancy();
+        self.peak = max_peak(self.peak, peak);
+        let counters = self.counters();
+        let sizes = (self.cfg.ruu_size, self.cfg.lsq_size);
+        let Some((memo, machine)) = self.memo.as_mut() else {
+            return;
         };
-        (run, scratch)
+        let key = |cursor: usize| u64::from(*machine) << 32 | cursor as u64;
+        // A segment always commits something (fetch is free to run at
+        // its start); one that did not is never added, so a replay
+        // always moves the cursor on.
+        if let Some((start, before)) = self.segment.take().filter(|s| s.0 < self.cursor) {
+            let mut d = counters;
+            for (d, b) in d.iter_mut().zip(before) {
+                *d -= b;
+            }
+            memo.insert(key(start), sizes, peak, &d);
+        }
+        while let Some((peak, d)) = memo.find(key(self.cursor), sizes) {
+            let (core, rest) = d.split_at(CORE_COUNTERS);
+            self.core
+                .replay(core.try_into().expect("core counters first"));
+            let (cycles, commits) = (d[0], d[1]);
+            self.cursor += commits as usize;
+            self.ifq_head = self.cursor;
+            self.ifq_meter.add(rest[0], cycles);
+            let b = &mut self.branch_stats;
+            for (s, d) in [
+                &mut b.branches,
+                &mut b.taken,
+                &mut b.correct,
+                &mut b.redirects,
+                &mut b.mispredicts,
+            ]
+            .into_iter()
+            .zip(&rest[1..])
+            {
+                *s += d;
+            }
+            self.peak = max_peak(self.peak, peak);
+            self.replayed.0 += cycles;
+            self.replayed.1 += commits;
+            self.progress = (self.core.now(), self.core.committed());
+            OBS_SEGMENTS_REUSED.inc();
+        }
+        if self.cursor < self.words.len() {
+            self.segment = Some((self.cursor, self.counters()));
+        }
+    }
+
+    /// Every counter a segment adds to: the core's (see
+    /// [`Core::counters`]), then the IFQ occupancy sum and the branch,
+    /// taken, correct, redirect and mispredict counts.
+    fn counters(&self) -> [u64; COUNTERS] {
+        let mut c = [0; COUNTERS];
+        c[..CORE_COUNTERS].copy_from_slice(&self.core.counters());
+        let b = &self.branch_stats;
+        c[CORE_COUNTERS..].copy_from_slice(&[
+            self.ifq_meter.sum(),
+            b.branches,
+            b.taken,
+            b.correct,
+            b.redirects,
+            b.mispredicts,
+        ]);
+        c
     }
 
     /// Starts a cycle: writeback, issue and commit, then the recovery
@@ -702,39 +844,8 @@ impl<'a> TraceSim<'a> {
                         self.pending_seq = Some(seq);
                     }
                 }
-                DispatchOutcome::Stalled => {
-                    if self.record {
-                        self.note_stall();
-                    }
-                    break;
-                }
+                DispatchOutcome::Stalled => break,
             }
-        }
-    }
-
-    /// After a stalled dispatch check: if it found a queue full for the
-    /// first time in this run, and the run has committed at least
-    /// [`RECORD_FROM_PCT`] percent of the trace, takes a record. A check
-    /// finds at most one queue full, since the LSQ is checked only once
-    /// the RUU check has passed.
-    fn note_stall(&mut self) {
-        let full = self.full_queues();
-        if full == self.filled {
-            return;
-        }
-        let (ruu, lsq) = self.core.peak_occupancy();
-        let peak = if full.0 != self.filled.0 {
-            (ruu - 1, lsq)
-        } else {
-            (ruu, lsq - 1)
-        };
-        self.filled = full;
-        if self.core.committed() * 100 >= self.words.len() as u64 * RECORD_FROM_PCT {
-            self.records.push(Record {
-                peak,
-                driver: self.driver_state(),
-                core: self.core.snapshot(),
-            });
         }
     }
 
@@ -1106,6 +1217,45 @@ mod tests {
             engine.simulate_fused(&sampler, 1, &cfg);
         }
         assert_eq!(engine.kept.len(), KEPT_MAX);
+    }
+
+    /// A walk's memo stops adding segments at its caps: those in which a
+    /// queue filled at 1 MiB, the others at 4 MiB, and new machines at
+    /// 4 MiB too. Entries here carry the widest varints.
+    #[test]
+    fn segment_memo_is_bounded() {
+        let d = [u64::MAX >> 1; COUNTERS];
+        let (sizes, roomy, filled) = ((64, 32), (8, 4), (64, 4));
+        let mut memo = SegmentMemo::default();
+        let mut key = 0;
+        for (peak, cap) in [(filled, MEMO_FILLED_BYTES_MAX), (roomy, MEMO_BYTES_MAX)] {
+            loop {
+                let before = memo.bytes();
+                memo.insert(key, sizes, peak, &d);
+                if memo.bytes() == before {
+                    break;
+                }
+                key += 1;
+            }
+            let full = memo.bytes();
+            assert!(full <= cap && full + CHUNK > cap, "{full} bytes");
+        }
+        // New machines stop at the same cap.
+        for redirect_latency in 0.. {
+            let m = MachineConfig {
+                redirect_latency,
+                ..MachineConfig::baseline()
+            };
+            if memo.machine(&m).is_none() {
+                break;
+            }
+        }
+        assert!(memo.bytes() <= MEMO_BYTES_MAX);
+        // What was added reads back, and only for capacities it fits.
+        assert_eq!(memo.find(key - 1, (128, 32)), Some((roomy, d)));
+        assert_eq!(memo.find(0, (64, 32)), Some((filled, d)));
+        assert_eq!(memo.find(0, (128, 32)), None);
+        assert_eq!(memo.find(key, sizes), None);
     }
 
     #[test]

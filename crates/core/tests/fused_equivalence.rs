@@ -12,12 +12,13 @@
 //! published number.
 //!
 //! The engine's walk reuse (a fused call at the `(sampler, seed)` the
-//! engine last walked reruns only the driver) and capacity reuse (a
-//! kept result answers a machine that differs only in RUU/LSQ sizes
-//! neither run filled) are held to the same contract: every result on a
-//! long-lived engine equals a fresh engine's, whatever mix of samplers,
-//! seeds, capacities, clones, re-lowerings and unfused calls came
-//! before it.
+//! engine last walked reruns only the driver), capacity reuse (a kept
+//! result answers a machine that differs only in RUU/LSQ sizes neither
+//! run filled) and segment reuse (a driver run replays the stretches
+//! between empty pipelines that earlier runs on the walk simulated) are
+//! held to the same contract: every result on a long-lived engine
+//! equals a fresh engine's, whatever mix of samplers, seeds,
+//! capacities, clones, re-lowerings and unfused calls came before it.
 
 use proptest::prelude::*;
 use ssim_core::{
@@ -433,9 +434,9 @@ fn check_in_order(
 }
 
 /// A point that differs from an earlier run only in a larger LSQ
-/// resumes from that run's first full-LSQ check. On bzip2 at seed 1 and
-/// width 2, a 12-entry LSQ first fills once 84% of the trace has
-/// committed, and a 96-entry RUU never fills.
+/// replays that run's segments in which the LSQ did not fill. On bzip2
+/// at seed 1 and width 2, a 12-entry LSQ first fills once 84% of the
+/// trace has committed, and a 96-entry RUU never fills.
 #[test]
 fn resume_from_a_late_full_lsq_stall() {
     let [_, bzip2_p] = reuse_profiles();
@@ -449,9 +450,10 @@ fn resume_from_a_late_full_lsq_stall() {
 }
 
 /// The same for the RUU: on bzip2 at seed 1 and width 2, a 48-entry RUU
-/// first fills at 84% of the trace, and a 128-entry RUU resumes there.
-/// The window arrays grow from 64 to 128 entries between the two runs,
-/// so the entries must be laid out again under the larger mask.
+/// first fills at 84% of the trace, and a 128-entry RUU replays the
+/// segments before. The window arrays grow from 64 to 128 entries
+/// between the two runs, so the sequence numbers a replay moves on must
+/// land anywhere in them.
 #[test]
 fn resume_from_a_late_full_ruu_stall() {
     let [_, bzip2_p] = reuse_profiles();
@@ -464,20 +466,19 @@ fn resume_from_a_late_full_ruu_stall() {
     );
 }
 
-/// A record taken after the RUU filled cannot serve a larger RUU. On gcc
+/// A segment in which the RUU filled cannot serve a larger RUU. On gcc
 /// at seed 1 and width 2, a 24-entry RUU fills early and a 4-entry LSQ
 /// first fills at 83% of the trace; the point with a 32-entry RUU and
-/// an 8-entry LSQ must run from the start.
+/// an 8-entry LSQ replays only segments in which neither filled.
 #[test]
 fn resume_refuses_a_record_after_the_ruu_filled() {
     let [gcc_p, _] = reuse_profiles();
     check_in_order(&gcc_p.compile(REUSE_R), 1, 2, &[(24, 4), (32, 8)], "gcc");
 }
 
-/// A resumed run takes its own records, and a later point resumes from
-/// them: the 16-entry LSQ run resumes from the 12-entry one's record and
-/// first fills later, at its own record, where the 24-entry LSQ run
-/// starts.
+/// A run that replayed segments adds the ones it simulated, and a later
+/// point replays both kinds: the 24-entry LSQ run replays segments of
+/// the 12-entry and of the 16-entry run.
 #[test]
 fn resume_from_a_resumed_run() {
     let [_, bzip2_p] = reuse_profiles();
@@ -487,6 +488,41 @@ fn resume_from_a_resumed_run() {
         2,
         &[(96, 12), (96, 16), (96, 24)],
         "bzip2",
+    );
+}
+
+/// Segments replay across an RUU change that no kept result answers: on
+/// gcc at seed 1 and width 8, a 16-entry RUU fills, so its result cannot
+/// answer a 64-entry RUU with the same LSQ, but its segments in which
+/// the RUU did not fill replay for it, and the 32-entry RUU after both
+/// replays segments again.
+#[test]
+fn segments_replay_across_an_ruu_change() {
+    let [gcc_p, _] = reuse_profiles();
+    check_in_order(
+        &gcc_p.compile(REUSE_R),
+        1,
+        8,
+        &[(16, 8), (64, 8), (32, 8)],
+        "gcc",
+    );
+}
+
+/// A segment in which a queue filled passes only its own capacity of
+/// that queue. On gcc at seed 1 and width 8, a 4-entry LSQ fills in
+/// some segments; the 8-entry LSQ point replays the others, but must
+/// simulate from each of those on, since the queue found full at 4 has
+/// room at 8 (a rule that let a peak equal the smaller capacity would
+/// replay them).
+#[test]
+fn segment_replay_refuses_a_segment_in_which_a_queue_filled() {
+    let [gcc_p, _] = reuse_profiles();
+    check_in_order(
+        &gcc_p.compile(REUSE_R),
+        1,
+        8,
+        &[(64, 4), (64, 8), (64, 6)],
+        "gcc",
     );
 }
 

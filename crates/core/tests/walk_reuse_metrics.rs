@@ -1,5 +1,6 @@
-//! The `tracesim.walks_reused` and `tracesim.points_reused` counters,
-//! pinned against the walks the `synth.time` timer counts.
+//! The `tracesim.walks_reused`, `tracesim.points_reused` and
+//! `tracesim.segments_reused` counters, pinned against the walks the
+//! `synth.time` timer counts and the instructions the driver simulated.
 //!
 //! The observability registry is process-global, so these tests have
 //! their own binary and take turns ([`serial`]): nothing else walks or
@@ -83,10 +84,10 @@ fn runs_and_points() -> (u64, u64, u64) {
     (runs, points, instrs)
 }
 
-/// `tracesim.points_resumed` so far.
-fn points_resumed() -> u64 {
+/// `tracesim.segments_reused` so far.
+fn segments_reused() -> u64 {
     ssim_obs::snapshot()
-        .counter("tracesim.points_resumed")
+        .counter("tracesim.segments_reused")
         .unwrap_or(0)
 }
 
@@ -146,10 +147,17 @@ fn capacity_reuse_counts_points_and_runs_no_driver() {
         .collect();
     let mut engine = SimEngine::new();
     let before = (walks_and_reuses(), runs_and_points());
-    let got: Vec<_> = schedule
+    // Per point: the result, and the instructions simulated and segments
+    // replayed on its way.
+    let (got, per_point): (Vec<_>, Vec<_>) = schedule
         .iter()
-        .map(|(seed, cfg, _)| engine.simulate_fused(&sampler, *seed, cfg))
-        .collect();
+        .map(|(seed, cfg, _)| {
+            let (instrs, segments) = (runs_and_points().2, segments_reused());
+            let r = engine.simulate_fused(&sampler, *seed, cfg);
+            let counts = (runs_and_points().2 - instrs, segments_reused() - segments);
+            (r, counts)
+        })
+        .unzip();
     let after = (walks_and_reuses(), runs_and_points());
     assert_eq!(got, expected);
 
@@ -164,21 +172,33 @@ fn capacity_reuse_counts_points_and_runs_no_driver() {
     );
     // Hits run no driver: no `tracesim.time` span, no instructions.
     assert_eq!(after.1 .0 - before.1 .0, walks + walks_reused);
-    let simulated: u64 = schedule
-        .iter()
-        .zip(&got)
-        .filter(|(s, _)| s.2 != Hit)
-        .map(|(_, r)| r.instructions)
-        .sum();
-    assert_eq!(after.1 .2 - before.1 .2, simulated);
+    // A run on a new walk, or on a machine its walk has not run, has no
+    // segment to replay and simulates its whole trace. The 1-entry LSQ
+    // replays the roomy run's segments that no memory operation reached
+    // dispatch in (seven, of one instruction each), and simulates the
+    // rest.
+    let whole = |i: usize| (got[i].instructions, 0);
+    assert_eq!(
+        per_point,
+        [
+            whole(0),
+            (0, 0),
+            (0, 0),
+            (got[3].instructions - 7, 7),
+            (0, 0),
+            whole(5),
+            whole(6),
+            (0, 0),
+            whole(8),
+        ]
+    );
 }
 
-/// Resumes count in `tracesim.points_resumed` and, as driver runs over a
-/// kept walk, in `tracesim.walks_reused`; a resumed run adds only the
-/// instructions it simulated after its record. The schedule is the one
-/// `fused_equivalence.rs` checks for results (bzip2 at seed 1, width 2):
-/// three points resume, each from a record taken after 84% of the
-/// trace had committed.
+/// Replayed segments count in `tracesim.segments_reused`, and a driver
+/// run adds to `tracesim.instructions` only the instructions it
+/// simulated, not those of the segments it replayed. The schedule is
+/// the one `fused_equivalence.rs` checks for results (bzip2 at seed 1,
+/// width 2).
 #[test]
 fn resumed_points_count_only_what_they_simulate() {
     let _serial = serial();
@@ -196,23 +216,32 @@ fn resumed_points_count_only_what_they_simulate() {
         lsq_size: lsq,
         ..MachineConfig::baseline().with_width(2)
     };
-    // (machine, how the engine must answer it, resumed)
+    // (machine, how the engine must answer it)
     let schedule = [
-        (sized(96, 12), Walk, false),
-        (sized(96, 16), Run, true),
-        (sized(96, 24), Run, true),
-        // Neither queue of the 24-entry LSQ run filled before its RUU did.
-        (sized(96, 32), Hit, false),
-        (sized(48, 48), Run, false),
-        (sized(128, 48), Run, true),
+        (sized(96, 12), Walk),
+        (sized(96, 16), Run),
+        (sized(96, 24), Run),
+        // Neither queue of the 24-entry LSQ run filled.
+        (sized(96, 32), Hit),
+        (sized(48, 48), Run),
+        (sized(128, 48), Run),
     ];
     let mut engine = SimEngine::new();
-    let before = (walks_and_reuses(), runs_and_points(), points_resumed());
-    let got: Vec<_> = schedule
+    let before = (walks_and_reuses(), runs_and_points());
+    // Per point: (segments replayed, instructions simulated, committed).
+    let per_point: Vec<(u64, u64, u64)> = schedule
         .iter()
-        .map(|(cfg, _, _)| engine.simulate_fused(&sampler, 1, cfg))
+        .map(|(cfg, _)| {
+            let (segments, instrs) = (segments_reused(), runs_and_points().2);
+            let r = engine.simulate_fused(&sampler, 1, cfg);
+            (
+                segments_reused() - segments,
+                runs_and_points().2 - instrs,
+                r.instructions,
+            )
+        })
         .collect();
-    let after = (walks_and_reuses(), runs_and_points(), points_resumed());
+    let after = (walks_and_reuses(), runs_and_points());
 
     let count = |how: Answer| schedule.iter().filter(|s| s.1 == how).count() as u64;
     assert_eq!(
@@ -220,37 +249,21 @@ fn resumed_points_count_only_what_they_simulate() {
             after.0 .0 - before.0 .0,
             after.0 .1 - before.0 .1,
             after.1 .1 - before.1 .1,
-            after.2 - before.2,
         ),
-        (
-            count(Walk),
-            count(Run),
-            count(Hit),
-            schedule.iter().filter(|s| s.2).count() as u64
-        ),
-        "(walks, walks reused, points reused, points resumed)"
+        (count(Walk), count(Run), count(Hit)),
+        "(walks, walks reused, points reused)"
     );
     assert_eq!(after.1 .0 - before.1 .0, count(Walk) + count(Run));
-    // The two runs from the start simulate the whole trace; the three
-    // resumed ones only the part after their records: 1,371 of their
-    // 9,018 committed instructions.
-    let from_start: u64 = schedule
-        .iter()
-        .zip(&got)
-        .filter(|(s, _)| s.1 != Hit && !s.2)
-        .map(|(_, r)| r.instructions)
-        .sum();
-    let resumed: u64 = schedule
-        .iter()
-        .zip(&got)
-        .filter(|(s, _)| s.2)
-        .map(|(_, r)| r.instructions)
-        .sum();
-    assert_eq!((from_start, resumed), (6_012, 9_018));
-    let simulated = after.1 .2 - before.1 .2;
+    // Per point: (segments replayed, instructions simulated, committed).
     assert_eq!(
-        simulated - from_start,
-        1_371,
-        "instructions after the records"
+        per_point,
+        [
+            (0, 3_006, 3_006),
+            (34, 562, 3_006),
+            (33, 594, 3_006),
+            (0, 0, 3_006),
+            (35, 545, 3_006),
+            (31, 661, 3_006),
+        ]
     );
 }

@@ -138,10 +138,11 @@ fn a_server_sweep_walks_once_per_seed_and_fan_out_worker() {
     };
     assert!(cl.call(&Request::Profile(profile()), None).unwrap().ok);
 
-    let (walks0, steals0, reused0) = (
+    let (walks0, steals0, reused0, segments0) = (
         walks(),
         counter("par.steals"),
         counter("tracesim.points_reused"),
+        counter("tracesim.segments_reused"),
     );
     assert_eq!(sweep_ok(&mut cl, &sweep), machines.len() * seeds.len());
     let walked = walks() - walks0;
@@ -158,6 +159,10 @@ fn a_server_sweep_walks_once_per_seed_and_fan_out_worker() {
     assert!(
         counter("tracesim.points_reused") > reused0,
         "no point was answered from a kept result"
+    );
+    assert!(
+        counter("tracesim.segments_reused") > segments0,
+        "no driver run replayed a segment"
     );
     shut_down(server);
 }

@@ -82,11 +82,20 @@ pub struct UnitActivity {
 /// per-cycle linear term over the run gives exactly
 /// `Pmax × accesses / ports`, so tracking `(accesses, used_cycles)` per
 /// unit is sufficient and O(1) per access.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ActivityCounters {
     units: [UnitActivity; Unit::ALL.len()],
+    /// Per unit, the last cycle with a recorded access (`u64::MAX` for
+    /// none): scratch state of a running simulation, which
+    /// [`ActivityCounters::set_cycles`] clears.
     last_used: [u64; Unit::ALL.len()],
     cycles: u64,
+}
+
+impl Default for ActivityCounters {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl ActivityCounters {
@@ -119,9 +128,22 @@ impl ActivityCounters {
         }
     }
 
-    /// Sets the total cycle count of the run (call once at the end).
+    /// Adds `a` to `unit`'s totals, as records in cycles that no record
+    /// of these counters has used yet would: the per-cycle markers stay
+    /// as they are.
+    pub fn add(&mut self, unit: Unit, a: UnitActivity) {
+        let u = &mut self.units[unit.index()];
+        u.accesses += a.accesses;
+        u.used_cycles += a.used_cycles;
+    }
+
+    /// Sets the total cycle count of the run and clears the per-cycle
+    /// markers (call once at the end). A finished run's counters then
+    /// hold only totals, so two runs with the same totals compare equal
+    /// however their records were made.
     pub fn set_cycles(&mut self, cycles: u64) {
         self.cycles = cycles;
+        self.last_used = [u64::MAX; Unit::ALL.len()];
     }
 
     /// Total cycles of the run.
@@ -162,6 +184,29 @@ mod tests {
         assert_eq!(u.accesses, 3);
         assert_eq!(u.used_cycles, 2);
         assert_eq!(a.idle_cycles(Unit::Ruu), 8);
+    }
+
+    /// Finished counters hold only totals: records in other cycles
+    /// that add up to the same totals compare equal.
+    #[test]
+    fn set_cycles_leaves_only_totals() {
+        let (mut a, mut b) = (ActivityCounters::new(), ActivityCounters::new());
+        a.record_n(Unit::Lsq, 3, 2);
+        b.record_n(Unit::Lsq, 7, 2);
+        assert_ne!(a, b);
+        a.set_cycles(8);
+        b.set_cycles(8);
+        assert_eq!(a, b);
+        b.add(
+            Unit::Lsq,
+            UnitActivity {
+                accesses: 1,
+                used_cycles: 1,
+            },
+        );
+        a.record(Unit::Lsq, 9);
+        a.set_cycles(8);
+        assert_eq!(a, b);
     }
 
     #[test]

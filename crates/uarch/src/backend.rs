@@ -11,7 +11,7 @@
 //! numbers* at dispatch and end in one routine that writes the window
 //! entry.
 
-use crate::activity::{ActivityCounters, Unit};
+use crate::activity::{ActivityCounters, Unit, UnitActivity};
 use crate::config::MachineConfig;
 use crate::result::OccupancyMeter;
 use ssim_isa::{InstrClass, RegId};
@@ -193,6 +193,9 @@ const WHEEL_MASK: u64 = WHEEL_SLOTS as u64 - 1;
 /// completion record. Sequence numbers stay far below bit 63.
 const REC_WAKE: u64 = 1 << 63;
 
+/// How many values [`Core::counters`] returns.
+pub const CORE_COUNTERS: usize = 4 + 2 * Unit::ALL.len();
+
 /// Reusable working memory for [`Core`].
 ///
 /// Sweeps build one core per design point; reusing the window arrays
@@ -210,61 +213,6 @@ pub struct CoreScratch {
     mem_addr: Vec<u64>,
     ready: Vec<u64>,
     wheel: Vec<Vec<(u64, u64)>>,
-}
-
-/// One live window entry of a [`CoreSnapshot`].
-#[derive(Debug, Clone, Copy)]
-struct SavedEntry {
-    hot: u64,
-    lat: u64,
-    deps: [u64; 5],
-    flags: u8,
-    ready: bool,
-}
-
-/// A copy of a [`Core`] driven by distance ([`Core::try_dispatch_dists`]
-/// only), taken by [`Core::snapshot`] and put back by [`Core::restore`].
-///
-/// It holds what that path reads: the live window in sequence order
-/// (hot word, latency, dependency slots, flags and ready bit of each
-/// entry), the pending timing-wheel records, the scalars, the activity
-/// counters and the occupancy meters. It holds no rename or last-reader
-/// table and no destination or store-address slots: dispatch by distance
-/// never writes the first two and never reads the others. It knows no
-/// window mask, so a core of any capacity that holds the window can
-/// resume from it.
-#[derive(Debug, Clone)]
-pub struct CoreSnapshot {
-    entries: Vec<SavedEntry>,
-    /// Wheel records in slot order, each slot's in its own order.
-    wheel: Vec<(u64, u64)>,
-    front_seq: u64,
-    cycle: u64,
-    committed: u64,
-    lsq_used: usize,
-    peak: (usize, usize),
-    first_waiting: usize,
-    live_slots: usize,
-    quiet_until: u64,
-    dispatched_this_cycle: usize,
-    activity: ActivityCounters,
-    ruu_meter: OccupancyMeter,
-    lsq_meter: OccupancyMeter,
-}
-
-impl CoreSnapshot {
-    /// Bytes the snapshot holds on the heap.
-    pub fn heap_bytes(&self) -> usize {
-        self.entries.len() * std::mem::size_of::<SavedEntry>()
-            + self.wheel.len() * std::mem::size_of::<(u64, u64)>()
-    }
-
-    /// Where it was taken: the cycle, and the instructions dispatched so
-    /// far in that cycle. Snapshots taken between dispatch checks of one
-    /// run order by this.
-    pub fn at(&self) -> (u64, usize) {
-        (self.cycle, self.dispatched_this_cycle)
-    }
 }
 
 /// The out-of-order backend shared by execution-driven and synthetic
@@ -491,6 +439,72 @@ impl<'a> Core<'a> {
     /// sample after commit, so they cannot stand in for this.
     pub fn peak_occupancy(&self) -> (usize, usize) {
         (self.peak_ruu, self.peak_lsq)
+    }
+
+    /// Returns [`Core::peak_occupancy`] and starts both peaks again from
+    /// zero, so the next call covers only the checks in between.
+    pub fn take_peak_occupancy(&mut self) -> (usize, usize) {
+        let peak = self.peak_occupancy();
+        (self.peak_ruu, self.peak_lsq) = (0, 0);
+        peak
+    }
+
+    /// The core's additive counters, [`CORE_COUNTERS`] of them: the
+    /// cycle, the committed instructions, the RUU and LSQ occupancy sums
+    /// (one sample per cycle), then each unit's accesses and used cycles
+    /// in [`Unit::ALL`] order. What a stretch of a run adds to them is
+    /// their difference across it; [`Core::replay`] adds such a
+    /// difference back.
+    pub fn counters(&self) -> [u64; CORE_COUNTERS] {
+        let mut c = [0; CORE_COUNTERS];
+        c[0] = self.cycle;
+        c[1] = self.committed;
+        c[2] = self.ruu_meter.sum();
+        c[3] = self.lsq_meter.sum();
+        for (i, unit) in Unit::ALL.into_iter().enumerate() {
+            let a = self.activity.unit(unit);
+            c[4 + 2 * i] = a.accesses;
+            c[5 + 2 * i] = a.used_cycles;
+        }
+        c
+    }
+
+    /// Moves an empty core over a stretch that a core driven by distance
+    /// on the same machine simulated from an empty window at a cycle
+    /// start, up to the next cycle start at which its window was empty:
+    /// adds the stretch's counter differences `d` (see
+    /// [`Core::counters`]), one occupancy sample per cycle, and moves the
+    /// sequence numbers on by its commits.
+    ///
+    /// Nothing else carries over an empty window. Every earlier
+    /// instruction has committed, so dependences reaching back past the
+    /// stretch read as satisfied however far back they reach, and the
+    /// per-cycle activity markers all name earlier cycles. What is left
+    /// on the timing wheel belongs to committed instructions, whose
+    /// sequence numbers never come back, or to squashed ones, whose
+    /// records at most wake early an entry that reuses their sequence
+    /// number, and its probe puts it back to sleep. The stretch's peaks
+    /// are the caller's to keep.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is not empty.
+    pub fn replay(&mut self, d: &[u64; CORE_COUNTERS]) {
+        assert!(self.is_empty(), "replay into an empty window");
+        let (cycles, commits) = (d[0], d[1]);
+        self.cycle += cycles;
+        self.committed += commits;
+        self.front_seq += commits;
+        self.next_seq = self.front_seq;
+        self.ruu_meter.add(d[2], cycles);
+        self.lsq_meter.add(d[3], cycles);
+        for (i, unit) in Unit::ALL.into_iter().enumerate() {
+            let a = UnitActivity {
+                accesses: d[4 + 2 * i],
+                used_cycles: d[5 + 2 * i],
+            };
+            self.activity.add(unit, a);
+        }
     }
 
     /// Instructions dispatched so far in the current cycle.
@@ -1104,90 +1118,6 @@ impl<'a> Core<'a> {
         squashed
     }
 
-    /// Copies the state of a core driven by distance (see
-    /// [`CoreSnapshot`]).
-    pub fn snapshot(&self) -> CoreSnapshot {
-        debug_assert!(
-            self.rename.iter().all(Option::is_none),
-            "a snapshot holds no rename map"
-        );
-        let entries = (self.front_seq..self.next_seq)
-            .map(|seq| {
-                let idx = (seq & self.mask) as usize;
-                SavedEntry {
-                    hot: self.hot[idx],
-                    lat: self.lat[idx],
-                    deps: self.deps[idx],
-                    flags: self.flags[idx],
-                    ready: self.ready[idx / 64] & (1u64 << (idx % 64)) != 0,
-                }
-            })
-            .collect();
-        CoreSnapshot {
-            entries,
-            wheel: self.wheel.iter().flatten().copied().collect(),
-            front_seq: self.front_seq,
-            cycle: self.cycle,
-            committed: self.committed,
-            lsq_used: self.lsq_used,
-            peak: (self.peak_ruu, self.peak_lsq),
-            first_waiting: self.first_waiting,
-            live_slots: self.live_slots,
-            quiet_until: self.quiet_until,
-            dispatched_this_cycle: self.dispatched_this_cycle,
-            activity: self.activity.clone(),
-            ruu_meter: self.ruu_meter,
-            lsq_meter: self.lsq_meter,
-        }
-    }
-
-    /// Puts a fresh core (straight from [`Core::with_scratch`]) in the
-    /// state `s` was taken in. Each window entry is laid out again by
-    /// its sequence number under this core's mask, which differs from
-    /// the snapshot core's when the capacities do, and the wheel records
-    /// go back into their slots in their order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the core has run, or if its RUU cannot hold the
-    /// snapshot's window.
-    pub fn restore(&mut self, s: &CoreSnapshot) {
-        assert!(
-            self.cycle == 0 && self.next_seq == 0,
-            "restore into a fresh core"
-        );
-        assert!(
-            s.entries.len() <= self.cfg.ruu_size,
-            "the RUU cannot hold the snapshot's window"
-        );
-        for (seq, e) in (s.front_seq..).zip(&s.entries) {
-            let idx = (seq & self.mask) as usize;
-            self.hot[idx] = e.hot;
-            self.lat[idx] = e.lat;
-            self.deps[idx] = e.deps;
-            self.flags[idx] = e.flags;
-            if e.ready {
-                self.ready[idx / 64] |= 1u64 << (idx % 64);
-            }
-        }
-        for &(done, rec) in &s.wheel {
-            self.arm(done, rec);
-        }
-        self.front_seq = s.front_seq;
-        self.next_seq = s.front_seq + s.entries.len() as u64;
-        self.cycle = s.cycle;
-        self.committed = s.committed;
-        self.lsq_used = s.lsq_used;
-        (self.peak_ruu, self.peak_lsq) = s.peak;
-        self.first_waiting = s.first_waiting;
-        self.live_slots = s.live_slots;
-        self.quiet_until = s.quiet_until;
-        self.dispatched_this_cycle = s.dispatched_this_cycle;
-        self.activity = s.activity.clone();
-        self.ruu_meter = s.ruu_meter;
-        self.lsq_meter = s.lsq_meter;
-    }
-
     /// Advances to the next cycle.
     pub fn advance(&mut self) {
         self.cycle += 1;
@@ -1728,6 +1658,53 @@ mod tests {
         next_cycle(&mut core);
         assert_eq!(core.try_dispatch(store), DispatchOutcome::Stalled);
         assert_eq!(core.peak_occupancy(), (4, 4));
+    }
+
+    /// A core that replays a stretch another core simulated from the
+    /// same empty state ends with the same counters and goes on alike;
+    /// the stretch's peaks stay with the caller.
+    #[test]
+    fn replay_adds_what_a_stretch_added() {
+        let cfg = small_cfg();
+        let load = MemKind::Load { latency: 30 };
+        let stretch = |core: &mut Core| {
+            dists(core, InstrClass::IntDiv, [0, 0], [0, 0]);
+            core.try_dispatch_dists(
+                InstrClass::Load.index(),
+                [1, 0],
+                [0, 0],
+                Some(load),
+                false,
+                false,
+            );
+            dists(core, InstrClass::IntAlu, [1, 0], [0, 0]);
+            run_empty(core);
+        };
+        let (mut a, mut b) = (Core::new(&cfg), Core::new(&cfg));
+        stretch(&mut a);
+        stretch(&mut b);
+        assert_eq!(a.take_peak_occupancy(), (2, 0));
+        b.take_peak_occupancy();
+        let before = a.counters();
+        stretch(&mut a);
+        let mut d = a.counters();
+        for (d, b) in d.iter_mut().zip(before) {
+            *d -= b;
+        }
+        assert_eq!((d[1], a.take_peak_occupancy()), (3, (2, 0)));
+        b.replay(&d);
+        assert_eq!(b.counters(), a.counters());
+        assert_eq!(b.peak_occupancy(), (0, 0));
+        for core in [&mut a, &mut b] {
+            assert_eq!(
+                dists(core, InstrClass::IntAlu, [2, 0], [0, 0]),
+                DispatchOutcome::Dispatched(6)
+            );
+            run_empty(core);
+        }
+        assert_eq!(a.counters(), b.counters());
+        let (a, b) = (a.finish(), b.finish());
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -43,7 +43,7 @@ mod result;
 
 pub use activity::{ActivityCounters, Unit, UnitActivity};
 pub use backend::{
-    BranchResolution, Core, CoreScratch, CoreSnapshot, DispatchInstr, DispatchOutcome, MemKind,
+    BranchResolution, Core, CoreScratch, DispatchInstr, DispatchOutcome, MemKind, CORE_COUNTERS,
 };
 pub use config::{FuConfig, LatencyConfig, MachineConfig};
 pub use exec::ExecSim;

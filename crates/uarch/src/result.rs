@@ -32,6 +32,18 @@ impl OccupancyMeter {
         self.samples += n;
     }
 
+    /// Records `n` samples that sum to `sum`.
+    #[inline]
+    pub fn add(&mut self, sum: u64, n: u64) {
+        self.sum += sum;
+        self.samples += n;
+    }
+
+    /// Sum of all samples.
+    pub fn sum(&self) -> u64 {
+        self.sum
+    }
+
     /// Mean occupancy over all sampled cycles (`0.0` with no samples).
     pub fn mean(&self) -> f64 {
         if self.samples == 0 {
