@@ -4,10 +4,12 @@
 # so CI can never disagree with a developer box: if `./ci.sh` passes
 # locally, the workflow's check jobs pass too.
 #
-#   ./ci.sh            # everything (fmt, clippy, build, test, asm,
-#                      # smoke, dse, load, perfbench)
+#   ./ci.sh            # everything (fmt, clippy, doc, build, test,
+#                      # asm, smoke, dse, load, perfbench)
 #   ./ci.sh fmt        # rustfmt, check only
 #   ./ci.sh clippy     # clippy, warnings are errors
+#   ./ci.sh doc        # rustdoc for every crate, warnings are errors
+#                      # (broken or private intra-doc links)
 #   ./ci.sh build      # release build, all targets
 #   ./ci.sh test       # full test suite (includes the journal
 #                      # SIGKILL-and-resume drill against the real
@@ -68,6 +70,11 @@ do_clippy() {
   cargo clippy --all-targets -- -D warnings
 }
 
+do_doc() {
+  stage "cargo doc --no-deps --workspace (warnings are errors)"
+  RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+}
+
 do_build() {
   stage "cargo build --release"
   cargo build --release
@@ -79,9 +86,9 @@ do_test() {
 }
 
 do_smoke() {
-  # (The service and fleet are checked end to end by the test suite —
-  # loopback, fleet_chaos, and shutdown_ack and journal_chaos against
-  # the real binary — and by the load and perfbench stages.)
+  # (The service and the gateway are checked end to end by the test
+  # suite — loopback, fleet_chaos, and shutdown_ack and journal_chaos
+  # against the real binary — and by the load and perfbench stages.)
   #
   # Thread-scaling smoke over the quick §4.6 grid at 2 threads:
   # asserts byte-identity across thread counts and (on multi-core
@@ -280,6 +287,7 @@ do_deep() {
 case "${1:-all}" in
   fmt)    do_fmt ;;
   clippy) do_clippy ;;
+  doc)    do_doc ;;
   build)  do_build ;;
   test)   do_test ;;
   smoke)  do_smoke ;;
@@ -291,6 +299,7 @@ case "${1:-all}" in
   all)
     do_fmt
     do_clippy
+    do_doc
     do_build
     do_test
     do_asm
@@ -301,7 +310,7 @@ case "${1:-all}" in
     stage "all stages passed"
     ;;
   *)
-    echo "usage: ./ci.sh [fmt|clippy|build|test|smoke|asm|dse|load|perfbench|deep|all]" >&2
+    echo "usage: ./ci.sh [fmt|clippy|doc|build|test|smoke|asm|dse|load|perfbench|deep|all]" >&2
     exit 2
     ;;
 esac

@@ -138,7 +138,8 @@ fn profile_aggregate(p: &StatisticalProfile) -> Aggregate {
 
 /// Compares a synthetic trace against the profile that generated it.
 ///
-/// See the [module docs](self) for intent and an example.
+/// Reports how far the trace's instruction mix, branch behaviour,
+/// locality rates and dependency-distance moments are from the profile's.
 pub fn validate_trace(profile: &StatisticalProfile, trace: &SyntheticTrace) -> TraceValidation {
     let agg = profile_aggregate(profile);
     let n = trace.len().max(1) as f64;

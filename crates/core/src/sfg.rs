@@ -65,7 +65,7 @@ impl Gram {
         Gram(1)
     }
 
-    /// Packs a history of up to [`MAX_K`] blocks, oldest first.
+    /// Packs a history of up to `MAX_K` (3) blocks, oldest first.
     ///
     /// # Panics
     ///

@@ -438,7 +438,7 @@ fn check_in_order(
 /// at seed 1 and width 2, a 12-entry LSQ first fills once 84% of the
 /// trace has committed, and a 96-entry RUU never fills.
 #[test]
-fn resume_from_a_late_full_lsq_stall() {
+fn replays_segments_before_a_late_full_lsq_stall() {
     let [_, bzip2_p] = reuse_profiles();
     check_in_order(
         &bzip2_p.compile(REUSE_R),
@@ -455,7 +455,7 @@ fn resume_from_a_late_full_lsq_stall() {
 /// between the two runs, so the sequence numbers a replay moves on must
 /// land anywhere in them.
 #[test]
-fn resume_from_a_late_full_ruu_stall() {
+fn replays_segments_before_a_late_full_ruu_stall() {
     let [_, bzip2_p] = reuse_profiles();
     check_in_order(
         &bzip2_p.compile(REUSE_R),
@@ -471,7 +471,7 @@ fn resume_from_a_late_full_ruu_stall() {
 /// first fills at 83% of the trace; the point with a 32-entry RUU and
 /// an 8-entry LSQ replays only segments in which neither filled.
 #[test]
-fn resume_refuses_a_record_after_the_ruu_filled() {
+fn replay_skips_segments_in_which_the_ruu_filled() {
     let [gcc_p, _] = reuse_profiles();
     check_in_order(&gcc_p.compile(REUSE_R), 1, 2, &[(24, 4), (32, 8)], "gcc");
 }
@@ -480,7 +480,7 @@ fn resume_refuses_a_record_after_the_ruu_filled() {
 /// point replays both kinds: the 24-entry LSQ run replays segments of
 /// the 12-entry and of the 16-entry run.
 #[test]
-fn resume_from_a_resumed_run() {
+fn replays_segments_of_a_run_that_replayed() {
     let [_, bzip2_p] = reuse_profiles();
     check_in_order(
         &bzip2_p.compile(REUSE_R),

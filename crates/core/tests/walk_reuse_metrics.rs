@@ -200,7 +200,7 @@ fn capacity_reuse_counts_points_and_runs_no_driver() {
 /// the one `fused_equivalence.rs` checks for results (bzip2 at seed 1,
 /// width 2).
 #[test]
-fn resumed_points_count_only_what_they_simulate() {
+fn replaying_points_count_only_what_they_simulate() {
     let _serial = serial();
     ssim_obs::force_enable();
     let w = ssim_workloads::by_name("bzip2").expect("suite workload");

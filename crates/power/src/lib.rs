@@ -13,7 +13,7 @@
 //!   analytic array/logic scaling formulas (monotone in structure
 //!   sizes, the property the Table 4 power-trend experiments rely on);
 //! * [`PowerModel::evaluate`] folds the per-unit
-//!   [`ActivityCounters`](ssim_uarch::ActivityCounters) gathered by
+//!   [`ActivityCounters`] gathered by
 //!   either simulator through the `cc3` rule into a
 //!   [`PowerBreakdown`].
 //!

@@ -86,7 +86,7 @@ impl Client {
     /// (`None` waits forever, the default).
     ///
     /// After a timeout the stream may still deliver the late response,
-    /// so callers that enforce deadlines (the fleet coordinator) drop
+    /// so callers that enforce deadlines (the gateway's forwards) drop
     /// the connection and reconnect rather than resynchronize.
     ///
     /// # Errors

@@ -24,9 +24,9 @@
 //! The optional `@SEED` suffix seeds the plan's RNG (default 0). Two
 //! servers given the same plan draw the same decision stream; the
 //! per-request decisions are drawn from one shared seeded generator, so
-//! a run is reproducible up to request arrival order — and the fleet's
-//! determinism guarantee never depends on *which* requests get hit,
-//! only on every point eventually being answered somewhere.
+//! a run is reproducible up to request arrival order — and a gateway
+//! sweep's determinism guarantee never depends on *which* requests get
+//! hit, only on every point eventually being answered somewhere.
 //!
 //! `shutdown` requests are exempt: a chaos run must still be able to
 //! stop its servers deterministically.

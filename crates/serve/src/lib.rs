@@ -36,11 +36,6 @@
 //!   `(profile hash, machine fingerprint, R, seed)`.
 //! * **Client** ([`client`]): blocking client with pipelining and a
 //!   backpressure-aware retry helper.
-//! * **Fleet** ([`fleet`]): client-side coordinator sharding a sweep's
-//!   design points across N backends with health probes, capped
-//!   exponential backoff + jitter and work-stealing reassignment —
-//!   output merged by design-point index, so a fleet run is
-//!   byte-identical to a single-backend run.
 //! * **Fault injection** ([`fault`]): a seeded, deterministic
 //!   `SSIM_FAULT_PLAN` layer (drops, delays, backpressure rejects) so
 //!   chaos tests are reproducible.
@@ -48,9 +43,12 @@
 //!   (checksummed NDJSON, fsync before ack, torn-tail truncation on
 //!   replay) — a SIGKILLed server resumes incomplete jobs on restart
 //!   and never re-acks lost work.
-//! * **Gateway** ([`gateway`]): the fleet coordinator as a server-side
-//!   endpoint — clients speak the ordinary protocol to one address and
-//!   sharding, health tracking and retries happen behind it.
+//! * **Gateway** ([`gateway`]): one address in front of several
+//!   backends. Single requests round-robin with failover, `sweep`s shard
+//!   point by point across every backend through the same forwarding
+//!   path, and one table of dead marks decides for both which backends
+//!   to skip. Sweep results merge by design-point index, so a sharded
+//!   sweep is byte-identical to a single-backend one.
 //!
 //! Results served over the wire are **byte-identical** to direct
 //! library calls: traces come from the compiled sampler (itself
@@ -61,7 +59,6 @@
 pub mod artifacts;
 pub mod client;
 pub mod fault;
-pub mod fleet;
 mod frontend;
 pub mod gateway;
 pub mod journal;
@@ -72,7 +69,6 @@ pub mod server;
 pub use artifacts::{program_hash, program_name};
 pub use client::{Client, Response, StreamedSweep};
 pub use fault::FaultPlan;
-pub use fleet::{Fleet, FleetConfig, SweepOutcome, SweepSpec};
 pub use gateway::{Gateway, GatewayConfig};
 pub use journal::{Journal, Record};
 pub use proto::{sweep_digest, MachineSpec, PointResult, ProfileParams, Request};

@@ -216,7 +216,7 @@ impl MachineSpec {
     }
 
     /// Checks that the resolved machine is one a worker can simulate:
-    /// no queue over [`MAX_QUEUE_ENTRIES`], no width over [`MAX_WIDTH`],
+    /// no queue over `MAX_QUEUE_ENTRIES`, no width over `MAX_WIDTH`,
     /// and an LSQ no larger than the RUU. Every size is positive by
     /// parsing, so [`MachineConfig::validate`] then holds.
     pub fn check(&self) -> Result<(), String> {
@@ -690,7 +690,7 @@ pub(crate) fn sweep_payload(
 /// `(cycles, instructions, ipc bits)` per point, in result order. The
 /// `cached` flag is deliberately excluded — cache hits and placement
 /// history must never change what a sweep computed, so a streamed,
-/// resumed, or fleet-sharded run digests identically to a cold
+/// resumed, or gateway-sharded run digests identically to a cold
 /// single-server run.
 pub fn sweep_digest(points: &[PointResult]) -> u64 {
     use std::hash::Hasher;

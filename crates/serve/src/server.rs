@@ -425,7 +425,7 @@ impl Backend {
     /// connection and its frames fall on the floor, which is fine — the
     /// durable artifact is the final payload. The payload carries an
     /// order-sensitive digest so any re-assembly of the points —
-    /// streamed, resumed, fleet-sharded — can be verified against the
+    /// streamed, resumed, gateway-sharded — can be verified against the
     /// blocking result.
     fn sweep_core(&self, env: &Envelope, out: &Out) -> Result<Vec<(&'static str, Json)>, String> {
         let (Request::Sweep {
@@ -577,8 +577,8 @@ impl Service for Backend {
 
     fn worker(&self) {}
 
-    /// A delay stalls this connection only — the fleet sees it as a slow
-    /// backend — and composes with the decision drawn after it.
+    /// A delay stalls this connection only — a gateway sees it as a
+    /// slow backend — and composes with the decision drawn after it.
     fn delay(&self, env: &Envelope) -> Option<Duration> {
         self.fault(env).and_then(FaultInjector::delay)
     }

@@ -5,8 +5,8 @@
 //! order, so a one-worker backend walks about once per seed. Walks are
 //! counted as `walk_reuse_metrics.rs` counts them, one `synth.time`
 //! span each. The same binary pins the two stops a sweep checks before
-//! every point (its deadline, its client hanging up) and the gateway's
-//! answer to a forward that timed out.
+//! every point (its deadline, its client hanging up), the gateway's
+//! answer to a forward that timed out, and a gateway sweep's deadline.
 //!
 //! The observability registry is process-global, so the tests take
 //! turns ([`serial`]) and each reads the counters it needs before and
@@ -21,6 +21,7 @@ use ssim_serve::{
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::{Mutex, MutexGuard, Once};
+use std::time::{Duration, Instant};
 
 #[path = "../../../tests/util/mod.rs"]
 mod util;
@@ -321,4 +322,42 @@ fn a_gateway_answers_a_timed_out_forward_without_resending_it() {
     gateway.stop();
     gateway.join();
     backends.into_iter().for_each(shut_down);
+}
+
+#[test]
+fn a_gateway_sweep_answers_by_its_deadline_while_a_backend_stalls() {
+    let _serial = serial();
+    let backend = Server::start(ServerConfig {
+        fault: Some(FaultPlan::parse("delay:3000ms").unwrap()),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let gateway = Gateway::start(GatewayConfig {
+        backends: vec![backend.addr().to_string()],
+        ..GatewayConfig::default()
+    })
+    .unwrap();
+    let mut cl = Client::connect(gateway.addr()).unwrap();
+    let sweep = Request::Sweep {
+        profile: profile(),
+        machines: distinct_machines()[..4].to_vec(),
+        r: 10,
+        seeds: vec![1, 2],
+    };
+
+    let started = Instant::now();
+    let resp = cl.call(&sweep, Some(200)).unwrap();
+    let took = started.elapsed();
+    assert!(!resp.ok, "a sweep finished on a backend that stalls 3 s");
+    assert_eq!(
+        resp.error.as_deref(),
+        Some("sweep timed out after 200 ms with 8 of 8 points outstanding")
+    );
+    assert!(
+        took < Duration::from_millis(1500),
+        "a 200 ms sweep answered after {took:?}"
+    );
+    gateway.stop();
+    gateway.join();
+    shut_down(backend);
 }

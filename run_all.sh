@@ -13,10 +13,11 @@ DEEP=0
 if [ "${1:-}" = "--deep" ]; then DEEP=1; shift; fi
 mkdir -p results
 # Gate through the shared CI script (the same stages the workflow
-# runs): rustfmt-clean, clippy-clean, release build — before any
-# experiment budget is spent.
+# runs): rustfmt-clean, clippy-clean, rustdoc-clean, release build —
+# before any experiment budget is spent.
 ./ci.sh fmt || exit 1
 ./ci.sh clippy || exit 1
+./ci.sh doc || exit 1
 ./ci.sh build || exit 1
 # Assembler front-end gate: corpus assembles + halts through the CLI,
 # native workloads re-emit to identical streams, parser fuzz smoke.
