@@ -5,7 +5,7 @@
 # locally, the workflow's check jobs pass too.
 #
 #   ./ci.sh            # everything (fmt, clippy, doc, build, test,
-#                      # asm, smoke, dse, load, perfbench)
+#                      # asm, smoke, load, perfbench)
 #   ./ci.sh fmt        # rustfmt, check only
 #   ./ci.sh clippy     # clippy, warnings are errors
 #   ./ci.sh doc        # rustdoc for every crate, warnings are errors
@@ -20,8 +20,6 @@
 #   ./ci.sh asm        # assembler front-end: corpus assembles through
 #                      # the real CLI, native workloads re-emit to
 #                      # identical streams, parser fuzz smoke
-#   ./ci.sh dse        # surrogate-guided planner vs exhaustive truth
-#                      # on the real §4.6 space (SSIM_QUICK)
 #   ./ci.sh load       # loadgen chaos gate: open-loop load through a
 #                      # gateway over fault-injecting backends, then
 #                      # straight at one backend; zero lost/duplicated
@@ -36,7 +34,7 @@
 #                      # backend)
 #
 # No stage writes into the tree: the bins that write a ledger
-# (scaling, dse, loadgen) run in a temporary directory, and each
+# (scaling, loadgen) run in a temporary directory, and each
 # ledger they write is copied to target/ci-results/. The committed
 # results/BENCH_*.json come from ./run_all.sh.
 set -euo pipefail
@@ -185,15 +183,6 @@ do_asm() {
   cargo test --release -q -p ssim-asm --test fuzz
 }
 
-do_dse() {
-  # Surrogate-guided DSE planner against exhaustive ground truth on the
-  # real §4.6 space: asserts the budget, Pareto-gap, stratum-error and
-  # byte-determinism gates internally, and writes
-  # target/ci-results/BENCH_dse.json.
-  stage "dse (planner vs exhaustive, quick space)"
-  SSIM_QUICK=1 bench_bin dse BENCH_dse.json
-}
-
 # Waits for a server's --port-file, or fails.
 wait_port() {
   for _ in $(seq 1 300); do [ -f "$1" ] && return 0; sleep 0.1; done
@@ -292,7 +281,6 @@ case "${1:-all}" in
   test)   do_test ;;
   smoke)  do_smoke ;;
   asm)    do_asm ;;
-  dse)    do_dse ;;
   load)   do_load ;;
   perfbench) do_perfbench ;;
   deep)   do_deep ;;
@@ -304,13 +292,12 @@ case "${1:-all}" in
     do_test
     do_asm
     do_smoke
-    do_dse
     do_load
     do_perfbench
     stage "all stages passed"
     ;;
   *)
-    echo "usage: ./ci.sh [fmt|clippy|doc|build|test|smoke|asm|dse|load|perfbench|deep|all]" >&2
+    echo "usage: ./ci.sh [fmt|clippy|doc|build|test|smoke|asm|load|perfbench|deep|all]" >&2
     exit 2
     ;;
 esac

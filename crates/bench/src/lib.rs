@@ -19,10 +19,8 @@
 use ssim::prelude::*;
 use ssim::workloads::Workload;
 
-pub mod dsebench;
 pub mod profile_cache;
 
-pub use dsebench::{measure_dse, sec46_space, DseBench, SynthDse};
 pub use profile_cache::{cache_enabled, cache_stats, profile_cached, profile_cached_keyed};
 pub use ssim_obs as obs;
 pub use ssim_par::{available_parallelism, num_threads, par_map, par_map_with};
@@ -144,9 +142,11 @@ pub const DEFAULT_R: u64 = 15;
 /// with the paper's LSQ ≤ RUU constraint: 999 machine configurations
 /// in full mode, 296 in quick mode (widths pruned to {2, 8}).
 ///
-/// Shared by `sec46_design_space`, the `scaling` bin, and the DSE
-/// planner's real-space phase, so "the §4.6 sweep" means the same
-/// point set everywhere it is measured.
+/// Shared by `sec46_design_space`, the `scaling` bin and the
+/// repository benchmark (`perfbench/`), so "the §4.6 sweep" means the
+/// same point set everywhere it is measured. It is the one description
+/// of the §4.6 space, and simulating every point of it is the
+/// design-space path (DESIGN §12).
 pub fn sec46_grid(quick: bool) -> Vec<MachineConfig> {
     let base = MachineConfig::baseline();
     let ruus: &[usize] = &[8, 16, 32, 48, 64, 96, 128];

@@ -44,11 +44,11 @@ fn ledger_citations(text: &str) -> Vec<&str> {
 
 #[test]
 fn citation_scanner_finds_file_names_only() {
-    let text = "see `results/BENCH_load.json` (`p99_us`), BENCH_dse.json. \
+    let text = "see `results/BENCH_load.json` (`p99_us`), BENCH_scaling.json. \
                 Upload results/BENCH_*.json; BENCH_ alone is no file.";
     assert_eq!(
         ledger_citations(text),
-        vec!["BENCH_load.json", "BENCH_dse.json"]
+        vec!["BENCH_load.json", "BENCH_scaling.json"]
     );
 }
 

@@ -237,7 +237,12 @@ impl StatisticalProfile {
         let mut sfg = Sfg::new(k);
         let n_nodes = r_u64(reader)?;
         for _ in 0..n_nodes {
-            let gram = r_u128(reader)?;
+            let gram = Gram::from_raw(r_u128(reader)?);
+            // `save` writes each node once; a repeated gram would add
+            // its occurrences onto the first one's, unchecked.
+            if sfg.nodes().contains_key(&gram) {
+                return Err(bad("duplicate SFG node"));
+            }
             let occurrence = r_u64(reader)?;
             let n_edges = r_u32(reader)?;
             // Cap the preallocation: `n_edges` is untrusted input, and
@@ -256,7 +261,7 @@ impl StatisticalProfile {
             if total != occurrence {
                 return Err(bad("node occurrence does not match edge counts"));
             }
-            sfg.import_node(Gram::from_raw(gram), occurrence, edges);
+            sfg.import_node(gram, occurrence, edges);
         }
 
         let mut contexts = crate::fxhash::FxHashMap::default();

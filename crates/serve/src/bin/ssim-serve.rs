@@ -196,7 +196,8 @@ fn cmd_client(args: &[String]) -> i32 {
         json => json.to_string(),
     };
     // Parse through the envelope grammar client-side so typos fail
-    // with a local error instead of a round trip.
+    // with a local error instead of a round trip. The envelope's
+    // `deadline_ms` and `job` travel with the request.
     let body = match Json::parse(&line) {
         Ok(v) => v,
         Err(e) => {
@@ -204,14 +205,14 @@ fn cmd_client(args: &[String]) -> i32 {
             return 2;
         }
     };
-    let req = {
+    let env = {
         // Wrap with a throwaway id so Envelope::parse can validate.
         let mut pairs = vec![("id".to_string(), Json::Num(1.0))];
         if let Json::Obj(p) = body {
             pairs.extend(p.into_iter().filter(|(k, _)| k != "id"));
         }
         match ssim_serve::proto::Envelope::parse(&Json::Obj(pairs).render()) {
-            Ok(env) => env.req,
+            Ok(env) => env,
             Err(e) => {
                 eprintln!("bad request: {e}");
                 return 2;
@@ -225,7 +226,7 @@ fn cmd_client(args: &[String]) -> i32 {
             return 1;
         }
     };
-    match client.call_retry(&req, None, 10) {
+    match client.call_job_retry(&env.req, env.deadline_ms, env.job.as_deref(), 10) {
         Ok(resp) => {
             println!("{}", resp.body.render());
             i32::from(!resp.ok)

@@ -168,7 +168,18 @@ impl Client {
     /// Propagates transport errors; protocol-level failures come back
     /// as `ok == false` responses, not `Err`.
     pub fn call(&mut self, req: &Request, deadline_ms: Option<u64>) -> std::io::Result<Response> {
-        let id = self.submit(req, deadline_ms)?;
+        self.call_job(req, deadline_ms, None)
+    }
+
+    /// [`Client::call`] with an optional journal idempotency key (see
+    /// [`Client::submit_job`]).
+    fn call_job(
+        &mut self,
+        req: &Request,
+        deadline_ms: Option<u64>,
+        job: Option<&str>,
+    ) -> std::io::Result<Response> {
+        let id = self.submit_job(req, deadline_ms, job)?;
         let resp = self.recv()?;
         if resp.id != id {
             return Err(std::io::Error::new(
@@ -193,9 +204,26 @@ impl Client {
         deadline_ms: Option<u64>,
         max_retries: u32,
     ) -> std::io::Result<Response> {
+        self.call_job_retry(req, deadline_ms, None, max_retries)
+    }
+
+    /// [`Client::call_retry`] with an optional journal idempotency key
+    /// (see [`Client::submit_job`]); every resubmission carries the
+    /// same key and deadline.
+    ///
+    /// # Errors
+    ///
+    /// As [`Client::call_retry`].
+    pub fn call_job_retry(
+        &mut self,
+        req: &Request,
+        deadline_ms: Option<u64>,
+        job: Option<&str>,
+        max_retries: u32,
+    ) -> std::io::Result<Response> {
         let mut attempts = 0;
         loop {
-            let resp = self.call(req, deadline_ms)?;
+            let resp = self.call_job(req, deadline_ms, job)?;
             if !resp.is_backpressure() || attempts >= max_retries {
                 return Ok(resp);
             }

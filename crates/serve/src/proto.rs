@@ -49,8 +49,8 @@
 //! Machine configurations travel as *override objects* applied to the
 //! paper's Table 2 baseline (`{"width", "window", "ifq", "in_order",
 //! "perfect_caches", "perfect_bpred"}` plus the fine-grained `{"ruu",
-//! "lsq", "decode", "issue", "commit"}` the design-space planner
-//! submits), which covers every sweep the experiment suite runs while
+//! "lsq", "decode", "issue", "commit"}` that name a §4.6 grid point),
+//! which covers every sweep the experiment suite runs while
 //! keeping the wire format small; the full resolved `MachineConfig`
 //! participates in result-cache keys via its `Debug` fingerprint, so
 //! distinct overrides can never alias.
@@ -110,9 +110,9 @@ impl ProfileParams {
 ///
 /// The coarse knobs (`width`, `window`) set several fields at once via
 /// the paper's conventions; the fine-grained knobs (`ruu`, `lsq`,
-/// `decode`, `issue`, `commit`) pin single fields and are what the
-/// §4.6 design-space planner submits — its grid decouples RUU from LSQ
-/// and the three widths from each other. Fine-grained overrides are
+/// `decode`, `issue`, `commit`) pin single fields and are what a §4.6
+/// grid point needs — the grid decouples RUU from LSQ and the three
+/// widths from each other. Fine-grained overrides are
 /// applied *after* the coarse ones, so `{window: 64, lsq: 16}` means
 /// "RUU 64 with the LSQ pinned to 16", not the §4.5 half-window LSQ.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -215,31 +215,12 @@ impl MachineSpec {
         Json::obj(pairs)
     }
 
-    /// Checks that the resolved machine is one a worker can simulate:
-    /// no queue over `MAX_QUEUE_ENTRIES`, no width over `MAX_WIDTH`,
-    /// and an LSQ no larger than the RUU. Every size is positive by
-    /// parsing, so [`MachineConfig::validate`] then holds.
+    /// Checks that the resolved machine is one a worker can simulate
+    /// ([`MachineConfig::check`]: no queue over 4,096 entries, no width
+    /// over 64, and an LSQ no larger than the RUU). Every size is
+    /// positive by parsing.
     pub fn check(&self) -> Result<(), String> {
-        let cfg = self.resolve();
-        for (name, v, max) in [
-            ("RUU", cfg.ruu_size, MAX_QUEUE_ENTRIES),
-            ("LSQ", cfg.lsq_size, MAX_QUEUE_ENTRIES),
-            ("IFQ", cfg.ifq_size, MAX_QUEUE_ENTRIES),
-            ("decode width", cfg.decode_width, MAX_WIDTH),
-            ("issue width", cfg.issue_width, MAX_WIDTH),
-            ("commit width", cfg.commit_width, MAX_WIDTH),
-        ] {
-            if v > max {
-                return Err(format!("machine {name} {v} is over the limit of {max}"));
-            }
-        }
-        if cfg.lsq_size > cfg.ruu_size {
-            return Err(format!(
-                "machine LSQ {} may not exceed the RUU {}",
-                cfg.lsq_size, cfg.ruu_size
-            ));
-        }
-        Ok(())
+        self.resolve().check()
     }
 
     /// Resolves the overrides against the Table 2 baseline.
@@ -375,14 +356,6 @@ pub struct Envelope {
 /// cap could name over 10^13 points, and the server reserves a result
 /// for each before it first checks the deadline.
 const MAX_SWEEP_POINTS: usize = 65_536;
-
-/// Most entries a requested RUU, LSQ or IFQ may have. The §4.6 grid
-/// tops out at a 128-entry RUU, and the core sizes its window arrays
-/// from the RUU, so an unbounded size could ask for terabytes.
-const MAX_QUEUE_ENTRIES: usize = 4096;
-
-/// Widest decode, issue or commit stage a request may ask for.
-const MAX_WIDTH: usize = 64;
 
 /// Parses one machine override object and checks it (see
 /// [`MachineSpec::check`]).

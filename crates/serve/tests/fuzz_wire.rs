@@ -12,6 +12,12 @@
 //! * **mutated corpus** — valid request lines of every `kind` and valid
 //!   backend replies, with seeded byte flips, truncations and splices.
 //!
+//! A journaled server reads its journal back on start through
+//! [`replay_bytes`], and parses each accepted request with
+//! [`Envelope::parse`]. Journals get the same mutations, and so do
+//! record bodies re-framed under a valid checksum, which is what
+//! reaches the record decoder past the checksum.
+//!
 //! A counting global allocator records the largest single allocation
 //! each thread makes, and every input must stay under
 //! [`alloc_cap`] of its length. Separate cases pin that a 1 MiB string
@@ -22,11 +28,14 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
+use ssim::core::FxHasher;
+use ssim_serve::journal::{render_line, replay_bytes, Record};
 use ssim_serve::json::Json;
 use ssim_serve::proto::{err_response, ok_response, point_frame, Envelope};
 use ssim_serve::{sweep_digest, MachineSpec, PointResult, ProfileParams, Request};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::hash::Hasher;
 use std::time::{Duration, Instant};
 
 /// The system allocator, noting the largest single request each thread
@@ -94,6 +103,37 @@ fn feed(line: &str) {
         largest <= alloc_cap(line.len()),
         "a {}-byte line made a {largest}-byte allocation",
         line.len()
+    );
+}
+
+/// Replays `bytes` as a journal, then parses each accepted request as
+/// a restarting server does. Replay must keep a prefix of whole lines
+/// with one record each; a panic or an allocation over [`alloc_cap`]
+/// fails the case.
+fn feed_journal(bytes: &[u8]) {
+    LARGEST.with(|m| m.set(0));
+    let (records, valid) = replay_bytes(bytes);
+    assert!(valid <= bytes.len());
+    assert!(
+        valid == 0 || bytes[valid - 1] == b'\n',
+        "replay kept a torn line"
+    );
+    let lines = bytes[..valid].iter().filter(|&&b| b == b'\n').count();
+    assert_eq!(
+        records.len(),
+        lines,
+        "replay kept a line without its record"
+    );
+    for rec in &records {
+        if let Record::Accepted { request, .. } = rec {
+            let _ = Envelope::parse(&request.render());
+        }
+    }
+    let largest = LARGEST.with(Cell::get);
+    assert!(
+        largest <= alloc_cap(bytes.len()),
+        "a {}-byte journal made a {largest}-byte allocation",
+        bytes.len()
     );
 }
 
@@ -290,6 +330,64 @@ fn corpus() -> Vec<String> {
     lines
 }
 
+/// Journal records: an `accepted` record for each request line of the
+/// corpus, stored as a server stores it (id 0, the job key in the
+/// envelope), and `completed` records with an object and an error
+/// payload.
+fn journal_records() -> Vec<Record> {
+    let corpus = corpus();
+    let mut records: Vec<Record> = corpus[..10]
+        .iter()
+        .enumerate()
+        .map(|(i, line)| {
+            let job = format!("job-{i}");
+            let env = Envelope::parse(line).unwrap();
+            let stored = Envelope {
+                id: 0,
+                deadline_ms: None,
+                job: Some(job.clone()),
+                req: env.req,
+            };
+            Record::Accepted {
+                job,
+                request: Json::parse(&stored.render()).unwrap(),
+            }
+        })
+        .collect();
+    records.push(Record::Completed {
+        job: "job-0".to_string(),
+        ok: true,
+        payload: Json::parse(&corpus[12]).unwrap(),
+    });
+    records.push(Record::Completed {
+        job: "job-1".to_string(),
+        ok: false,
+        payload: Json::str("unknown workload \"nope\""),
+    });
+    records
+}
+
+/// Whole journals: every record, the first three, and every record
+/// followed by a torn half of one more.
+fn journal_corpus() -> Vec<String> {
+    let lines: Vec<String> = journal_records().iter().map(render_line).collect();
+    let full = lines.concat();
+    let last = &lines[lines.len() - 1];
+    vec![
+        full.clone(),
+        lines[..3].concat(),
+        full + &last[..last.len() / 2],
+    ]
+}
+
+/// One journal line for `body` under a valid checksum, as
+/// `journal::render_line` frames a record.
+fn framed(body: &str) -> String {
+    let mut h = FxHasher::default();
+    h.write(body.as_bytes());
+    format!("{:016x} {body}\n", h.finish())
+}
+
 /// Applies one seeded mutation to a line.
 fn mutate(line: &str, corpus: &[String], rng: &mut TestRng) -> String {
     let mut bytes = line.as_bytes().to_vec();
@@ -349,6 +447,58 @@ proptest! {
         }
         feed(&line);
     }
+
+    /// Journals: whole journals lightly damaged, or a valid journal
+    /// prefix followed by one damaged record body under a valid
+    /// checksum.
+    #[test]
+    fn mutated_journals_never_panic(seed in any::<u64>()) {
+        let journals = journal_corpus();
+        let mut rng = TestRng::from_seed(seed);
+        let journal = if rng.below(2) == 0 {
+            let mut text = journals[rng.below(journals.len() as u64) as usize].clone();
+            for _ in 0..=rng.below(3) {
+                text = mutate(&text, &journals, &mut rng);
+            }
+            text
+        } else {
+            let records = journal_records();
+            let lines: Vec<String> = records.iter().map(render_line).collect();
+            let keep = rng.below(lines.len() as u64 + 1) as usize;
+            let mut body = records[rng.below(records.len() as u64) as usize].to_json().render();
+            for _ in 0..=rng.below(3) {
+                body = mutate(&body, &corpus(), &mut rng);
+            }
+            lines[..keep].concat() + &framed(&body)
+        };
+        feed_journal(journal.as_bytes());
+    }
+}
+
+/// Every corpus journal replays whole but for its torn tail, so the
+/// mutations start from journals the decoder reads to the end.
+#[test]
+fn the_journal_corpus_replays() {
+    let records = journal_records();
+    let journals = journal_corpus();
+    let (all, valid) = replay_bytes(journals[0].as_bytes());
+    assert_eq!((all, valid), (records.clone(), journals[0].len()));
+    assert_eq!(replay_bytes(journals[1].as_bytes()).0, records[..3]);
+    let (torn, valid) = replay_bytes(journals[2].as_bytes());
+    assert_eq!((torn, valid), (records, journals[0].len()));
+    for journal in &journals {
+        feed_journal(journal.as_bytes());
+    }
+    for rec in &journal_records()[..10] {
+        let Record::Accepted { request, .. } = rec else {
+            unreachable!("the first ten records are accepted ones")
+        };
+        Envelope::parse(&request.render()).unwrap();
+    }
+    assert_eq!(
+        render_line(&journal_records()[0]),
+        framed(&journal_records()[0].to_json().render())
+    );
 }
 
 /// Every corpus line decodes as what it is, so the mutations start from

@@ -116,6 +116,7 @@ fn machine_from(args: &[String]) -> Result<MachineConfig, String> {
     if has_flag(args, "--in-order") {
         machine = machine.in_order();
     }
+    machine.check()?;
     Ok(machine)
 }
 
@@ -262,6 +263,14 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
     let p = load_profile(positional(args)?)?;
     let ruus = parse_list(&opt(args, "--ruu")?.unwrap_or_else(|| "16,32,64,128".into()))?;
     let widths = parse_list(&opt(args, "--width")?.unwrap_or_else(|| "2,4,8".into()))?;
+    let mut grid = Vec::new();
+    for &ruu in &ruus {
+        for &width in &widths {
+            let cfg = MachineConfig::baseline().with_window(ruu).with_width(width);
+            cfg.check()?;
+            grid.push((ruu, width, cfg));
+        }
+    }
     let trace = p.generate(15, 1);
     if trace.is_empty() {
         return Err("profile too small to generate a trace".into());
@@ -271,23 +280,20 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
         "RUU", "width", "IPC", "EPC", "EDP"
     );
     let mut best: Option<(f64, usize, usize)> = None;
-    for &ruu in &ruus {
-        for &width in &widths {
-            let cfg = MachineConfig::baseline().with_window(ruu).with_width(width);
-            let res = simulate_trace(&trace, &cfg);
-            let power = PowerModel::new(&cfg).evaluate(&res.activity);
-            let edp = power.edp(res.ipc().max(1e-9));
-            println!(
-                "{:>6} {:>6} {:>8.3} {:>9.2} {:>9.2}",
-                ruu,
-                width,
-                res.ipc(),
-                power.epc(),
-                edp
-            );
-            if best.is_none() || edp < best.unwrap().0 {
-                best = Some((edp, ruu, width));
-            }
+    for (ruu, width, cfg) in grid {
+        let res = simulate_trace(&trace, &cfg);
+        let power = PowerModel::new(&cfg).evaluate(&res.activity);
+        let edp = power.edp(res.ipc().max(1e-9));
+        println!(
+            "{:>6} {:>6} {:>8.3} {:>9.2} {:>9.2}",
+            ruu,
+            width,
+            res.ipc(),
+            power.epc(),
+            edp
+        );
+        if best.is_none() || edp < best.unwrap().0 {
+            best = Some((edp, ruu, width));
         }
     }
     let (edp, ruu, width) = best.ok_or("empty design space")?;

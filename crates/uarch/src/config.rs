@@ -128,6 +128,14 @@ pub struct MachineConfig {
     pub model_anti_deps: bool,
 }
 
+/// Most entries an RUU, LSQ or IFQ may have. The §4.6 grid tops out at
+/// a 128-entry RUU, and the core sizes its window arrays from the RUU,
+/// so an unbounded size in a request could ask for terabytes.
+const MAX_QUEUE_ENTRIES: usize = 4096;
+
+/// Widest decode, issue or commit stage a request may ask for.
+const MAX_WIDTH: usize = 64;
+
 impl MachineConfig {
     /// The paper's Table 2 baseline: 8-wide out-of-order core, 32-entry
     /// IFQ, 128-entry RUU, 32-entry LSQ, hybrid predictor, 8 KB/16 KB L1
@@ -190,21 +198,78 @@ impl MachineConfig {
         self
     }
 
-    /// Validates internal consistency.
+    /// Checks that this is a machine the simulators can run: every width
+    /// and structure size positive, no RUU, LSQ or IFQ over 4,096
+    /// entries, no decode, issue or commit width over 64, and an LSQ no
+    /// larger than the RUU (the paper's §4.6 constraint).
+    ///
+    /// # Errors
+    ///
+    /// Names the first field that breaks a bound, with its value.
+    pub fn check(&self) -> Result<(), String> {
+        match self.broken_rule(true) {
+            None => Ok(()),
+            Some((_, error)) => Err(error),
+        }
+    }
+
+    /// Validates internal consistency: the rules of
+    /// [`MachineConfig::check`] but its size limits, which bound the
+    /// machines a request or a command line may ask for, not what the
+    /// simulators can run.
     ///
     /// # Panics
     ///
-    /// Panics if any width or structure size is zero, or if the LSQ is
-    /// larger than the RUU (the paper's §4.6 constraint).
+    /// Panics if a width or size is zero or the LSQ is larger than the
+    /// RUU, with the rule the machine breaks and the check's error.
     pub fn validate(&self) {
-        assert!(self.decode_width > 0, "decode width must be positive");
-        assert!(self.issue_width > 0, "issue width must be positive");
-        assert!(self.commit_width > 0, "commit width must be positive");
-        assert!(self.fetch_speed > 0, "fetch speed must be positive");
-        assert!(self.ifq_size > 0, "IFQ must be positive");
-        assert!(self.ruu_size > 0, "RUU must be positive");
-        assert!(self.lsq_size > 0, "LSQ must be positive");
-        assert!(self.lsq_size <= self.ruu_size, "LSQ may not exceed the RUU");
+        if let Some((rule, error)) = self.broken_rule(false) {
+            panic!("{rule}: {error}");
+        }
+    }
+
+    /// The first rule this machine breaks (the size limits only if
+    /// `limits`): the rule, and an error that names the field and its
+    /// value.
+    fn broken_rule(&self, limits: bool) -> Option<(&'static str, String)> {
+        for (name, v) in [
+            ("decode width", self.decode_width),
+            ("issue width", self.issue_width),
+            ("commit width", self.commit_width),
+            ("fetch speed", self.fetch_speed),
+            ("IFQ", self.ifq_size),
+            ("RUU", self.ruu_size),
+            ("LSQ", self.lsq_size),
+        ] {
+            if v == 0 {
+                let rule = "every width and size must be positive";
+                return Some((rule, format!("{name} must be positive")));
+            }
+        }
+        for (name, v, max) in [
+            ("RUU", self.ruu_size, MAX_QUEUE_ENTRIES),
+            ("LSQ", self.lsq_size, MAX_QUEUE_ENTRIES),
+            ("IFQ", self.ifq_size, MAX_QUEUE_ENTRIES),
+            ("decode width", self.decode_width, MAX_WIDTH),
+            ("issue width", self.issue_width, MAX_WIDTH),
+            ("commit width", self.commit_width, MAX_WIDTH),
+        ] {
+            if limits && v > max {
+                let rule = "no queue or width may be over its limit";
+                return Some((
+                    rule,
+                    format!("machine {name} {v} is over the limit of {max}"),
+                ));
+            }
+        }
+        if self.lsq_size > self.ruu_size {
+            let error = format!(
+                "machine LSQ {} may not exceed the RUU {}",
+                self.lsq_size, self.ruu_size
+            );
+            return Some(("LSQ may not exceed the RUU", error));
+        }
+        None
     }
 }
 
@@ -243,6 +308,32 @@ mod tests {
         assert_eq!(c.commit_width, 4);
         assert_eq!(c.ifq_size, 8);
         c.validate();
+    }
+
+    #[test]
+    fn check_names_the_broken_bound() {
+        let c = MachineConfig::baseline();
+        assert_eq!(c.check(), Ok(()));
+        assert_eq!(
+            c.clone().with_window(0).check(),
+            Err("RUU must be positive".to_string())
+        );
+        assert_eq!(
+            c.clone().with_width(0).check(),
+            Err("decode width must be positive".to_string())
+        );
+        assert_eq!(
+            c.clone().with_window(8192).check(),
+            Err("machine RUU 8192 is over the limit of 4096".to_string())
+        );
+        assert_eq!(
+            c.clone().with_width(65).check(),
+            Err("machine decode width 65 is over the limit of 64".to_string())
+        );
+        let edge = c.clone().with_window(4096).with_width(64).with_ifq(4096);
+        assert_eq!(edge.check(), Ok(()));
+        // The limits bound requests, not the simulators.
+        c.with_window(8192).validate();
     }
 
     #[test]

@@ -24,15 +24,21 @@ mkdir -p results
 ./ci.sh asm || exit 1
 # Every exhibit run emits machine-readable pipeline metrics by default
 # (results/METRICS_<bin>.json); export SSIM_METRICS=0 to opt out. The
-# timed runs (dse, scaling) always run with metrics off, so recording
-# never shows in a committed timing. (Arguments after the bin name are
-# env assignments; a later one wins.)
+# timed run (scaling) always runs with metrics off, so recording never
+# shows in a committed timing. (Arguments after the bin name are env
+# assignments; a later one wins.)
 SSIM_METRICS="${SSIM_METRICS:-json}"
+# An exhibit is its bin's stdout alone. Its stderr (the metrics report
+# or the path of the metrics file, and cargo's own messages) goes to
+# target/run_all/<bin>.stderr, so rerunning an unchanged exhibit
+# rewrites results/<bin>.txt byte for byte.
+mkdir -p target/run_all
 run() {
   b="$1"; shift
   echo "[$(date +%H:%M:%S)] running $b"
-  env SSIM_METRICS="$SSIM_METRICS" "$@" cargo run --release -q -p ssim-bench --bin "$b" > "results/$b.txt" 2>&1 \
-    || { echo "$b FAILED (see results/$b.txt)"; exit 1; }
+  env SSIM_METRICS="$SSIM_METRICS" "$@" cargo run --release -q -p ssim-bench --bin "$b" \
+    > "results/$b.txt" 2> "target/run_all/$b.stderr" \
+    || { echo "$b FAILED (see target/run_all/$b.stderr)"; exit 1; }
 }
 run table1_baseline_ipc       SSIM_EDS_INSTR=1500000
 run fig3_branch_mpki          SSIM_PROFILE_INSTR=2000000 SSIM_EDS_INSTR=1500000
@@ -60,10 +66,6 @@ cp target/ci-results/BENCH_load.json results/
 # output digests): its self-tests run short sweep, study and serve
 # runs checked against the digests.
 ./ci.sh perfbench || exit 1
-# Surrogate-guided design-space planner vs exhaustive truth on the
-# full 999-point §4.6 space (./ci.sh dse runs the quick space); writes
-# results/BENCH_dse.json.
-run dse                       SSIM_METRICS=0
 # Thread-scaling curve over the quick §4.6 grid (byte-identity across
 # thread counts asserted; speedup gate enforced on multi-core hosts);
 # writes results/BENCH_scaling.json.

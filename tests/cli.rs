@@ -82,3 +82,41 @@ fn missing_arguments_are_reported() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown workload"));
 }
+
+/// A machine the simulators cannot run is an error, not a panic or an
+/// unbounded allocation: every width and window is positive, no window
+/// is over 4,096 entries and no width over 64.
+#[test]
+fn out_of_bounds_machines_are_errors() {
+    let dir = std::env::temp_dir().join(format!("ssim-cli-bounds-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let prf = dir.join("gzip.prf");
+    let prf_s = prf.to_str().unwrap();
+    let out = ssim(&[
+        "profile", "gzip", "-o", prf_s, "--instr", "50000", "--skip", "0",
+    ]);
+    assert!(
+        out.status.success(),
+        "profile failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    for args in [
+        &["simulate", prf_s, "--ruu", "0"][..],
+        &["simulate", prf_s, "--width", "0"],
+        &["simulate", prf_s, "--ruu", "100000000"],
+        &["simulate", prf_s, "--width", "65"],
+        &["explore", prf_s, "--ruu", "0"],
+        &["explore", prf_s, "--width", "2,100"],
+    ] {
+        let out = ssim(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} succeeded");
+        assert!(
+            stderr.lines().any(|l| l.starts_with("error: ")),
+            "{args:?} printed no error line: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

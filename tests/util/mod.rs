@@ -2,11 +2,10 @@
 //!
 //! Timing discipline: tests never sleep for a fixed interval and hope —
 //! they poll an observable condition with [`wait_until`] under one
-//! configurable budget, and long generative suites pace themselves with
-//! [`deadline`]/[`expired`]. `SSIM_TEST_TIMEOUT_MS` scales every
-//! deadline in the workspace at once (slow CI runners raise it; the
-//! default is generous on purpose because it is a *ceiling*, not a
-//! wait — polling returns the moment the condition holds). The
+//! configurable budget. `SSIM_TEST_TIMEOUT_MS` scales every deadline in
+//! the workspace at once (slow CI runners raise it; the default is
+//! generous on purpose because it is a *ceiling*, not a wait — polling
+//! returns the moment the condition holds). The
 //! `flake_guard` test in `crates/serve/tests` enforces the discipline
 //! mechanically over every test source in the workspace.
 //!
@@ -44,18 +43,4 @@ pub fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
         );
         std::thread::sleep(Duration::from_millis(2));
     }
-}
-
-/// A deadline `frac` of the way through the [`timeout_ms`] budget,
-/// measured from now. Generative tests (property suites over planner
-/// runs, fuzz-ish loops) check it between cases so a slow runner sheds
-/// coverage instead of timing out — each case stays deterministic, only
-/// the case *count* adapts.
-pub fn deadline(frac: f64) -> Instant {
-    Instant::now() + Duration::from_millis((timeout_ms() as f64 * frac) as u64)
-}
-
-/// Whether a [`deadline`] has passed.
-pub fn expired(d: Instant) -> bool {
-    Instant::now() >= d
 }
