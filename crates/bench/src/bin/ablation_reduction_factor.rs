@@ -69,11 +69,13 @@ fn main() {
         print!(" {:>9}", l / n.max(1));
     }
     println!();
-    print!("{:<10} {:>9}", "avg sim s", "");
+    // Wall time goes to stderr, so the exhibit depends only on its
+    // budgets; the `avg trace` row above is the cost in instructions.
+    eprint!("{:<10} {:>9}", "avg sim s", "");
     for t in &times {
-        print!(" {:>9.3}", t / n.max(1) as f64);
+        eprint!(" {:>9.3}", t / n.max(1) as f64);
     }
-    println!();
+    eprintln!();
     println!();
     println!("expectation: error grows slowly with R while cost drops linearly —");
     println!("the paper's 'orders of magnitude faster at a few percent error' claim");

@@ -25,10 +25,11 @@ fn main() {
     for a in 1..=assocs {
         print!(" {:>8}", format!("{a}-way"));
     }
-    println!(" {:>8}", "pass(s)");
+    println!();
 
     // One functional pass per workload, all passes in parallel; rows
-    // come back in workload order.
+    // come back in workload order. Each pass's wall time goes to
+    // stderr, so the exhibit depends only on its budget.
     let rows = par_map(&workloads(), |w| {
         let program = w.program();
         // 16KB L1D geometry from Table 2: 32B blocks; the set count of
@@ -55,11 +56,11 @@ fn main() {
         for a in 1..=assocs {
             row.push_str(&format!(" {:>7.2}%", sweep.miss_rate(a) * 100.0));
         }
-        row.push_str(&format!(" {:>8.2}", t0.elapsed().as_secs_f64()));
-        row
+        (row, t0.elapsed().as_secs_f64())
     });
-    for row in rows {
+    for (w, (row, secs)) in workloads().iter().zip(rows) {
         println!("{row}");
+        eprintln!("{:<10} pass {secs:.2} s", w.name());
     }
     println!();
     println!("one functional pass per workload yields every associativity's miss rate;");

@@ -29,16 +29,20 @@ mkdir -p results
 # assignments; a later one wins.)
 SSIM_METRICS="${SSIM_METRICS:-json}"
 # An exhibit is its bin's stdout alone. Its stderr (the metrics report
-# or the path of the metrics file, and cargo's own messages) goes to
-# target/run_all/<bin>.stderr, so rerunning an unchanged exhibit
-# rewrites results/<bin>.txt byte for byte.
+# or the path of the metrics file, wall times, and cargo's own
+# messages) goes to target/run_all/<bin>.stderr, so rerunning an
+# unchanged exhibit rewrites results/<bin>.txt byte for byte. The
+# stdout lands in target/run_all/<bin>.txt and moves into results/
+# only when the bin exits 0, so a failed run keeps the committed
+# exhibit and a missing bin leaves no file.
 mkdir -p target/run_all
 run() {
   b="$1"; shift
   echo "[$(date +%H:%M:%S)] running $b"
   env SSIM_METRICS="$SSIM_METRICS" "$@" cargo run --release -q -p ssim-bench --bin "$b" \
-    > "results/$b.txt" 2> "target/run_all/$b.stderr" \
+    > "target/run_all/$b.txt" 2> "target/run_all/$b.stderr" \
     || { echo "$b FAILED (see target/run_all/$b.stderr)"; exit 1; }
+  mv "target/run_all/$b.txt" "results/$b.txt"
 }
 run table1_baseline_ipc       SSIM_EDS_INSTR=1500000
 run fig3_branch_mpki          SSIM_PROFILE_INSTR=2000000 SSIM_EDS_INSTR=1500000
