@@ -184,7 +184,10 @@ fn experiments_quotes_its_exhibits_verbatim() {
             }
         }
     }
-    assert!(checked > 0, "no quoted exhibit figures found — scan broken?");
+    assert!(
+        checked > 0,
+        "no quoted exhibit figures found — scan broken?"
+    );
     assert!(
         missing.is_empty(),
         "EXPERIMENTS.md quotes figures its cited exhibit does not print: {} — \

@@ -89,7 +89,7 @@ fn profile_cache_hit_is_byte_identical() {
     // And it drives identical downstream results.
     let machine = MachineConfig::baseline();
     let (ta, tb) = (fresh.generate(15, 7), cached.generate(15, 7));
-    assert_eq!(ta.instrs(), tb.instrs());
+    assert_eq!(ta, tb);
     let (ra, rb) = (simulate_trace(&ta, &machine), simulate_trace(&tb, &machine));
     assert_eq!((ra.cycles, ra.instructions), (rb.cycles, rb.instructions));
 

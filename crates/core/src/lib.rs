@@ -27,7 +27,7 @@
 //!    into dense tables (interned `u32` node ids, CSR edges, Fenwick
 //!    start-node selection, flat cumulative histograms) and walked in
 //!    O(log n) per draw, byte-identical to the reference interpreter
-//!    ([`StatisticalProfile::generate_reference`]).
+//!    kept in the equivalence tests.
 //! 3. **Synthetic trace simulation** ([`simulate_trace`]) — the trace
 //!    drives the same out-of-order pipeline backend as the reference
 //!    execution-driven simulator (`ssim_uarch::Core`), modeling

@@ -1,12 +1,13 @@
 //! Compiled sampling engine: the §2.2 random walk lowered to dense
 //! tables.
 //!
-//! [`StatisticalProfile::generate_reference`] interprets the reduced
-//! SFG on every call: each walk step probes an `FxHashMap<Gram, _>`,
-//! every restart rescans the node set, and every distribution draw
-//! walks a `BTreeMap`. Synthetic trace generation is the per-design-
-//! point inner loop of the methodology, so this module compiles a
-//! `(profile, r)` pair **once** into flat arrays and replays them:
+//! Interpreting the reduced SFG directly costs a hash-map probe per
+//! walk step, a rescan of the node set per restart and a `BTreeMap`
+//! walk per distribution draw — the shape of the reference interpreter
+//! the equivalence tests keep (`tests/support/reference.rs`). Synthetic
+//! trace generation is the per-design-point inner loop of the
+//! methodology, so this module compiles a `(profile, r)` pair **once**
+//! into flat arrays and replays them:
 //!
 //! * **Gram interning** — the reduced node set is sorted and each gram
 //!   gets a dense `u32` id; the walk becomes array indexing. Edges are
@@ -21,19 +22,19 @@
 //!   to a [`CompiledHistogram`] whose CDF inversion is bit-identical to
 //!   `Histogram::sample_with` (see `ssim-stats`).
 //!
-//! The compiled walk consumes the seeded RNG in exactly the sequence
-//! the interpreter does, so traces are **byte-identical** for every
-//! `(r, seed)` — pinned by the equivalence tests in
-//! `tests/compiled_equivalence.rs`. The artifact borrows nothing from
-//! the profile and is `Sync`, so one lowering serves the multi-seed
-//! convergence runs of §4.1 and parallel design sweeps.
+//! The walk emits straight into a [`SyntheticTrace`]'s packed words,
+//! the format the trace simulator reads. It consumes the seeded RNG in
+//! exactly the sequence the interpreter does, so traces are
+//! **byte-identical** for every `(r, seed)` — pinned by the
+//! equivalence tests in `tests/compiled_equivalence.rs`. The artifact
+//! borrows nothing from the profile and is `Sync`, so one lowering
+//! serves the multi-seed convergence runs of §4.1 and parallel design
+//! sweeps.
 
 use crate::fxhash::FxHashMap;
 use crate::sfg::{BranchCtxStats, ContextStats, StatisticalProfile};
 use crate::synth::{
     BranchFlags, DataFlags, SyntheticInstr, SyntheticOutcome, SyntheticTrace, WalkReport,
-    OBS_DEP_CLAMPED, OBS_DEP_RETRIES_EXHAUSTED, OBS_GENERATE_TIME, OBS_INSTRS_EMITTED,
-    OBS_NODES_DROPPED, OBS_REDUCED_NODES, OBS_WALK_RESTARTS, OBS_WALK_STEPS,
 };
 use crate::{DEP_RETRIES, MAX_DEP_DISTANCE};
 use rand::rngs::SmallRng;
@@ -42,6 +43,18 @@ use ssim_isa::InstrClass;
 use ssim_stats::CompiledHistogram;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+// Observability (all no-ops unless SSIM_METRICS enables recording).
+// Walk totals accumulate in locals and flush once per walk; only the
+// rare clamp/retry events record inline.
+static OBS_GENERATE_TIME: ssim_obs::TimerStat = ssim_obs::TimerStat::new("synth.time");
+static OBS_WALK_STEPS: ssim_obs::Counter = ssim_obs::Counter::new("synth.walk_steps");
+static OBS_WALK_RESTARTS: ssim_obs::Counter = ssim_obs::Counter::new("synth.walk_restarts");
+static OBS_INSTRS_EMITTED: ssim_obs::Counter = ssim_obs::Counter::new("synth.instrs_emitted");
+static OBS_NODES_DROPPED: ssim_obs::Counter = ssim_obs::Counter::new("synth.nodes_dropped_empty");
+static OBS_REDUCED_NODES: ssim_obs::Gauge = ssim_obs::Gauge::new("synth.reduced_nodes");
+static OBS_DEP_CLAMPED: ssim_obs::Counter = ssim_obs::Counter::new("synth.dep_clamped_512");
+static OBS_DEP_RETRIES_EXHAUSTED: ssim_obs::Counter =
+    ssim_obs::Counter::new("synth.dep_retries_exhausted");
 static OBS_COMPILE_TIME: ssim_obs::TimerStat = ssim_obs::TimerStat::new("sampler.compile_time");
 static OBS_TABLE_NODES: ssim_obs::Gauge = ssim_obs::Gauge::new("sampler.nodes");
 static OBS_TABLE_EDGES: ssim_obs::Gauge = ssim_obs::Gauge::new("sampler.edges");
@@ -212,9 +225,6 @@ fn pick_edge(edges: &[CompiledEdge], point: u64) -> usize {
 struct CompiledSlot {
     class: InstrClass,
     src_count: u8,
-    /// Precomputed `class.has_dest()` (1/0), pushed into the walk's
-    /// sideband producer index.
-    has_dest: u8,
     dep: [CompiledHistogram; 2],
     waw: CompiledHistogram,
     war: CompiledHistogram,
@@ -260,6 +270,9 @@ struct MacroOp {
 }
 
 impl MacroOp {
+    /// Set for a class that defines a register. The walk's producer
+    /// probe reads the trace word instead, but the bit stays part of
+    /// the layout [`CompiledSampler::lowering_digest`] hashes.
     const HAS_DEST: u32 = 1 << 6;
     const DEP0: u32 = 1 << 7;
     const DEP1: u32 = 1 << 8;
@@ -270,7 +283,7 @@ impl MacroOp {
     fn lower(slot: &CompiledSlot) -> Self {
         let mut word = slot.class.index() as u32;
         word |= u32::from(slot.src_count.min(2)) << 4;
-        if slot.has_dest != 0 {
+        if slot.class.has_dest() {
             word |= Self::HAS_DEST;
         }
         if !slot.dep[0].is_empty() {
@@ -303,10 +316,6 @@ impl MacroOp {
         ((self.word >> 4) & 0x3) as usize
     }
     #[inline]
-    fn has_dest_byte(self) -> u8 {
-        u8::from(self.word & Self::HAS_DEST != 0)
-    }
-    #[inline]
     fn dep_nonempty(self, p: usize) -> bool {
         self.word & (Self::DEP0 << p) != 0
     }
@@ -328,48 +337,6 @@ impl MacroOp {
     }
 }
 
-/// Where emitted instructions go: a materialising sink (building a
-/// [`SyntheticTrace`]) or the simulation engine's packed-word buffer.
-/// Positions are trace indices; `has_dest_at` serves the
-/// dependency-retry probe, which looks at most [`MAX_DEP_DISTANCE`]
-/// instructions back.
-///
-/// Routing both paths through one walk and emit implementation is what
-/// makes the fused engine bit-identical by construction: there is a
-/// single RNG consumption order.
-pub(crate) trait EmitSink {
-    /// Total instructions emitted so far (the trace length).
-    fn len(&self) -> usize;
-    /// Whether the instruction at trace position `idx` defines a
-    /// register.
-    fn has_dest_at(&self, idx: usize) -> bool;
-    /// Appends one instruction.
-    fn push(&mut self, instr: SyntheticInstr, has_dest: u8);
-}
-
-/// [`EmitSink`] that materialises a [`SyntheticTrace`] plus the
-/// sideband producer-index bytes.
-struct TraceSink<'t> {
-    trace: &'t mut SyntheticTrace,
-    has_dest: &'t mut Vec<u8>,
-}
-
-impl EmitSink for TraceSink<'_> {
-    #[inline]
-    fn len(&self) -> usize {
-        self.trace.instrs.len()
-    }
-    #[inline]
-    fn has_dest_at(&self, idx: usize) -> bool {
-        self.has_dest[idx] != 0
-    }
-    #[inline]
-    fn push(&mut self, instr: SyntheticInstr, has_dest: u8) {
-        self.trace.instrs.push(instr);
-        self.has_dest.push(has_dest);
-    }
-}
-
 impl CompiledContext {
     fn lower(stats: &ContextStats) -> Self {
         let slots = stats
@@ -378,7 +345,6 @@ impl CompiledContext {
             .map(|s| CompiledSlot {
                 class: s.class,
                 src_count: s.src_count,
-                has_dest: u8::from(s.class.has_dest()),
                 dep: [s.dep[0].compile(), s.dep[1].compile()],
                 waw: s.waw.compile(),
                 war: s.war.compile(),
@@ -421,7 +387,7 @@ impl CompiledContext {
 /// let sampler = p.compile(100); // lower once ...
 /// for seed in 0..10 {
 ///     let trace = sampler.generate(seed); // ... walk many times
-///     assert_eq!(trace.instrs(), p.generate(100, seed).instrs());
+///     assert_eq!(trace, p.generate(100, seed));
 /// }
 /// ```
 #[derive(Debug, Clone)]
@@ -656,16 +622,16 @@ impl CompiledSampler {
         }
     }
 
-    /// Walks the compiled tables without emitting instructions — the
-    /// compiled half of the walk-subsystem comparison.
+    /// Walks the compiled tables without emitting instructions.
     ///
     /// The RNG stream is start draw + one edge draw per step (no
     /// per-instruction draws), so the visited node sequence differs
     /// from [`CompiledSampler::generate`]'s; what it matches exactly —
-    /// steps, restarts and budget-trajectory checksum — is
-    /// [`StatisticalProfile::walk_reference`] on the `(r, seed)` this
-    /// artifact was lowered for. Unlike the interpreter, each call pays
-    /// no reduction: the walk runs straight off the reusable tables.
+    /// steps, restarts and budget-trajectory checksum — is the
+    /// equivalence tests' reference interpreter walking the same
+    /// `(r, seed)` without emission. The step count depends on the
+    /// reduced SFG alone: Σ⌊M_i/r⌋ over the nodes with an edge into the
+    /// reduced set, whatever the seed.
     pub fn walk(&self, seed: u64) -> WalkReport {
         self.run_walk(seed, |_, _| {})
     }
@@ -673,37 +639,28 @@ impl CompiledSampler {
     /// Generates one synthetic trace by random-walking the compiled
     /// tables (steps 2–9 of §2.2).
     ///
-    /// Byte-identical to
-    /// [`StatisticalProfile::generate_reference`] for the same
-    /// `(r, seed)`: the walk draws from the seeded RNG in exactly the
-    /// interpreter's sequence and inverts the same CDFs. The fused
-    /// generate-and-simulate engine runs the same walk into its own
-    /// sink, so the two paths cannot drift.
+    /// Byte-identical to the equivalence tests' reference interpreter
+    /// for the same `(r, seed)`: the walk draws from the seeded RNG in
+    /// exactly the interpreter's sequence and inverts the same CDFs.
+    /// The fused generate-and-simulate engine runs the same walk into
+    /// its own trace, so the two paths cannot drift.
     pub fn generate(&self, seed: u64) -> SyntheticTrace {
-        let mut trace = SyntheticTrace::default();
-        trace.instrs.reserve(self.instr_hint);
-        // Sideband producer index: one byte per emitted instruction
-        // (`class.has_dest()`), so dependency-retry probes stay cache-
-        // resident instead of striding the 48-byte instruction records.
-        let mut has_dest: Vec<u8> = Vec::with_capacity(self.instr_hint);
-        let mut sink = TraceSink {
-            trace: &mut trace,
-            has_dest: &mut has_dest,
-        };
-        self.emit_walk(seed, &mut sink);
+        let mut trace = SyntheticTrace::with_capacity(self.instr_hint);
+        self.emit_walk(seed, &mut trace);
         trace
     }
 
-    /// Runs the §2.2 walk for `seed` to completion, emitting every
-    /// traversed edge's block into `sink` — the one generation loop
-    /// behind [`CompiledSampler::generate`] and the fused engine.
+    /// Runs the §2.2 walk for `seed` to completion, appending every
+    /// traversed edge's block to the empty `trace` — the one generation
+    /// loop behind [`CompiledSampler::generate`] and the fused engine.
     /// Timed by the `synth.time` observability timer.
-    pub(crate) fn emit_walk<S: EmitSink>(&self, seed: u64, sink: &mut S) {
+    pub(crate) fn emit_walk(&self, seed: u64, trace: &mut SyntheticTrace) {
+        debug_assert!(trace.is_empty());
         let _span = OBS_GENERATE_TIME.span();
-        let report = self.run_walk(seed, |edge, rng| self.emit_ctx(edge.ctx, sink, rng));
+        let report = self.run_walk(seed, |edge, rng| self.emit_ctx(edge.ctx, trace, rng));
         OBS_WALK_STEPS.add(report.steps);
         OBS_WALK_RESTARTS.add(report.restarts);
-        OBS_INSTRS_EMITTED.add(sink.len() as u64);
+        OBS_INSTRS_EMITTED.add(trace.len() as u64);
     }
 
     /// The random walk of §2.2 over the compiled tables, run to
@@ -810,16 +767,16 @@ impl CompiledSampler {
         h.finish()
     }
 
-    /// Emits the block attached to edge-context `ctx_id` into `sink`
+    /// Appends the block attached to edge-context `ctx_id` to `trace`
     /// ([`NO_CONTEXT`] emits nothing, mirroring the interpreter's miss).
     #[inline]
-    fn emit_ctx<S: EmitSink>(&self, ctx_id: u32, sink: &mut S, rng: &mut SmallRng) {
+    fn emit_ctx(&self, ctx_id: u32, trace: &mut SyntheticTrace, rng: &mut SmallRng) {
         let Some(ctx) = self.contexts.get(ctx_id as usize) else {
             return;
         };
         let start = self.macro_start[ctx_id as usize] as usize;
         let ops = &self.macro_ops[start..start + ctx.slots.len()];
-        ctx.emit_into(ops, sink, rng);
+        ctx.emit_into(ops, trace, rng);
     }
 }
 
@@ -831,12 +788,13 @@ impl CompiledContext {
     /// `ops` holds this context's pre-decoded slot templates; the fat
     /// [`CompiledSlot`] records are dereferenced only when a template
     /// flag says a histogram has mass to draw from.
-    fn emit_into<S: EmitSink>(&self, ops: &[MacroOp], sink: &mut S, rng: &mut SmallRng) {
+    fn emit_into(&self, ops: &[MacroOp], trace: &mut SyntheticTrace, rng: &mut SmallRng) {
         let nslots = ops.len();
         // One quantile per block occurrence, shared by every operand's
         // first draw: within one dynamic block, dependency distances
-        // co-vary, and comonotonic sampling preserves that correlation
-        // (see `emit_block` in `synth.rs`).
+        // co-vary (they all measure "how far back did the previous
+        // work happen"), and comonotonic sampling preserves that
+        // correlation instead of entangling independent chains.
         let u_block: f64 = rng.gen();
         for (s, op) in ops.iter().enumerate() {
             let mut instr = SyntheticInstr {
@@ -895,15 +853,13 @@ impl CompiledContext {
                         OBS_DEP_CLAMPED.inc();
                     }
                     let d = d.min(MAX_DEP_DISTANCE);
-                    let pos = sink.len();
+                    let pos = trace.len();
                     match pos.checked_sub(d as usize) {
                         Some(src) => {
                             // Producer must define a register (not a
-                            // branch or store). The sink answers from a
-                            // one-byte-per-instruction sideband index,
-                            // so the probe stays in cache instead of
-                            // touching the 48-byte instruction records.
-                            if sink.has_dest_at(src) {
+                            // branch or store): the producer's word
+                            // answers from its class bits.
+                            if trace.has_dest_at(src) {
                                 chosen = Some(d);
                                 exhausted = false;
                                 break;
@@ -956,7 +912,7 @@ impl CompiledContext {
                     instr.branch = Some(BranchFlags { taken, outcome });
                 }
             }
-            sink.push(instr, op.has_dest_byte()); // step 8
+            trace.push(instr); // step 8
         }
     }
 }

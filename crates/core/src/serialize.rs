@@ -374,7 +374,7 @@ mod tests {
         assert_eq!(q.branch_mpki(), p.branch_mpki());
         // The ultimate test: both generate identical synthetic traces.
         let (a, b) = (p.generate(10, 9), q.generate(10, 9));
-        assert_eq!(a.instrs(), b.instrs());
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -406,7 +406,7 @@ mod tests {
             Err(_) => {}
             Ok(q) => {
                 let (a, b) = (p.generate(10, 1), q.generate(10, 1));
-                assert_ne!(a.instrs(), b.instrs(), "corruption silently ignored");
+                assert_ne!(a, b, "corruption silently ignored");
             }
         }
     }

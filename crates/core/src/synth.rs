@@ -1,29 +1,9 @@
-//! Synthetic trace generation (§2.2 of the paper).
+//! The synthetic trace (§2.2 of the paper): the generator's output and
+//! the trace simulator's input, one packed 64-bit word per instruction.
 
-use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::sfg::{BlockId, Gram, StatisticalProfile};
-use crate::{DEP_RETRIES, MAX_DEP_DISTANCE};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use crate::sfg::StatisticalProfile;
+use crate::MAX_DEP_DISTANCE;
 use ssim_isa::InstrClass;
-
-// Observability (all no-ops unless SSIM_METRICS enables recording).
-// Walk totals accumulate in locals and flush once per generate() call;
-// only the rare clamp/retry events record inline. Shared with the
-// compiled walk in `sampler.rs` so both paths report under one name.
-pub(crate) static OBS_GENERATE_TIME: ssim_obs::TimerStat = ssim_obs::TimerStat::new("synth.time");
-pub(crate) static OBS_WALK_STEPS: ssim_obs::Counter = ssim_obs::Counter::new("synth.walk_steps");
-pub(crate) static OBS_WALK_RESTARTS: ssim_obs::Counter =
-    ssim_obs::Counter::new("synth.walk_restarts");
-pub(crate) static OBS_INSTRS_EMITTED: ssim_obs::Counter =
-    ssim_obs::Counter::new("synth.instrs_emitted");
-pub(crate) static OBS_NODES_DROPPED: ssim_obs::Counter =
-    ssim_obs::Counter::new("synth.nodes_dropped_empty");
-pub(crate) static OBS_REDUCED_NODES: ssim_obs::Gauge = ssim_obs::Gauge::new("synth.reduced_nodes");
-pub(crate) static OBS_DEP_CLAMPED: ssim_obs::Counter =
-    ssim_obs::Counter::new("synth.dep_clamped_512");
-pub(crate) static OBS_DEP_RETRIES_EXHAUSTED: ssim_obs::Counter =
-    ssim_obs::Counter::new("synth.dep_retries_exhausted");
 
 /// Pre-assigned branch behaviour of a synthetic control instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,12 +60,14 @@ pub struct SyntheticInstr {
     pub anti_dep: [Option<u32>; 2],
 }
 
-/// A [`SyntheticInstr`] packed into one 64-bit word — the trace
-/// simulator's instruction format.
+/// A [`SyntheticInstr`] packed into one 64-bit word — the one trace
+/// format: [`SyntheticTrace`] stores these words, the walk writes them
+/// and the trace simulator reads them in place.
 ///
-/// The packing is lossless because generation clamps every dependency
-/// distance to [`MAX_DEP_DISTANCE`] (= 512, ten bits) and never emits a
-/// `Some(0)` distance (zero encodes `None`). Layout:
+/// The packing is lossless because every dependency distance is clamped
+/// to `1..=`[`MAX_DEP_DISTANCE`] (= 512, ten bits) first: generation
+/// never emits one outside it, and [`SyntheticTrace::push`] clamps
+/// hand-built ones (zero encodes `None`). Layout:
 ///
 /// | bits  | field                                   |
 /// |-------|-----------------------------------------|
@@ -118,18 +100,30 @@ impl PackedInstr {
     /// taken branch.
     pub(crate) const WRONG_PATH_STOP: u64 = 1 << 52;
 
+    /// Bit `i` set when class `i` defines a register
+    /// ([`InstrClass::has_dest`]); indexed by the word's class bits.
+    const HAS_DEST: u16 = {
+        let mut mask = 0;
+        let mut i = 0;
+        while i < InstrClass::ALL.len() {
+            if InstrClass::ALL[i].has_dest() {
+                mask |= 1 << i;
+            }
+            i += 1;
+        }
+        mask
+    };
+
+    /// Packs `i`, clamping its dependency distances into
+    /// `1..=MAX_DEP_DISTANCE`, the range a ten-bit field represents.
+    #[inline]
     pub(crate) fn pack(i: &SyntheticInstr) -> Self {
-        debug_assert!(i
-            .dep
-            .iter()
-            .chain(&i.anti_dep)
-            .flatten()
-            .all(|&d| (1..=MAX_DEP_DISTANCE).contains(&d)));
+        let dist = |d: Option<u32>| u64::from(d.map_or(0, |d| d.clamp(1, MAX_DEP_DISTANCE)));
         let mut w = i.class.index() as u64;
-        w |= u64::from(i.dep[0].unwrap_or(0)) << 4;
-        w |= u64::from(i.dep[1].unwrap_or(0)) << 14;
-        w |= u64::from(i.anti_dep[0].unwrap_or(0)) << 24;
-        w |= u64::from(i.anti_dep[1].unwrap_or(0)) << 34;
+        w |= dist(i.dep[0]) << 4;
+        w |= dist(i.dep[1]) << 14;
+        w |= dist(i.anti_dep[0]) << 24;
+        w |= dist(i.anti_dep[1]) << 34;
         w |= u64::from(i.l1i_miss) << 44;
         w |= u64::from(i.l2i_miss) << 45;
         w |= u64::from(i.itlb_miss) << 46;
@@ -152,18 +146,6 @@ impl PackedInstr {
         PackedInstr(w)
     }
 
-    /// Packs an arbitrary (possibly hand-built) instruction, clamping
-    /// dependency distances into the `1..=MAX_DEP_DISTANCE` range the
-    /// wire format represents. The generator never emits distances
-    /// outside it, so this only affects traces assembled by hand.
-    pub(crate) fn pack_clamped(i: &SyntheticInstr) -> Self {
-        let clamp = |d: &mut Option<u32>| *d = d.map(|d| d.clamp(1, MAX_DEP_DISTANCE));
-        let mut c = *i;
-        c.dep.iter_mut().for_each(clamp);
-        c.anti_dep.iter_mut().for_each(clamp);
-        Self::pack(&c)
-    }
-
     #[inline]
     fn raw_dist(self, shift: u64) -> u32 {
         ((self.0 >> shift) & Self::DIST_MASK) as u32
@@ -173,6 +155,13 @@ impl PackedInstr {
     #[inline]
     pub(crate) fn class_index(self) -> usize {
         (self.0 & 0xF) as usize
+    }
+
+    /// Whether the instruction defines a register — the producer test
+    /// of the walk's dependency-retry probe.
+    #[inline]
+    fn has_dest(self) -> bool {
+        (Self::HAS_DEST >> self.class_index()) & 1 != 0
     }
 
     /// True-dependency distances, zero for none.
@@ -238,10 +227,9 @@ impl PackedInstr {
         })
     }
 
-    /// Rebuilds the struct form — only the round-trip tests need it;
-    /// the simulator reads fields straight off the word.
-    #[cfg(test)]
-    pub(crate) fn unpack(self) -> SyntheticInstr {
+    /// Rebuilds the struct form; the simulator reads fields straight
+    /// off the word.
+    fn unpack(self) -> SyntheticInstr {
         SyntheticInstr {
             class: InstrClass::ALL[self.class_index()],
             dep: self.dep_raw().map(|d| (d != 0).then_some(d)),
@@ -255,43 +243,78 @@ impl PackedInstr {
     }
 }
 
-/// A statistically generated instruction trace.
+/// A statistically generated instruction trace, stored as one packed
+/// 64-bit word per instruction (8 bytes each, against 44 for a
+/// [`SyntheticInstr`]).
 ///
 /// Produced by [`StatisticalProfile::generate`]; consumed by
-/// [`simulate_trace`](crate::simulate_trace).
-#[derive(Debug, Clone, Default)]
+/// [`simulate_trace`](crate::simulate_trace), which drives the words in
+/// place.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SyntheticTrace {
-    pub(crate) instrs: Vec<SyntheticInstr>,
+    words: Vec<u64>,
 }
 
 impl SyntheticTrace {
-    /// The generated instructions, in trace order.
-    pub fn instrs(&self) -> &[SyntheticInstr] {
-        &self.instrs
+    /// An empty trace with room for `n` instructions.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        SyntheticTrace {
+            words: Vec::with_capacity(n),
+        }
+    }
+
+    /// The instructions, in trace order, unpacked from their words.
+    pub fn instrs(&self) -> impl ExactSizeIterator<Item = SyntheticInstr> + '_ {
+        self.words.iter().map(|&w| PackedInstr(w).unpack())
+    }
+
+    /// The instruction at trace position `i`, if the trace is longer.
+    pub fn get(&self, i: usize) -> Option<SyntheticInstr> {
+        self.words.get(i).map(|&w| PackedInstr(w).unpack())
     }
 
     /// Trace length in instructions.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.instrs.len()
+        self.words.len()
     }
 
     /// Whether the trace is empty.
     pub fn is_empty(&self) -> bool {
-        self.instrs.is_empty()
+        self.words.is_empty()
     }
 
-    /// Appends one instruction (used by alternative workload models
-    /// such as the HLS baseline).
+    /// Appends one instruction (the walk, and alternative workload
+    /// models such as the HLS baseline). Dependency distances are
+    /// clamped into `1..=`[`MAX_DEP_DISTANCE`], the range the trace
+    /// stores; the generator never emits one outside it.
+    #[inline]
     pub fn push(&mut self, instr: SyntheticInstr) {
-        self.instrs.push(instr);
+        self.words.push(PackedInstr::pack(&instr).0);
+    }
+
+    /// The packed words, one per instruction — what the simulator reads.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Whether the instruction at position `i` defines a register.
+    #[inline]
+    pub(crate) fn has_dest_at(&self, i: usize) -> bool {
+        PackedInstr(self.words[i]).has_dest()
+    }
+
+    /// Empties the trace, keeping its allocation.
+    pub(crate) fn clear(&mut self) {
+        self.words.clear();
     }
 }
 
 impl FromIterator<SyntheticInstr> for SyntheticTrace {
     fn from_iter<I: IntoIterator<Item = SyntheticInstr>>(iter: I) -> Self {
-        SyntheticTrace {
-            instrs: iter.into_iter().collect(),
-        }
+        let mut trace = SyntheticTrace::default();
+        iter.into_iter().for_each(|i| trace.push(i));
+        trace
     }
 }
 
@@ -299,13 +322,11 @@ impl FromIterator<SyntheticInstr> for SyntheticTrace {
 /// steps 1-2 loop (start-node selection, occurrence bookkeeping, edge
 /// draws) with instruction emission stubbed out.
 ///
-/// Produced by both [`StatisticalProfile::walk_reference`] (the
-/// interpreter) and [`CompiledSampler::walk`](crate::CompiledSampler::walk)
-/// (the compiled tables); for the same `(r, seed)` the two reports are
-/// equal field for field, which the equivalence tests assert.
-/// `checksum` folds the live budget at every restart, so two walks that
-/// visit different node sequences cannot produce equal reports by
-/// accident.
+/// Produced by [`CompiledSampler::walk`](crate::CompiledSampler::walk);
+/// the reference interpreter in the equivalence tests produces the same
+/// report field for field for the same `(r, seed)`. `checksum` folds the
+/// live budget at every restart, so two walks that visit different node
+/// sequences cannot produce equal reports by accident.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalkReport {
     /// Edges traversed (node occurrences consumed by walking).
@@ -314,26 +335,6 @@ pub struct WalkReport {
     pub restarts: u64,
     /// Budget trajectory fold: `rotate_left(5) ^ budget` per restart.
     pub checksum: u64,
-}
-
-/// One node of the reduced SFG as the reference interpreter sees it:
-/// remaining occurrence plus the cumulative outgoing-edge distribution
-/// (parallel arrays, sorted by block id).
-struct RNode {
-    remaining: u64,
-    targets: Vec<BlockId>,
-    cumulative: Vec<u64>,
-    total: u64,
-}
-
-/// Step-1 output shared by [`StatisticalProfile::generate_reference`]
-/// and [`StatisticalProfile::walk_reference`]: the occurrence-reduced,
-/// edge-pruned SFG, its total occurrence budget, and the sorted gram
-/// list that start-node selection scans.
-struct ReducedSfg {
-    nodes: FxHashMap<Gram, RNode>,
-    budget: u64,
-    start_grams: Vec<Gram>,
 }
 
 impl StatisticalProfile {
@@ -361,397 +362,15 @@ impl StatisticalProfile {
     /// its dense tables; callers that generate many traces from one
     /// `(profile, r)` pair (the §4.1 multi-seed convergence runs, design
     /// sweeps) should call [`StatisticalProfile::compile`] themselves
-    /// and reuse the artifact. The trace is byte-identical to the
-    /// reference interpreter ([`StatisticalProfile::generate_reference`])
-    /// for every `(r, seed)`.
+    /// and reuse the artifact. The equivalence tests hold the trace
+    /// byte-identical to a reference interpreter of the nine steps for
+    /// every `(r, seed)`.
     ///
     /// # Panics
     ///
     /// Panics if `r` is zero.
     pub fn generate(&self, r: u64, seed: u64) -> SyntheticTrace {
         self.compile(r).generate(seed)
-    }
-
-    /// Builds the occurrence-reduced (`N_i = floor(M_i / r)`),
-    /// edge-pruned SFG the interpreter walks — step 1 of §2.2. Shared
-    /// by [`StatisticalProfile::generate_reference`] and
-    /// [`StatisticalProfile::walk_reference`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is zero.
-    fn reduce_sfg(&self, r: u64) -> ReducedSfg {
-        assert!(r > 0, "reduction factor must be positive");
-        let mut reduced: FxHashMap<Gram, RNode> = FxHashMap::default();
-        for (gram, node) in self.sfg.nodes() {
-            let n = node.occurrence / r;
-            if n == 0 {
-                continue;
-            }
-            let mut targets = Vec::with_capacity(node.edges.len());
-            let mut cumulative = Vec::with_capacity(node.edges.len());
-            let mut acc = 0u64;
-            // Deterministic iteration order for reproducibility.
-            let mut edges: Vec<_> = node.edges.iter().collect();
-            edges.sort_unstable_by_key(|(b, _)| **b);
-            for (block, count) in edges {
-                acc += *count;
-                targets.push(*block);
-                cumulative.push(acc);
-            }
-            reduced.insert(
-                *gram,
-                RNode {
-                    remaining: n,
-                    targets,
-                    cumulative,
-                    total: acc,
-                },
-            );
-        }
-        debug_assert_eq!(reduced.len(), self.sfg.reduced_node_count(r));
-        // Remove edges leading to removed nodes (the paper removes all
-        // incoming and outgoing edges of dropped nodes). An edge from
-        // state s labeled b leads to state shift(s, b).
-        let k = self.sfg.k();
-        let live: FxHashSet<Gram> = reduced.keys().copied().collect();
-        for (gram, node) in reduced.iter_mut() {
-            if k == 0 {
-                break; // the k=0 graph has a single node
-            }
-            let mut acc = 0u64;
-            let mut targets = Vec::new();
-            let mut cumulative = Vec::new();
-            let mut prev = 0u64;
-            for (i, block) in node.targets.iter().enumerate() {
-                let count = node.cumulative[i] - prev;
-                prev = node.cumulative[i];
-                if live.contains(&gram.shifted(*block, k)) {
-                    acc += count;
-                    targets.push(*block);
-                    cumulative.push(acc);
-                }
-            }
-            node.targets = targets;
-            node.cumulative = cumulative;
-            node.total = acc;
-        }
-        let budget: u64 = reduced.values().map(|n| n.remaining).sum();
-        // Start-node selection scans grams in sorted order — the same
-        // order the compiled engine's dense ids are assigned in.
-        let start_grams: Vec<Gram> = {
-            let mut g: Vec<_> = reduced.keys().copied().collect();
-            g.sort_unstable();
-            g
-        };
-        ReducedSfg {
-            nodes: reduced,
-            budget,
-            start_grams,
-        }
-    }
-
-    /// Walks the reduced SFG without emitting instructions — the
-    /// interpreter half of the walk-subsystem comparison.
-    ///
-    /// The RNG stream is start draw + one edge draw per step (no
-    /// per-instruction draws), so the visited node sequence differs
-    /// from [`StatisticalProfile::generate_reference`]'s; what it
-    /// matches exactly — steps, restarts and budget-trajectory
-    /// checksum — is [`CompiledSampler::walk`](crate::CompiledSampler::walk)
-    /// on the same `(r, seed)`. Each call pays the full pre-compilation
-    /// cost shape: SFG reduction, per-step hash-map probes and the
-    /// O(nodes) restart scan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is zero.
-    pub fn walk_reference(&self, r: u64, seed: u64) -> WalkReport {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let ReducedSfg {
-            nodes: mut reduced,
-            mut budget,
-            start_grams,
-        } = self.reduce_sfg(r);
-        let mut report = WalkReport::default();
-        if budget == 0 {
-            return report;
-        }
-        let k = self.sfg.k();
-        'walk: loop {
-            report.restarts += 1;
-            report.checksum = report.checksum.rotate_left(5) ^ budget;
-            if budget == 0 {
-                break 'walk;
-            }
-            let mut point = rng.gen_range(0..budget);
-            let mut state = *start_grams.first().expect("non-empty reduced SFG");
-            for g in &start_grams {
-                let rem = reduced[g].remaining;
-                if point < rem {
-                    state = *g;
-                    break;
-                }
-                point -= rem;
-            }
-            loop {
-                let Some(node) = reduced.get_mut(&state) else {
-                    continue 'walk; // walked into a removed node: restart
-                };
-                if node.total == 0 {
-                    budget = budget.saturating_sub(node.remaining);
-                    node.remaining = 0;
-                    if budget == 0 {
-                        break 'walk;
-                    }
-                    continue 'walk;
-                }
-                if node.remaining == 0 {
-                    continue 'walk;
-                }
-                node.remaining -= 1;
-                budget -= 1;
-                report.steps += 1;
-                let point = rng.gen_range(0..node.total);
-                let idx = node.cumulative.partition_point(|&c| c <= point);
-                state = state.shifted(node.targets[idx], k);
-                if budget == 0 {
-                    break 'walk;
-                }
-            }
-        }
-        report
-    }
-
-    /// Reference interpreter for synthetic trace generation: walks the
-    /// reduced SFG through hash-map probes and per-draw histogram scans.
-    ///
-    /// This is the original (pre-compilation) implementation of
-    /// [`StatisticalProfile::generate`], kept as the executable
-    /// specification the compiled engine is tested against — the
-    /// equivalence suite asserts instruction-for-instruction identical
-    /// traces.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is zero.
-    pub fn generate_reference(&self, r: u64, seed: u64) -> SyntheticTrace {
-        assert!(r > 0, "reduction factor must be positive");
-        let _span = OBS_GENERATE_TIME.span();
-        let mut rng = SmallRng::seed_from_u64(seed);
-
-        // ---- step 1: the reduced SFG.
-        let reduced = self.reduce_sfg(r);
-        OBS_NODES_DROPPED.add((self.sfg.nodes().len() - reduced.nodes.len()) as u64);
-        OBS_REDUCED_NODES.set(reduced.nodes.len() as u64);
-        let ReducedSfg {
-            nodes: mut reduced,
-            mut budget,
-            start_grams,
-        } = reduced;
-        if budget == 0 {
-            return SyntheticTrace::default();
-        }
-        let k = self.sfg.k();
-
-        let mut trace = SyntheticTrace::default();
-        let mut walk_steps: u64 = 0;
-        let mut walk_restarts: u64 = 0;
-
-        'walk: loop {
-            walk_restarts += 1;
-            // ---- step 2: pick a start node by remaining occurrence.
-            // `budget` tracks Σ remaining exactly — every decrement
-            // (walk step or dead-end drain) updates both in lockstep —
-            // so no O(nodes) rescan is needed per restart.
-            debug_assert_eq!(
-                budget,
-                reduced.values().map(|n| n.remaining).sum::<u64>(),
-                "walk budget drifted from the per-node remaining sum"
-            );
-            if budget == 0 {
-                break 'walk;
-            }
-            let mut point = rng.gen_range(0..budget);
-            let mut state = *start_grams.first().expect("non-empty reduced SFG");
-            for g in &start_grams {
-                let rem = reduced[g].remaining;
-                if point < rem {
-                    state = *g;
-                    break;
-                }
-                point -= rem;
-            }
-
-            // ---- steps 3-9: walk.
-            loop {
-                let Some(node) = reduced.get_mut(&state) else {
-                    continue 'walk; // walked into a removed node: restart
-                };
-                if node.total == 0 {
-                    // Dead end (every outgoing edge was pruned): per the
-                    // paper, accessing the node still consumes its
-                    // occurrence before restarting at step 1 — otherwise
-                    // start-node selection could land here forever.
-                    budget = budget.saturating_sub(node.remaining);
-                    node.remaining = 0;
-                    if budget == 0 {
-                        break 'walk;
-                    }
-                    continue 'walk;
-                }
-                if node.remaining == 0 {
-                    // The node's occurrence budget is exhausted (paper
-                    // step 2 decrements it per access; step 1 restarts).
-                    // This also bounds the dwell time in states whose
-                    // pruned edge set degenerated to a near-certain
-                    // self-loop.
-                    continue 'walk;
-                }
-                node.remaining -= 1;
-                budget -= 1;
-                walk_steps += 1;
-                // Pick an outgoing edge by transition probability.
-                let point = rng.gen_range(0..node.total);
-                let idx = node.cumulative.partition_point(|&c| c <= point);
-                let block = node.targets[idx];
-                let ctx = state.context_with(block);
-                self.emit_block(&ctx, &mut trace, &mut rng);
-                state = state.shifted(block, k);
-                if budget == 0 {
-                    break 'walk;
-                }
-            }
-        }
-        OBS_WALK_STEPS.add(walk_steps);
-        OBS_WALK_RESTARTS.add(walk_restarts);
-        OBS_INSTRS_EMITTED.add(trace.len() as u64);
-        trace
-    }
-
-    /// Emits one basic block's worth of synthetic instructions for a
-    /// context (steps 3-8).
-    fn emit_block(&self, ctx: &crate::Context, trace: &mut SyntheticTrace, rng: &mut SmallRng) {
-        let Some(stats) = self.contexts.get(ctx) else {
-            return; // context never materialised (cannot happen for live edges)
-        };
-        let nslots = stats.slots.len();
-        // One quantile per block occurrence, shared by every operand's
-        // first draw: within one dynamic block, dependency distances
-        // co-vary (they all measure "how far back did the previous
-        // work happen"), and comonotonic sampling preserves that
-        // correlation instead of entangling independent chains.
-        let u_block: f64 = rng.gen();
-        for (s, slot) in stats.slots.iter().enumerate() {
-            let mut instr = SyntheticInstr {
-                class: slot.class,
-                dep: [None, None],
-                l1i_miss: false,
-                l2i_miss: false,
-                itlb_miss: false,
-                dmem: None,
-                branch: None,
-                anti_dep: [None, None],
-            };
-            // Anti-dependency distances (profiles with anti_deps only).
-            for (i, hist) in [&slot.waw, &slot.war].into_iter().enumerate() {
-                if !hist.is_empty() {
-                    let d = hist.sample_with(rng.gen()).unwrap_or(0);
-                    if d > 0 {
-                        if d > MAX_DEP_DISTANCE {
-                            OBS_DEP_CLAMPED.inc();
-                        }
-                        instr.anti_dep[i] = Some(d.min(MAX_DEP_DISTANCE));
-                    }
-                }
-            }
-            // step 4: dependency distances, retried so the producer is
-            // not a branch or store.
-            for p in 0..usize::from(slot.src_count.min(2)) {
-                let hist = &slot.dep[p];
-                if hist.is_empty() {
-                    continue;
-                }
-                let mut chosen = None;
-                let mut exhausted = true;
-                for attempt in 0..DEP_RETRIES {
-                    let u = if attempt == 0 {
-                        u_block
-                    } else {
-                        rng.gen::<f64>()
-                    };
-                    let d = hist.sample_with(u).expect("non-empty histogram samples");
-                    if d == 0 {
-                        chosen = None; // "no dependency" mass
-                        exhausted = false;
-                        break;
-                    }
-                    if d > MAX_DEP_DISTANCE {
-                        // Profiles built by [`profile`] never record past
-                        // the cap; this guards hand-built or deserialized
-                        // profiles so the ≤512 invariant holds everywhere.
-                        OBS_DEP_CLAMPED.inc();
-                    }
-                    let d = d.min(MAX_DEP_DISTANCE);
-                    let pos = trace.instrs.len();
-                    match pos.checked_sub(d as usize) {
-                        Some(src) => {
-                            // Producer must define a register (not a
-                            // branch or store).
-                            if trace.instrs[src].class.has_dest() {
-                                chosen = Some(d);
-                                exhausted = false;
-                                break;
-                            }
-                        }
-                        None => {
-                            // Points before the trace start: drop.
-                            chosen = None;
-                            exhausted = false;
-                            break;
-                        }
-                    }
-                }
-                if exhausted {
-                    OBS_DEP_RETRIES_EXHAUSTED.inc();
-                }
-                instr.dep[p] = chosen;
-            }
-            // step 5: load locality flags.
-            if let Some(d) = &slot.dcache {
-                let l1_miss = rng.gen::<f64>() < d.l1.probability();
-                let l2_miss = l1_miss && rng.gen::<f64>() < d.l2.probability();
-                let tlb_miss = rng.gen::<f64>() < d.tlb.probability();
-                instr.dmem = Some(DataFlags {
-                    l1_miss,
-                    l2_miss,
-                    tlb_miss,
-                });
-            }
-            // step 7: instruction fetch locality flags.
-            instr.l1i_miss = rng.gen::<f64>() < slot.icache.l1.probability();
-            instr.l2i_miss = instr.l1i_miss && rng.gen::<f64>() < slot.icache.l2.probability();
-            instr.itlb_miss = rng.gen::<f64>() < slot.icache.tlb.probability();
-            // step 6: terminal branch flags.
-            if s + 1 == nslots {
-                if let Some(b) = &stats.branch {
-                    let total = b.total();
-                    if total > 0 {
-                        let taken = rng.gen::<f64>() < b.taken.probability();
-                        let point = rng.gen_range(0..total);
-                        let outcome = if point < b.correct {
-                            SyntheticOutcome::Correct
-                        } else if point < b.correct + b.redirect {
-                            SyntheticOutcome::FetchRedirect
-                        } else {
-                            SyntheticOutcome::Mispredict
-                        };
-                        instr.branch = Some(BranchFlags { taken, outcome });
-                    }
-                }
-            }
-            trace.instrs.push(instr); // step 8
-        }
     }
 }
 
@@ -792,7 +411,7 @@ mod tests {
         let t = p.generate(50, 9);
         assert!(!t.is_empty());
         for i in t.instrs() {
-            assert_eq!(PackedInstr::pack(i).unpack(), *i);
+            assert_eq!(PackedInstr::pack(&i).unpack(), i);
         }
         // Extremes the generated trace may not cover.
         let corner = SyntheticInstr {
@@ -813,6 +432,34 @@ mod tests {
             }),
         };
         assert_eq!(PackedInstr::pack(&corner).unpack(), corner);
+    }
+
+    #[test]
+    fn push_clamps_distances_and_get_unpacks() {
+        let far = SyntheticInstr {
+            class: InstrClass::IntAlu,
+            dep: [Some(0), Some(MAX_DEP_DISTANCE + 9)],
+            anti_dep: [Some(u32::MAX), None],
+            l1i_miss: false,
+            l2i_miss: false,
+            itlb_miss: false,
+            dmem: None,
+            branch: None,
+        };
+        let t: SyntheticTrace = [far].into_iter().collect();
+        let got = t.get(0).expect("one instruction");
+        assert_eq!(got.dep, [Some(1), Some(MAX_DEP_DISTANCE)]);
+        assert_eq!(got.anti_dep, [Some(MAX_DEP_DISTANCE), None]);
+        assert_eq!(t.get(1), None);
+        assert_eq!(t.instrs().collect::<Vec<_>>(), vec![got]);
+    }
+
+    #[test]
+    fn has_dest_mask_matches_the_class_rule() {
+        for class in InstrClass::ALL {
+            let w = PackedInstr(class.index() as u64);
+            assert_eq!(w.has_dest(), class.has_dest(), "{class}");
+        }
     }
 
     #[test]
@@ -838,22 +485,19 @@ mod tests {
         let a = p.generate(100, 7);
         let b = p.generate(100, 7);
         let c = p.generate(100, 8);
-        assert_eq!(a.instrs(), b.instrs());
-        assert_ne!(a.instrs(), c.instrs(), "different seeds should differ");
+        assert_eq!(a, b);
+        assert_ne!(a, c, "different seeds should differ");
     }
 
     #[test]
     fn dependencies_never_point_to_branches_or_stores() {
         let p = profiled_loop();
         let t = p.generate(50, 3);
-        for (i, instr) in t.instrs().iter().enumerate() {
+        for (i, instr) in t.instrs().enumerate() {
             for d in instr.dep.iter().flatten() {
                 let src = i.checked_sub(*d as usize).expect("deps stay in range");
-                assert!(
-                    t.instrs()[src].class.has_dest(),
-                    "instr {i} depends on a {:?}",
-                    t.instrs()[src].class
-                );
+                let class = t.get(src).expect("in range").class;
+                assert!(class.has_dest(), "instr {i} depends on a {class:?}");
             }
         }
     }
@@ -862,17 +506,9 @@ mod tests {
     fn trace_mix_matches_profile_mix() {
         let p = profiled_loop();
         let t = p.generate(100, 11);
-        let loads = t
-            .instrs()
-            .iter()
-            .filter(|i| i.class == InstrClass::Load)
-            .count();
-        let stores = t
-            .instrs()
-            .iter()
-            .filter(|i| i.class == InstrClass::Store)
-            .count();
-        let branches = t.instrs().iter().filter(|i| i.branch.is_some()).count();
+        let loads = t.instrs().filter(|i| i.class == InstrClass::Load).count();
+        let stores = t.instrs().filter(|i| i.class == InstrClass::Store).count();
+        let branches = t.instrs().filter(|i| i.branch.is_some()).count();
         // Loop body: 1 load, 1 store, 1 branch out of 8.
         let frac = loads as f64 / t.len() as f64;
         assert!((0.10..0.15).contains(&frac), "load fraction {frac}");
@@ -930,7 +566,6 @@ mod tests {
         let t = p.generate(20, 1);
         assert!(t
             .instrs()
-            .iter()
             .filter_map(|i| i.branch)
             .all(|b| b.outcome == SyntheticOutcome::Correct));
     }

@@ -1,12 +1,11 @@
 //! Synthetic trace simulation (§2.3 of the paper).
 //!
 //! Two entry points share one driver over a slice of packed
-//! instruction words:
+//! instruction words, the words a [`SyntheticTrace`] holds:
 //!
-//! * [`simulate_trace`] — simulates a materialised [`SyntheticTrace`],
-//!   packing it into words first;
-//! * [`simulate_fused`] — runs a [`CompiledSampler`] walk straight into
-//!   the packed words, never building a [`SyntheticTrace`].
+//! * [`simulate_trace`] — drives a caller's [`SyntheticTrace`] in place;
+//! * [`simulate_fused`] — runs a [`CompiledSampler`] walk into the
+//!   engine's own trace and drives that, with no trace handed back.
 //!   Bit-identical to generate-then-simulate for the same
 //!   `(sampler, seed, config)` because both paths run the same walk and
 //!   emission code (`CompiledSampler::emit_walk`) and the same driver.
@@ -18,8 +17,7 @@
 //! on it, and the stretches of its runs between empty pipelines; see
 //! [`SimEngine`]).
 
-use crate::sampler::EmitSink;
-use crate::synth::{PackedInstr, SyntheticInstr, SyntheticOutcome, SyntheticTrace};
+use crate::synth::{PackedInstr, SyntheticOutcome, SyntheticTrace};
 use crate::{CompiledSampler, FxHashMap};
 use ssim_isa::InstrClass;
 use ssim_uarch::{
@@ -71,9 +69,9 @@ pub fn simulate_trace(trace: &SyntheticTrace, cfg: &MachineConfig) -> SimResult 
     SimEngine::new().simulate(trace, cfg)
 }
 
-/// Generates and simulates in one call: the compiled walk writes
-/// packed instruction words straight into the simulator's buffer, so no
-/// [`SyntheticTrace`] is ever materialised.
+/// Generates and simulates in one call: the compiled walk writes its
+/// packed instruction words into the engine's own trace, which the
+/// driver then reads; no trace is handed back.
 ///
 /// The result — every field of [`SimResult`], bit for bit — equals
 /// `simulate_trace(&sampler.generate(seed), cfg)`. Generation is timed
@@ -88,29 +86,6 @@ pub fn simulate_trace(trace: &SyntheticTrace, cfg: &MachineConfig) -> SimResult 
 /// stops making forward progress.
 pub fn simulate_fused(sampler: &CompiledSampler, seed: u64, cfg: &MachineConfig) -> SimResult {
     SimEngine::new().simulate_fused(sampler, seed, cfg)
-}
-
-/// [`EmitSink`] writing the walk's instructions as packed words plus
-/// the sideband producer-index bytes the dependency-retry probe reads.
-struct PackedSink<'e> {
-    words: &'e mut Vec<u64>,
-    has_dest: &'e mut Vec<u8>,
-}
-
-impl EmitSink for PackedSink<'_> {
-    #[inline]
-    fn len(&self) -> usize {
-        self.has_dest.len()
-    }
-    #[inline]
-    fn has_dest_at(&self, idx: usize) -> bool {
-        self.has_dest[idx] != 0
-    }
-    #[inline]
-    fn push(&mut self, instr: SyntheticInstr, has_dest: u8) {
-        self.words.push(PackedInstr::pack(&instr).0);
-        self.has_dest.push(has_dest);
-    }
 }
 
 /// Most results a [`SimEngine`] keeps for one walk. It stops keeping
@@ -313,32 +288,32 @@ fn read_varint(bytes: &[u8], pos: &mut usize) -> u64 {
 /// A reusable synthetic-simulation engine.
 ///
 /// Owns every working buffer the simulator needs — the core's RUU
-/// entry storage and timing wheel ([`CoreScratch`]) plus the trace's
-/// packed words and the walk's producer-index sideband — so repeated
-/// [`SimEngine::simulate`] / [`SimEngine::simulate_fused`] calls
-/// (design-space sweeps simulate thousands of points) allocate nothing
-/// after warm-up. A fresh engine per call is exactly the free
-/// functions' behaviour; reuse changes no results, only allocation
-/// and walk traffic.
+/// entry storage and timing wheel ([`CoreScratch`]) plus the trace of
+/// its last fused walk — so repeated [`SimEngine::simulate`] /
+/// [`SimEngine::simulate_fused`] calls (design-space sweeps simulate
+/// thousands of points) allocate nothing after warm-up. A fresh engine
+/// per call is exactly the free functions' behaviour; reuse changes no
+/// results, only allocation and walk traffic.
 ///
-/// The word buffer holds the whole trace: 8 bytes per synthetic
-/// instruction, plus one sideband byte on the fused path. Traces are
-/// short by design (1/R of the profiled stream), so this stays in the
-/// tens to hundreds of KiB.
+/// The walk's trace is whole: 8 bytes per synthetic instruction.
+/// Traces are short by design (1/R of the profiled stream), so this
+/// stays in the tens to hundreds of KiB. [`SimEngine::simulate`] drives
+/// the caller's trace in place and leaves the walk, and everything kept
+/// for it, as it was.
 ///
 /// **Walk reuse.** The engine remembers which `(sampler, seed)` wrote
-/// its packed words. A [`SimEngine::simulate_fused`] call with the same
-/// pair skips the walk and reruns only the driver, so a sweep that
-/// visits every machine point of one `(sampler, seed)` in a row walks
-/// once. This is sound because the walk reads only the sampler's tables
-/// and the seed, never the [`MachineConfig`], and the driver only reads
-/// the words. The sampler half of the key is a process-unique id
-/// assigned at lowering and shared by clones — not an address (a freed
-/// sampler's address can come back holding another profile) and not a
-/// hash of the tables (not collision-resistant). The key is cleared
-/// before a walk starts and by [`SimEngine::simulate`], so a panic
-/// mid-walk or an unfused call never leaves a stale hit. Reuses count
-/// in the `tracesim.walks_reused` observability counter.
+/// its walk. A [`SimEngine::simulate_fused`] call with the same pair
+/// skips the walk and reruns only the driver, so a sweep that visits
+/// every machine point of one `(sampler, seed)` in a row walks once.
+/// This is sound because the walk reads only the sampler's tables and
+/// the seed, never the [`MachineConfig`], and the driver only reads the
+/// words. The sampler half of the key is a process-unique id assigned
+/// at lowering and shared by clones — not an address (a freed sampler's
+/// address can come back holding another profile) and not a hash of
+/// the tables (not collision-resistant). The key is cleared only when a
+/// new walk starts, before it runs, so a panic mid-walk never leaves a
+/// stale hit. Reuses count in the `tracesim.walks_reused`
+/// observability counter.
 ///
 /// **Capacity reuse.** For the walk it holds, the engine also keeps the
 /// results of earlier fused calls with each run's peak RUU and LSQ
@@ -377,14 +352,10 @@ fn read_varint(bytes: &[u8], pos: &mut usize) -> u64 {
 #[derive(Debug, Default)]
 pub struct SimEngine {
     scratch: CoreScratch,
-    /// The trace being simulated, one [`PackedInstr`] word per
-    /// instruction — the driver's only instruction storage.
-    packed: Vec<u64>,
-    /// One byte per instruction, `class.has_dest()`, for the walk's
-    /// dependency-retry probe on the fused path.
-    has_dest: Vec<u8>,
-    /// `(sampler id, seed)` of the walk `packed` holds; `None` when
-    /// `packed` holds anything else (or nothing complete).
+    /// The last fused walk's trace.
+    walk: SyntheticTrace,
+    /// `(sampler id, seed)` of the walk `walk` holds; `None` while it
+    /// holds nothing complete.
     walked: Option<(u64, u64)>,
     /// Earlier fused runs on the walk `walked` names.
     kept: Vec<Kept>,
@@ -398,40 +369,22 @@ impl SimEngine {
         Self::default()
     }
 
-    /// Forgets the walk `packed` holds, with everything kept for it.
-    fn forget_walk(&mut self) {
-        self.walked = None;
-        self.kept.clear();
-        self.memo.clear();
-        self.packed.clear();
-        self.has_dest.clear();
-    }
-
-    /// Simulates a materialised trace (see [`simulate_trace`]).
+    /// Simulates a materialised trace (see [`simulate_trace`]),
+    /// driving its words in place. The engine's walk and what is kept
+    /// for it stay as they were.
     ///
     /// # Panics
     ///
     /// Panics if the machine configuration is invalid or the pipeline
     /// stops making forward progress.
     pub fn simulate(&mut self, trace: &SyntheticTrace, cfg: &MachineConfig) -> SimResult {
-        // One packing pass up front; the driver then reads plain words.
-        // Hand-built traces may carry dependency distances outside the
-        // generator's range — those clamp to `1..=MAX_DEP_DISTANCE`,
-        // the range the wire format represents.
-        self.forget_walk();
-        self.packed.extend(
-            trace
-                .instrs()
-                .iter()
-                .map(|i| PackedInstr::pack_clamped(i).0),
-        );
-        drive(cfg, &self.packed, &mut self.scratch, None).result
+        drive(cfg, trace.words(), &mut self.scratch, None).result
     }
 
     /// Generates and simulates in one call (see [`simulate_fused`]).
-    /// If this engine's last call was `simulate_fused` with the same
-    /// `(sampler, seed)` — the same lowering or a clone of it — the walk
-    /// is skipped and only the driver runs; and if an earlier call on
+    /// If this engine's last walk was for the same `(sampler, seed)` —
+    /// the same lowering or a clone of it — the walk is skipped and only
+    /// the driver runs; and if an earlier call on
     /// that walk ran a machine that differs only in RUU/LSQ capacities
     /// neither run could fill, its result is returned without running
     /// the driver, or else the driver replays the segments earlier runs
@@ -465,16 +418,17 @@ impl SimEngine {
             }
             OBS_WALKS_REUSED.inc();
         } else {
-            self.forget_walk();
-            let mut sink = PackedSink {
-                words: &mut self.packed,
-                has_dest: &mut self.has_dest,
-            };
-            sampler.emit_walk(seed, &mut sink);
+            // A new walk: forget the old one, with everything kept for
+            // it, before this one starts.
+            self.walked = None;
+            self.kept.clear();
+            self.memo.clear();
+            self.walk.clear();
+            sampler.emit_walk(seed, &mut self.walk);
             self.walked = Some(key);
         }
         let memo = self.memo.machine(&masked).map(|m| (&mut self.memo, m));
-        let run = drive(cfg, &self.packed, &mut self.scratch, memo);
+        let run = drive(cfg, self.walk.words(), &mut self.scratch, memo);
         if self.kept.len() < KEPT_MAX {
             self.kept.push(Kept {
                 masked,
@@ -1030,7 +984,7 @@ impl<'a> TraceSim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::synth::{BranchFlags, DataFlags};
+    use crate::synth::{BranchFlags, DataFlags, SyntheticInstr};
 
     /// Hand-builds a trace (the generator is exercised elsewhere).
     fn trace_of(instrs: Vec<SyntheticInstr>) -> SyntheticTrace {

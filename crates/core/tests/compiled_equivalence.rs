@@ -1,7 +1,8 @@
 //! The compiled sampling engine's determinism contract: for every
 //! `(profile, r, seed)`, the compiled walk produces a trace
 //! **instruction-for-instruction identical** to the reference
-//! interpreter (`generate_reference`, the original §2.2 implementation).
+//! interpreter (`support/reference.rs`, the original §2.2
+//! implementation).
 //!
 //! The contract is what lets `generate` run on the compiled tables
 //! without perturbing a single published number: same RNG consumption
@@ -9,7 +10,11 @@
 //! prefix search reproduces the interpreter's sorted-order scan), same
 //! dead-end and restart handling.
 
+#[path = "support/reference.rs"]
+mod reference;
+
 use proptest::prelude::*;
+use reference::{generate_reference, walk_reference};
 use ssim_core::{profile, BranchProfileMode, ProfileConfig, StatisticalProfile};
 use ssim_isa::{Assembler, Program, Reg};
 use ssim_uarch::MachineConfig;
@@ -88,11 +93,10 @@ fn compiled_equals_reference_across_r_and_seed() {
         let p = profiled(7, k);
         for r in [1u64, 5, 15, 50, 400] {
             for seed in [0u64, 1, 7, 12345] {
-                let reference = p.generate_reference(r, seed);
+                let reference = generate_reference(&p, r, seed);
                 let compiled = p.generate(r, seed);
                 assert_eq!(
-                    reference.instrs(),
-                    compiled.instrs(),
+                    reference, compiled,
                     "trace diverged at k={k} r={r} seed={seed}"
                 );
                 assert!(!reference.is_empty() || r > p.instructions());
@@ -104,16 +108,12 @@ fn compiled_equals_reference_across_r_and_seed() {
         for r in [5u64, 15, 400] {
             let sampler = p.compile(r);
             for seed in [0u64, 7] {
-                let reference = p.generate_reference(r, seed);
+                let reference = generate_reference(p, r, seed);
                 let label = format!("{name} at r={r} seed={seed}");
+                assert_eq!(reference, p.generate(r, seed), "trace diverged on {label}");
                 assert_eq!(
-                    reference.instrs(),
-                    p.generate(r, seed).instrs(),
-                    "trace diverged on {label}"
-                );
-                assert_eq!(
-                    reference.instrs(),
-                    sampler.generate(seed).instrs(),
+                    reference,
+                    sampler.generate(seed),
                     "reused artifact diverged on {label}"
                 );
                 assert!(!reference.is_empty() || r > p.instructions());
@@ -133,11 +133,8 @@ fn compiled_artifact_is_reusable_across_seeds() {
     assert!(sampler.edge_count() > 0);
     for seed in 0..8u64 {
         let from_artifact = sampler.generate(seed);
-        assert_eq!(
-            from_artifact.instrs(),
-            p.generate_reference(20, seed).instrs()
-        );
-        assert_eq!(from_artifact.instrs(), p.generate(20, seed).instrs());
+        assert_eq!(from_artifact, generate_reference(&p, 20, seed));
+        assert_eq!(from_artifact, p.generate(20, seed));
     }
 }
 
@@ -158,7 +155,7 @@ fn walk_reports_match_across_r_and_seed() {
         for r in [1u64, 5, 15, 50] {
             let sampler = p.compile(r);
             for seed in [0u64, 1, 7, 12345] {
-                let reference = p.walk_reference(r, seed);
+                let reference = walk_reference(p, r, seed);
                 let compiled = sampler.walk(seed);
                 assert_eq!(
                     reference, compiled,
@@ -176,7 +173,7 @@ fn walk_reports_match_across_r_and_seed() {
 fn compiled_empty_budget_matches_reference() {
     let p = profiled(1, 1);
     assert!(p.generate(u64::MAX, 1).is_empty());
-    assert!(p.generate_reference(u64::MAX, 1).is_empty());
+    assert!(generate_reference(&p, u64::MAX, 1).is_empty());
     assert_eq!(p.compile(u64::MAX).budget(), 0);
 }
 
@@ -189,8 +186,8 @@ proptest! {
     #[test]
     fn compiled_matches_reference(ws in 0u64..500, k in 0usize..=2, r in 2u64..80, seed in 0u64..1000) {
         let p = profiled(ws, k);
-        let reference = p.generate_reference(r, seed);
+        let reference = generate_reference(&p, r, seed);
         let compiled = p.generate(r, seed);
-        prop_assert_eq!(reference.instrs(), compiled.instrs());
+        prop_assert_eq!(reference, compiled);
     }
 }

@@ -1,8 +1,8 @@
 //! The fused engine's determinism contract: for every
-//! `(profile, r, seed, machine)`, having the walk write packed words
-//! straight into the simulator's buffer ([`ssim_core::simulate_fused`])
+//! `(profile, r, seed, machine)`, having the walk write its packed
+//! words into the engine's own trace ([`ssim_core::simulate_fused`])
 //! produces a [`SimResult`] **bit-identical** — every field, including
-//! the float occupancies and activity counters — to materialising the
+//! the float occupancies and activity counters — to generating the
 //! trace and simulating it, and both match the frozen pre-optimisation
 //! reference simulator (`support/refsim.rs`, which ships only with the
 //! tests).
@@ -362,8 +362,9 @@ fn walk_reuse_matches_fresh_engines_on_an_interleaved_schedule() {
             }
         }
     }
-    // An unfused call overwrites the words, so the next fused call at
-    // the key before it must walk again.
+    // An unfused call drives the caller's words and leaves the engine's
+    // walk alone, so the next fused call at the key before it reruns the
+    // driver over that walk.
     check(&mut engine, &gcc, 1, 0, "before unfused");
     let other = bzip2.generate(2);
     assert_eq!(

@@ -9,7 +9,10 @@
 //! * dependency distances never exceed the 512 cap (§2.1.1), whether
 //!   the profile came from the profiler or was built by hand;
 //! * SFG reduction keeps exactly the nodes with `floor(M_i / R) > 0`
-//!   and drops the rest with their edges (§2.2 step 1).
+//!   and drops the rest with their edges (§2.2 step 1);
+//! * the walk's step count is fixed by the reduced SFG alone, whatever
+//!   the seed (§2.2 steps 2–9: node visits are budgeted, only the edges
+//!   drawn vary).
 
 use ssim_core::{
     profile, BranchCtxStats, Context, ContextStats, FxHashMap, Gram, ProfileConfig, Sfg, SlotStats,
@@ -82,7 +85,7 @@ fn emitted_dependency_distances_respect_the_cap() {
     for seed in [1, 7, 42] {
         let t = p.generate(20, seed);
         assert!(!t.is_empty());
-        for (i, instr) in t.instrs().iter().enumerate() {
+        for (i, instr) in t.instrs().enumerate() {
             for d in instr.dep.iter().flatten() {
                 deps_seen += 1;
                 assert!(*d >= 1, "distance 0 means 'no dependency' and must be None");
@@ -133,7 +136,7 @@ fn hand_built_profiles_clamp_out_of_cap_mass_to_512() {
     let t = p.generate(1, 99);
     assert_eq!(t.len(), 2_000 * 4);
     let mut saw_cap = false;
-    for (i, instr) in t.instrs().iter().enumerate() {
+    for (i, instr) in t.instrs().enumerate() {
         if let Some(d) = instr.dep[0] {
             assert!(d <= MAX_DEP_DISTANCE, "instr {i} distance {d}");
             assert!(i >= d as usize);
@@ -160,6 +163,63 @@ fn reduction_keeps_exactly_floor_m_over_r_nodes() {
     let r_max = nodes.iter().map(|(_, occ, _)| *occ).max().unwrap() + 1;
     assert_eq!(sfg.reduced_node_count(r_max), 0);
     assert!(p.generate(r_max, 1).is_empty());
+}
+
+/// The walk's step count as the reduced SFG fixes it: Σ⌊M_i/R⌋ over
+/// the reduced nodes with at least one edge into the reduced set. A
+/// restart or an edge lands on such a node until its ⌊M_i/R⌋ visits are
+/// spent, each visit one step; a node without one is drained unvisited.
+/// Computed from [`Sfg::export_nodes`] alone.
+fn expected_walk_steps(p: &StatisticalProfile, r: u64) -> u64 {
+    let k = p.k();
+    let nodes = p.sfg().export_nodes();
+    let reduced: std::collections::HashSet<u128> = nodes
+        .iter()
+        .filter(|(_, m, _)| m / r > 0)
+        .map(|(raw, ..)| *raw)
+        .collect();
+    nodes
+        .iter()
+        .filter(|(raw, m, edges)| {
+            m / r > 0
+                && edges.iter().any(|&(block, count)| {
+                    count > 0 && reduced.contains(&Gram::from_raw(*raw).shifted(block, k).raw())
+                })
+        })
+        .map(|(_, m, _)| m / r)
+        .sum()
+}
+
+/// A seed-independent oracle for the walk's budget accounting: every
+/// walk takes exactly [`expected_walk_steps`] steps, on the loop
+/// program and on the ten suite workloads at `fused_equivalence`'s
+/// budget (order 1, 60k instructions). Only which edge each visit
+/// takes is random.
+#[test]
+fn walk_steps_are_fixed_by_the_reduced_sfg() {
+    let suite = ssim_workloads::all().iter().map(|w| {
+        let p = profile(
+            &w.program(),
+            &ProfileConfig::new(&MachineConfig::baseline())
+                .order(1)
+                .instructions(60_000),
+        );
+        (w.name().to_string(), p)
+    });
+    for (label, p) in std::iter::once(("loop".to_string(), profiled_loop())).chain(suite) {
+        for r in [1u64, 10, 80] {
+            let want = expected_walk_steps(&p, r);
+            assert!(want > 0, "{label} at r={r} walks nowhere");
+            let sampler = p.compile(r);
+            for seed in [0u64, 1, 7, 12345] {
+                assert_eq!(
+                    sampler.walk(seed).steps,
+                    want,
+                    "{label} at r={r} seed={seed}"
+                );
+            }
+        }
+    }
 }
 
 #[test]

@@ -223,13 +223,13 @@ mod trace_properties {
                     .instructions(60_000),
             );
             let trace = p.generate(r, seed);
-            for (i, instr) in trace.instrs().iter().enumerate() {
+            for (i, instr) in trace.instrs().enumerate() {
                 // Dependencies point backwards at register producers.
                 for d in instr.dep.iter().flatten() {
                     prop_assert!(*d >= 1);
                     prop_assert!(*d as usize <= i, "dep out of range at {i}");
                     let src = i - *d as usize;
-                    prop_assert!(trace.instrs()[src].class.has_dest());
+                    prop_assert!(trace.get(src).is_some_and(|producer| producer.class.has_dest()));
                 }
                 // L2 misses only below L1 misses.
                 prop_assert!(!instr.l2i_miss || instr.l1i_miss);
@@ -275,7 +275,7 @@ mod trace_properties {
             prop_assert_eq!(a.sfg().node_count(), b.sfg().node_count());
             prop_assert_eq!(a.branch_mpki(), b.branch_mpki());
             let (ta, tb) = (a.generate(10, 3), b.generate(10, 3));
-            prop_assert_eq!(ta.instrs(), tb.instrs());
+            prop_assert_eq!(ta, tb);
         }
     }
 }

@@ -5,10 +5,11 @@
 //! trace simulator *as it stood before the fused generate-and-simulate
 //! engine landed*: a straightforward `VecDeque` RUU with full writeback
 //! and issue scans every cycle, driven by a materialised
-//! [`SyntheticTrace`]. It plays the same role for the simulator that
-//! `generate_reference` plays for the compiled sampler: slow, obvious,
-//! and trusted. The equivalence suite asserts that the optimised
-//! unfused and fused paths produce a bit-identical [`SimResult`].
+//! [`SyntheticTrace`] unpacked into an owned `Vec` of instructions. It
+//! plays the same role for the simulator that `reference.rs` plays for
+//! the compiled sampler: slow, obvious, and trusted. The equivalence
+//! suite asserts that the optimised unfused and fused paths produce a
+//! bit-identical [`SimResult`].
 //!
 //! Do not optimise this module. Only touch it when the *modelled
 //! machine* changes, and change `tracesim` in lockstep.
@@ -355,9 +356,9 @@ struct IfqEntry {
     mispredict_marker: bool,
 }
 
-struct RefTraceSim<'a, 't> {
+struct RefTraceSim<'a> {
     cfg: &'a MachineConfig,
-    trace: &'t [SyntheticInstr],
+    trace: Vec<SyntheticInstr>,
     cursor: usize,
     core: RefCore<'a>,
     ifq: VecDeque<IfqEntry>,
@@ -368,11 +369,11 @@ struct RefTraceSim<'a, 't> {
     pending_seq: Option<u64>,
 }
 
-impl<'a, 't> RefTraceSim<'a, 't> {
-    fn new(trace: &'t SyntheticTrace, cfg: &'a MachineConfig) -> Self {
+impl<'a> RefTraceSim<'a> {
+    fn new(trace: &SyntheticTrace, cfg: &'a MachineConfig) -> Self {
         RefTraceSim {
             cfg,
-            trace: trace.instrs(),
+            trace: trace.instrs().collect(),
             cursor: 0,
             core: RefCore::new(cfg),
             ifq: VecDeque::with_capacity(cfg.ifq_size),

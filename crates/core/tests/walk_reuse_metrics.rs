@@ -69,6 +69,16 @@ fn one_walk_per_sampler_and_seed() {
     engine.simulate_fused(&sampler, 1, &machines[0]);
     let last = walks_and_reuses();
     assert_eq!((last.0 - after.0, last.1 - after.1), (2, 0));
+
+    // An unfused call drives the caller's trace in place and leaves the
+    // engine's walk alone: the next fused call at the same key (on a
+    // machine no kept result answers) reruns the driver, with no walk.
+    let other = sampler.generate(3);
+    let before_unfused = walks_and_reuses();
+    engine.simulate(&other, &machines[1]);
+    engine.simulate_fused(&sampler, 1, &machines[n as usize - 1]);
+    let end = walks_and_reuses();
+    assert_eq!((end.0 - before_unfused.0, end.1 - before_unfused.1), (0, 1));
 }
 
 /// `(driver runs, points reused, instructions simulated)` so far.
@@ -111,7 +121,7 @@ fn capacity_reuse_counts_points_and_runs_no_driver() {
     let trace = sampler.generate(1);
     let t = trace.len();
     assert!(
-        trace.instrs().iter().any(|i| i.dmem.is_some()),
+        trace.instrs().any(|i| i.dmem.is_some()),
         "the schedule needs memory operations"
     );
     // No occupancy can exceed the trace length, so queues of `t + 1`

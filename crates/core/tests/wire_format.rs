@@ -224,6 +224,6 @@ fn fixture_roundtrips_to_equivalent_profile() {
     // The strongest equivalence the pipeline cares about: identical
     // synthetic traces from identical seeds.
     let (a, b) = (loaded.generate(1, 5), built.generate(1, 5));
-    assert_eq!(a.instrs(), b.instrs());
+    assert_eq!(a, b);
     assert!(!a.is_empty());
 }

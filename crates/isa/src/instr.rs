@@ -85,7 +85,7 @@ impl InstrClass {
     /// Branches and stores produce no register value; the paper's
     /// synthetic generator must avoid making instructions depend on them
     /// (§2.2 step 4).
-    pub fn has_dest(self) -> bool {
+    pub const fn has_dest(self) -> bool {
         !matches!(
             self,
             InstrClass::Store

@@ -496,5 +496,9 @@ mod tests {
         let d1_again = trace_digest(&sampler.generate(1));
         assert_eq!(d1, d1_again);
         assert_ne!(d1, d2);
+        // Pinned: a `synth` reply's digest is part of the wire contract,
+        // so a change to the trace format or the walk must not move it.
+        assert_eq!(d1, 0x4581_9cb9_5e33_374b);
+        assert_eq!(d2, 0x594e_fdbb_b788_349d);
     }
 }

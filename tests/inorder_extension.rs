@@ -49,7 +49,6 @@ fn anti_dep_profiles_record_waw_war() {
     let trace = p.generate(10, 1);
     let with_anti = trace
         .instrs()
-        .iter()
         .filter(|i| i.anti_dep.iter().any(|d| d.is_some()))
         .count();
     assert!(
@@ -75,7 +74,7 @@ fn raw_only_profiles_leave_anti_deps_empty() {
         }
     }
     let trace = p.generate(10, 1);
-    assert!(trace.instrs().iter().all(|i| i.anti_dep == [None, None]));
+    assert!(trace.instrs().all(|i| i.anti_dep == [None, None]));
 }
 
 #[test]
