@@ -27,6 +27,11 @@
 #   ./ci.sh perfbench  # the repository benchmark's self-tests: short
 #                      # sweep, study and serve runs checked against
 #                      # their pinned output digests
+#   ./ci.sh exhibits   # every exhibits.txt line rerun at its budgets,
+#                      # stdout diffed byte for byte against
+#                      # results/<bin>.txt (not part of `all`: about
+#                      # 4 minutes with a warm profile cache, 6 cold,
+#                      # on 2 vCPUs)
 #   ./ci.sh deep       # deep bench tier (not part of `all`; manual or
 #                      # nightly): full §4.6 thread-scaling curve with
 #                      # parallel-efficiency gates and the
@@ -34,9 +39,11 @@
 #                      # backend)
 #
 # No stage writes into the tree: the bins that write a ledger
-# (scaling, loadgen) run in a temporary directory, and each
-# ledger they write is copied to target/ci-results/. The committed
-# results/BENCH_*.json come from ./run_all.sh.
+# (scaling, loadgen) and the exhibits run in a temporary directory,
+# and each ledger they write is copied to target/ci-results/. The
+# committed results/BENCH_*.json and results/<bin>.txt come from
+# ./run_all.sh. All of them read and fill the repository's profile
+# cache (results/.profile-cache, ignored by git).
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
@@ -258,6 +265,46 @@ do_perfbench() {
   cargo test --release --offline --manifest-path perfbench/Cargo.toml
 }
 
+do_exhibits() {
+  # The paper's exhibits, regenerated and compared with the committed
+  # files: a change that moves any printed number fails here until
+  # ./run_all.sh has rewritten results/ and the docs quote the new
+  # numbers.
+  stage "exhibits (exhibits.txt budgets, byte-identical to results/)"
+  cargo build --release -q -p ssim-bench --bins
+  exhibits_diff
+}
+
+# Runs each exhibit exhibits.txt lists in a temporary directory at its
+# budgets, reading and filling the repository's profile cache as
+# bench_bin does, and diffs its stdout against results/<bin>.txt. Runs
+# them all, then fails naming every exhibit that differed or failed. A
+# subshell, so the EXIT trap always removes the temp dir.
+exhibits_diff() (
+  set -euo pipefail
+  tmp="$(mktemp -d)"
+  trap 'rm -rf "$tmp"' EXIT
+  cd "$tmp"
+  bad=()
+  while read -r -a line <&3; do
+    case "${line[0]:-#}" in '#'*) continue ;; esac
+    b="${line[0]}"
+    stage "exhibit $b"
+    if ! env SSIM_PROFILE_CACHE_DIR="${SSIM_PROFILE_CACHE_DIR:-$root/results/.profile-cache}" \
+      "${line[@]:1}" cargo run --release -q --manifest-path "$root/Cargo.toml" \
+      -p ssim-bench --bin "$b" >"$b.txt" 2>"$b.stderr"; then
+      cat "$b.stderr" >&2
+      bad+=("$b (failed)")
+    elif ! diff "$root/results/$b.txt" "$b.txt"; then
+      bad+=("$b")
+    fi
+  done 3<"$root/exhibits.txt"
+  if [ "${#bad[@]}" -gt 0 ]; then
+    echo "exhibits that differ from results/: ${bad[*]}" >&2
+    exit 1
+  fi
+)
+
 do_deep() {
   # Deep bench tier — the full §4.6 design space across the
   # threads={1,4,8,16} curve (parallel efficiency gated at threads=4 on
@@ -283,6 +330,7 @@ case "${1:-all}" in
   asm)    do_asm ;;
   load)   do_load ;;
   perfbench) do_perfbench ;;
+  exhibits) do_exhibits ;;
   deep)   do_deep ;;
   all)
     do_fmt
@@ -297,7 +345,7 @@ case "${1:-all}" in
     stage "all stages passed"
     ;;
   *)
-    echo "usage: ./ci.sh [fmt|clippy|doc|build|test|smoke|asm|load|perfbench|deep|all]" >&2
+    echo "usage: ./ci.sh [fmt|clippy|doc|build|test|smoke|asm|load|perfbench|exhibits|deep|all]" >&2
     exit 2
     ;;
 esac

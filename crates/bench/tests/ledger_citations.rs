@@ -4,12 +4,13 @@
 //! not exist, so this test fails on any such citation in the README,
 //! DESIGN, EXPERIMENTS or the verify skill.
 //!
-//! EXPERIMENTS.md does copy the exhibits' numbers (`results/<bin>.txt`)
-//! next to the paper's, so every percentage in a paragraph or list item
-//! that cites one exhibit must appear verbatim in that file. The paper's
-//! own figures live in the *Paper:* paragraphs, which cite no exhibit;
-//! a paper figure quoted beside a measured one passes only when the
-//! exhibit's `paper:` line prints it too.
+//! EXPERIMENTS.md and README.md do copy the exhibits' numbers
+//! (`results/<bin>.txt`) next to the paper's, so every percentage in a
+//! paragraph or list item that cites one exhibit must appear verbatim
+//! in that file. The paper's own figures live in EXPERIMENTS.md's
+//! *Paper:* paragraphs, which cite no exhibit; a paper figure quoted
+//! beside a measured one passes only when the exhibit's `paper:` line
+//! prints it too.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -166,21 +167,24 @@ fn exhibit_scanners_split_blocks_and_find_figures() {
 #[test]
 fn experiments_quotes_its_exhibits_verbatim() {
     let root = workspace_root();
-    let text = std::fs::read_to_string(root.join("EXPERIMENTS.md")).expect("read EXPERIMENTS.md");
     let (mut checked, mut missing) = (0, Vec::new());
-    for block in blocks(&text) {
-        let cited = exhibit_citations(&block);
-        let [name] = cited.iter().collect::<Vec<_>>()[..] else {
-            continue;
-        };
-        let path = root.join("results").join(name);
-        let exhibit = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("EXPERIMENTS.md cites results/{name}: {e}"));
-        let printed: BTreeSet<&str> = percentages(&exhibit).into_iter().collect();
-        for figure in percentages(&block) {
-            checked += 1;
-            if !printed.contains(figure) {
-                missing.push(format!("{figure} (results/{name})"));
+    for doc in ["EXPERIMENTS.md", "README.md"] {
+        let text =
+            std::fs::read_to_string(root.join(doc)).unwrap_or_else(|e| panic!("read {doc}: {e}"));
+        for block in blocks(&text) {
+            let cited = exhibit_citations(&block);
+            let [name] = cited.iter().collect::<Vec<_>>()[..] else {
+                continue;
+            };
+            let path = root.join("results").join(name);
+            let exhibit = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("{doc} cites results/{name}: {e}"));
+            let printed: BTreeSet<&str> = percentages(&exhibit).into_iter().collect();
+            for figure in percentages(&block) {
+                checked += 1;
+                if !printed.contains(figure) {
+                    missing.push(format!("{doc}: {figure} (results/{name})"));
+                }
             }
         }
     }
@@ -190,7 +194,7 @@ fn experiments_quotes_its_exhibits_verbatim() {
     );
     assert!(
         missing.is_empty(),
-        "EXPERIMENTS.md quotes figures its cited exhibit does not print: {} — \
+        "the docs quote figures their cited exhibit does not print: {} — \
          requote them from the file, or move a paper figure into the \
          *Paper:* paragraph",
         missing.join(", ")

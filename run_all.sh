@@ -44,22 +44,12 @@ run() {
     || { echo "$b FAILED (see target/run_all/$b.stderr)"; exit 1; }
   mv "target/run_all/$b.txt" "results/$b.txt"
 }
-run table1_baseline_ipc       SSIM_EDS_INSTR=1500000
-run fig3_branch_mpki          SSIM_PROFILE_INSTR=2000000 SSIM_EDS_INSTR=1500000
-run table3_sfg_nodes          SSIM_PROFILE_INSTR=2000000
-run fig6_ipc_epc              SSIM_PROFILE_INSTR=2500000 SSIM_EDS_INSTR=2000000
-run fig4_sfg_order            SSIM_PROFILE_INSTR=2000000 SSIM_EDS_INSTR=1200000
-run fig5_delayed_update       SSIM_PROFILE_INSTR=2000000 SSIM_EDS_INSTR=1200000
-run fig7_hls_comparison       SSIM_PROFILE_INSTR=2000000 SSIM_EDS_INSTR=1500000
-run sec41_convergence         SSIM_PROFILE_INSTR=2000000
-run fig8_phases               SSIM_EDS_INSTR=1200000
-run table4_relative_accuracy  SSIM_PROFILE_INSTR=1500000 SSIM_EDS_INSTR=800000
-run sec46_design_space        SSIM_PROFILE_INSTR=1500000 SSIM_EDS_INSTR=600000
-run cheetah_sweep             SSIM_PROFILE_INSTR=1500000
-run ablation_fifo_size        SSIM_QUICK=1 SSIM_PROFILE_INSTR=1500000 SSIM_EDS_INSTR=1000000 SSIM_WORKLOADS=gcc,parser,gzip,perlbmk
-run ablation_dep_cap          SSIM_QUICK=1 SSIM_PROFILE_INSTR=1500000 SSIM_EDS_INSTR=1000000
-run ablation_reduction_factor SSIM_QUICK=1 SSIM_PROFILE_INSTR=1500000 SSIM_EDS_INSTR=1000000
-run ext_inorder               SSIM_QUICK=1 SSIM_PROFILE_INSTR=1500000 SSIM_EDS_INSTR=1000000
+# The exhibits and their budgets are the lines of exhibits.txt, which
+# ./ci.sh exhibits reruns to check results/ byte for byte.
+while read -r -a line <&3; do
+  case "${line[0]:-#}" in '#'*) continue ;; esac
+  run "${line[@]}"
+done 3<exhibits.txt
 # Gateway + load story: open-loop loadgen through a gateway over
 # fault-injecting backends with the zero-lost/zero-duplicated ack gate.
 # ./ci.sh leaves the tree alone and puts its ledgers in
