@@ -220,7 +220,10 @@ fn pick_edge(edges: &[CompiledEdge], point: u64) -> usize {
     }
 }
 
-/// One instruction slot's statistics, lowered for the draw hot path.
+/// One instruction slot's statistics, lowered for the draw hot path:
+/// the one record the emit loop reads per instruction. An empty
+/// histogram draws nothing, and neither does `dcache` for a slot that
+/// is not a load.
 #[derive(Debug, Clone)]
 struct CompiledSlot {
     class: InstrClass,
@@ -250,91 +253,6 @@ struct CompiledBranch {
 struct CompiledContext {
     slots: Vec<CompiledSlot>,
     branch: Option<CompiledBranch>,
-}
-
-/// One instruction slot pre-decoded into a fixed-width record: a packed
-/// template word (op class, operand count, destination/dependency/
-/// memory flags) plus the per-instruction fetch-miss probabilities.
-///
-/// The emit hot path reads these 32-byte records sequentially and only
-/// dereferences the fat [`CompiledSlot`] (whose histograms live behind
-/// pointers) when a flag says a distribution actually has mass — the
-/// common all-hits / no-anti-deps block never leaves the macro-op
-/// stream.
-#[derive(Debug, Clone, Copy)]
-struct MacroOp {
-    word: u32,
-    /// (L1I, L2I, I-TLB) miss probabilities — drawn for every
-    /// instruction, so they ride in the record.
-    icache: [f64; 3],
-}
-
-impl MacroOp {
-    /// Set for a class that defines a register. The walk's producer
-    /// probe reads the trace word instead, but the bit stays part of
-    /// the layout [`CompiledSampler::lowering_digest`] hashes.
-    const HAS_DEST: u32 = 1 << 6;
-    const DEP0: u32 = 1 << 7;
-    const DEP1: u32 = 1 << 8;
-    const WAW: u32 = 1 << 9;
-    const WAR: u32 = 1 << 10;
-    const DCACHE: u32 = 1 << 11;
-
-    fn lower(slot: &CompiledSlot) -> Self {
-        let mut word = slot.class.index() as u32;
-        word |= u32::from(slot.src_count.min(2)) << 4;
-        if slot.class.has_dest() {
-            word |= Self::HAS_DEST;
-        }
-        if !slot.dep[0].is_empty() {
-            word |= Self::DEP0;
-        }
-        if !slot.dep[1].is_empty() {
-            word |= Self::DEP1;
-        }
-        if !slot.waw.is_empty() {
-            word |= Self::WAW;
-        }
-        if !slot.war.is_empty() {
-            word |= Self::WAR;
-        }
-        if slot.dcache.is_some() {
-            word |= Self::DCACHE;
-        }
-        MacroOp {
-            word,
-            icache: slot.icache,
-        }
-    }
-
-    #[inline]
-    fn class(self) -> InstrClass {
-        InstrClass::ALL[(self.word & 0xF) as usize]
-    }
-    #[inline]
-    fn src_count(self) -> usize {
-        ((self.word >> 4) & 0x3) as usize
-    }
-    #[inline]
-    fn dep_nonempty(self, p: usize) -> bool {
-        self.word & (Self::DEP0 << p) != 0
-    }
-    #[inline]
-    fn waw(self) -> bool {
-        self.word & Self::WAW != 0
-    }
-    #[inline]
-    fn war(self) -> bool {
-        self.word & Self::WAR != 0
-    }
-    #[inline]
-    fn any_anti(self) -> bool {
-        self.word & (Self::WAW | Self::WAR) != 0
-    }
-    #[inline]
-    fn dcache(self) -> bool {
-        self.word & Self::DCACHE != 0
-    }
 }
 
 impl CompiledContext {
@@ -399,27 +317,13 @@ pub struct CompiledSampler {
     edge_start: Vec<u32>,
     /// CSR edge records, one 16-byte record per surviving edge — the
     /// cumulative scan and the successor/context lookup hit the same
-    /// cache line.
+    /// cache line. A row's last `cum` is its node's transition total,
+    /// and a node with none (every edge pruned) is a dead end.
     edges: Vec<CompiledEdge>,
-    /// Total outgoing transition count per node (0 = dead end).
-    node_total: Vec<u64>,
     /// Lowered per-context statistics, indexed by [`CompiledEdge::ctx`].
     contexts: Vec<CompiledContext>,
-    /// Offset of each context's slot templates in `macro_ops`, indexed
-    /// by [`CompiledEdge::ctx`].
-    macro_start: Vec<u32>,
-    /// Flat per-slot macro-op records, physically ordered along greedy
-    /// hot-successor chains so consecutive walk steps read consecutive
-    /// memory (the aero-JIT trace-layout trick applied to SFG blocks).
-    macro_ops: Vec<MacroOp>,
-    /// Per-node index of the highest-count outgoing edge
-    /// (`u32::MAX` = dead end) — the chain-layout driver.
-    hot_succ: Vec<u32>,
     /// Σ `initial` — the walk's occurrence budget.
     budget: u64,
-    /// Expected instruction count (plus slack), used to reserve the
-    /// trace vector up front.
-    instr_hint: usize,
     /// Process-unique identity of this lowering, shared by its clones
     /// (the tables are immutable, so a clone walks identically). Keys
     /// the [`SimEngine`](crate::SimEngine)'s walk reuse; never part of
@@ -491,7 +395,6 @@ impl CompiledSampler {
         // and every edge loops back to it, so nothing prunes.
         let mut initial = Vec::with_capacity(grams.len());
         let mut edge_start = Vec::with_capacity(grams.len() + 1);
-        let mut node_total = Vec::with_capacity(grams.len());
         let mut edge_records: Vec<CompiledEdge> = Vec::new();
         let mut contexts = Vec::new();
         edge_start.push(0u32);
@@ -520,89 +423,9 @@ impl CompiledSampler {
                     ctx,
                 });
             }
-            node_total.push(acc);
             edge_start.push(edge_records.len() as u32);
         }
         let budget: u64 = initial.iter().sum();
-
-        // Expected trace length in instructions: each node is visited
-        // `initial` times, each visit takes edge e with probability
-        // count_e / total and emits `slots(ctx_e)` instructions. Used to
-        // reserve the trace vector once instead of growing it.
-        let mut expected = 0.0f64;
-        for node in 0..initial.len() {
-            if node_total[node] == 0 {
-                continue;
-            }
-            let (lo, hi) = (edge_start[node] as usize, edge_start[node + 1] as usize);
-            let mut prev = 0u64;
-            for e in &edge_records[lo..hi] {
-                let count = e.cum - prev;
-                prev = e.cum;
-                let slots = match contexts.get(e.ctx as usize) {
-                    Some(c) => c.slots.len(),
-                    None => 0,
-                };
-                expected +=
-                    initial[node] as f64 * (count as f64 / node_total[node] as f64) * slots as f64;
-            }
-        }
-        let instr_hint = expected as usize + expected as usize / 8 + 16;
-
-        // ---- macro-op lowering with hot-successor chain layout.
-        // Each node's hottest outgoing edge defines its likely dynamic
-        // successor; laying the slot templates out along those chains
-        // (hottest start nodes first) makes the walk's dominant paths
-        // read the macro-op array near-sequentially. Only the *physical
-        // placement* of templates is affected — ids, CSR order and the
-        // RNG stream are untouched, so generated traces are unchanged.
-        let nnodes = initial.len();
-        let mut hot_succ = vec![u32::MAX; nnodes];
-        for node in 0..nnodes {
-            let (lo, hi) = (edge_start[node] as usize, edge_start[node + 1] as usize);
-            let mut prev = 0u64;
-            let mut best: Option<(u64, usize)> = None;
-            for (i, e) in edge_records[lo..hi].iter().enumerate() {
-                let count = e.cum - prev;
-                prev = e.cum;
-                if best.is_none_or(|(c, _)| count > c) {
-                    best = Some((count, lo + i));
-                }
-            }
-            if let Some((_, idx)) = best {
-                hot_succ[node] = idx as u32;
-            }
-        }
-        let total_slots: usize = contexts.iter().map(|c| c.slots.len()).sum();
-        let mut macro_start = vec![u32::MAX; contexts.len()];
-        let mut macro_ops: Vec<MacroOp> = Vec::with_capacity(total_slots);
-        let mut order: Vec<usize> = (0..nnodes).collect();
-        order.sort_by_key(|&n| std::cmp::Reverse(initial[n])); // stable: id ties
-        let mut chained = vec![false; nnodes];
-        for &start in &order {
-            let mut node = start;
-            while !chained[node] {
-                chained[node] = true;
-                let e = hot_succ[node];
-                if e == u32::MAX {
-                    break;
-                }
-                let edge = &edge_records[e as usize];
-                if edge.ctx != NO_CONTEXT && macro_start[edge.ctx as usize] == u32::MAX {
-                    macro_start[edge.ctx as usize] = macro_ops.len() as u32;
-                    macro_ops.extend(contexts[edge.ctx as usize].slots.iter().map(MacroOp::lower));
-                }
-                node = edge.target as usize;
-            }
-        }
-        // Cold contexts (never on a hot chain) follow in id order.
-        for (cid, ctx) in contexts.iter().enumerate() {
-            if macro_start[cid] == u32::MAX {
-                macro_start[cid] = macro_ops.len() as u32;
-                macro_ops.extend(ctx.slots.iter().map(MacroOp::lower));
-            }
-        }
-        debug_assert_eq!(macro_ops.len(), total_slots);
 
         OBS_TABLE_NODES.set(initial.len() as u64);
         OBS_TABLE_EDGES.set(edge_records.len() as u64);
@@ -611,13 +434,8 @@ impl CompiledSampler {
             initial,
             edge_start,
             edges: edge_records,
-            node_total,
             contexts,
-            macro_start,
-            macro_ops,
-            hot_succ,
             budget,
-            instr_hint,
             id: NEXT_SAMPLER_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
@@ -645,7 +463,7 @@ impl CompiledSampler {
     /// The fused generate-and-simulate engine runs the same walk into
     /// its own trace, so the two paths cannot drift.
     pub fn generate(&self, seed: u64) -> SyntheticTrace {
-        let mut trace = SyntheticTrace::with_capacity(self.instr_hint);
+        let mut trace = SyntheticTrace::default();
         self.emit_walk(seed, &mut trace);
         trace
     }
@@ -657,7 +475,12 @@ impl CompiledSampler {
     pub(crate) fn emit_walk(&self, seed: u64, trace: &mut SyntheticTrace) {
         debug_assert!(trace.is_empty());
         let _span = OBS_GENERATE_TIME.span();
-        let report = self.run_walk(seed, |edge, rng| self.emit_ctx(edge.ctx, trace, rng));
+        // A NO_CONTEXT edge finds no context and emits nothing.
+        let report = self.run_walk(seed, |edge, rng| {
+            if let Some(ctx) = self.contexts.get(edge.ctx as usize) {
+                ctx.emit_into(trace, rng);
+            }
+        });
         OBS_WALK_STEPS.add(report.steps);
         OBS_WALK_RESTARTS.add(report.restarts);
         OBS_INSTRS_EMITTED.add(trace.len() as u64);
@@ -692,7 +515,10 @@ impl CompiledSampler {
             let mut node = occupancy.select(point);
             // ---- steps 3-9: walk the id space.
             loop {
-                if self.node_total[node] == 0 {
+                let row =
+                    &self.edges[self.edge_start[node] as usize..self.edge_start[node + 1] as usize];
+                let total = row.last().map_or(0, |e| e.cum);
+                if total == 0 {
                     // Dead end (every outgoing edge was pruned): per the
                     // paper, accessing the node still consumes its
                     // occurrence before restarting at step 1 — otherwise
@@ -711,12 +537,7 @@ impl CompiledSampler {
                 budget -= 1;
                 report.steps += 1;
                 // Pick an outgoing edge by transition probability.
-                let (lo, hi) = (
-                    self.edge_start[node] as usize,
-                    self.edge_start[node + 1] as usize,
-                );
-                let row = &self.edges[lo..hi];
-                let point = rng.gen_range(0..self.node_total[node]);
+                let point = rng.gen_range(0..total);
                 let edge = &row[pick_edge(row, point)];
                 on_edge(edge, &mut rng);
                 node = edge.target as usize;
@@ -728,8 +549,9 @@ impl CompiledSampler {
         report
     }
 
-    /// A deterministic digest over every lowered table — node budgets,
-    /// CSR edges, macro-op words, chain layout — pinned by the frozen
+    /// A deterministic digest over the lowered tables — node budgets,
+    /// CSR edges, and each slot's class, operand count, distribution
+    /// presence bits and I-cache probabilities — pinned by the frozen
     /// wire-format tests so accidental changes to the lowering are
     /// caught as test failures, not silent behaviour drift.
     pub fn lowering_digest(&self) -> u64 {
@@ -748,57 +570,43 @@ impl CompiledSampler {
             h.write_u32(e.target);
             h.write_u32(e.ctx);
         }
-        for &v in &self.node_total {
-            h.write_u64(v);
-        }
         h.write_usize(self.contexts.len());
-        for &v in &self.macro_start {
-            h.write_u32(v);
-        }
-        for op in &self.macro_ops {
-            h.write_u32(op.word);
-            for p in op.icache {
+        for slot in self.contexts.iter().flat_map(|c| &c.slots) {
+            h.write_usize(slot.class.index());
+            h.write_u8(slot.src_count);
+            let present = [
+                !slot.dep[0].is_empty(),
+                !slot.dep[1].is_empty(),
+                !slot.waw.is_empty(),
+                !slot.war.is_empty(),
+                slot.dcache.is_some(),
+            ];
+            h.write_u8(present.iter().fold(0, |bits, &p| bits << 1 | u8::from(p)));
+            for p in slot.icache {
                 h.write_u64(p.to_bits());
             }
         }
-        for &v in &self.hot_succ {
-            h.write_u32(v);
-        }
         h.finish()
-    }
-
-    /// Appends the block attached to edge-context `ctx_id` to `trace`
-    /// ([`NO_CONTEXT`] emits nothing, mirroring the interpreter's miss).
-    #[inline]
-    fn emit_ctx(&self, ctx_id: u32, trace: &mut SyntheticTrace, rng: &mut SmallRng) {
-        let Some(ctx) = self.contexts.get(ctx_id as usize) else {
-            return;
-        };
-        let start = self.macro_start[ctx_id as usize] as usize;
-        let ops = &self.macro_ops[start..start + ctx.slots.len()];
-        ctx.emit_into(ops, trace, rng);
     }
 }
 
 impl CompiledContext {
     /// Emits one basic block's worth of synthetic instructions
     /// (steps 3-8) — the compiled mirror of the interpreter's
-    /// `emit_block`, consuming the RNG in the identical sequence.
-    ///
-    /// `ops` holds this context's pre-decoded slot templates; the fat
-    /// [`CompiledSlot`] records are dereferenced only when a template
-    /// flag says a histogram has mass to draw from.
-    fn emit_into(&self, ops: &[MacroOp], trace: &mut SyntheticTrace, rng: &mut SmallRng) {
-        let nslots = ops.len();
+    /// `emit_block`, consuming the RNG in the identical sequence: a
+    /// distribution draws only when its histogram has mass, and the
+    /// data-side flags only for a load.
+    fn emit_into(&self, trace: &mut SyntheticTrace, rng: &mut SmallRng) {
+        let nslots = self.slots.len();
         // One quantile per block occurrence, shared by every operand's
         // first draw: within one dynamic block, dependency distances
         // co-vary (they all measure "how far back did the previous
         // work happen"), and comonotonic sampling preserves that
         // correlation instead of entangling independent chains.
         let u_block: f64 = rng.gen();
-        for (s, op) in ops.iter().enumerate() {
+        for (s, slot) in self.slots.iter().enumerate() {
             let mut instr = SyntheticInstr {
-                class: op.class(),
+                class: slot.class,
                 dep: [None, None],
                 l1i_miss: false,
                 l2i_miss: false,
@@ -808,31 +616,25 @@ impl CompiledContext {
                 anti_dep: [None, None],
             };
             // Anti-dependency distances (profiles with anti_deps only).
-            if op.any_anti() {
-                let slot = &self.slots[s];
-                for (i, (present, hist)) in [(op.waw(), &slot.waw), (op.war(), &slot.war)]
-                    .into_iter()
-                    .enumerate()
-                {
-                    if !present {
-                        continue;
+            for (i, hist) in [&slot.waw, &slot.war].into_iter().enumerate() {
+                if hist.is_empty() {
+                    continue;
+                }
+                let d = hist.sample_with(rng.gen()).unwrap_or(0);
+                if d > 0 {
+                    if d > MAX_DEP_DISTANCE {
+                        OBS_DEP_CLAMPED.inc();
                     }
-                    let d = hist.sample_with(rng.gen()).unwrap_or(0);
-                    if d > 0 {
-                        if d > MAX_DEP_DISTANCE {
-                            OBS_DEP_CLAMPED.inc();
-                        }
-                        instr.anti_dep[i] = Some(d.min(MAX_DEP_DISTANCE));
-                    }
+                    instr.anti_dep[i] = Some(d.min(MAX_DEP_DISTANCE));
                 }
             }
             // step 4: dependency distances, retried so the producer is
             // not a branch or store.
-            for p in 0..op.src_count() {
-                if !op.dep_nonempty(p) {
+            let srcs = usize::from(slot.src_count.min(2));
+            for (p, hist) in slot.dep[..srcs].iter().enumerate() {
+                if hist.is_empty() {
                     continue;
                 }
-                let hist = &self.slots[s].dep[p];
                 let mut chosen = None;
                 let mut exhausted = true;
                 for attempt in 0..DEP_RETRIES {
@@ -879,11 +681,7 @@ impl CompiledContext {
                 instr.dep[p] = chosen;
             }
             // step 5: load locality flags.
-            if op.dcache() {
-                let d = self.slots[s]
-                    .dcache
-                    .as_ref()
-                    .expect("DCACHE flag implies probabilities");
+            if let Some(d) = &slot.dcache {
                 let l1_miss = rng.gen::<f64>() < d[0];
                 let l2_miss = l1_miss && rng.gen::<f64>() < d[1];
                 let tlb_miss = rng.gen::<f64>() < d[2];
@@ -894,9 +692,9 @@ impl CompiledContext {
                 });
             }
             // step 7: instruction fetch locality flags.
-            instr.l1i_miss = rng.gen::<f64>() < op.icache[0];
-            instr.l2i_miss = instr.l1i_miss && rng.gen::<f64>() < op.icache[1];
-            instr.itlb_miss = rng.gen::<f64>() < op.icache[2];
+            instr.l1i_miss = rng.gen::<f64>() < slot.icache[0];
+            instr.l2i_miss = instr.l1i_miss && rng.gen::<f64>() < slot.icache[1];
+            instr.itlb_miss = rng.gen::<f64>() < slot.icache[2];
             // step 6: terminal branch flags.
             if s + 1 == nslots {
                 if let Some(b) = &self.branch {

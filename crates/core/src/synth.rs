@@ -256,13 +256,6 @@ pub struct SyntheticTrace {
 }
 
 impl SyntheticTrace {
-    /// An empty trace with room for `n` instructions.
-    pub(crate) fn with_capacity(n: usize) -> Self {
-        SyntheticTrace {
-            words: Vec::with_capacity(n),
-        }
-    }
-
     /// The instructions, in trace order, unpacked from their words.
     pub fn instrs(&self) -> impl ExactSizeIterator<Item = SyntheticInstr> + '_ {
         self.words.iter().map(|&w| PackedInstr(w).unpack())

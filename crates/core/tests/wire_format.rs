@@ -133,14 +133,14 @@ fn fixture_header_is_v1() {
     );
 }
 
-/// Freezes the compiled lowering artifacts — CSR edge tables, packed
-/// macro-op words, hot-successor chain layout — via
-/// `CompiledSampler::lowering_digest`. Every generation path walks
-/// these tables directly, so silent drift here would
-/// change generated traces (and every downstream number) without any
-/// serialized byte moving. Like the byte fixture above, an intentional
-/// lowering change updates the pinned values in the same commit that
-/// justifies it.
+/// Freezes the compiled lowering — node budgets, CSR edge tables, and
+/// each slot's class, operand count, distribution presence bits and
+/// I-cache probabilities — via `CompiledSampler::lowering_digest`.
+/// Every generation path walks these tables directly, so silent drift
+/// here would change generated traces (and every downstream number)
+/// without any serialized byte moving. Like the byte fixture above, an
+/// intentional lowering change updates the pinned values in the same
+/// commit that justifies it.
 #[test]
 fn lowering_digest_is_frozen() {
     let p = golden_profile();
@@ -150,7 +150,7 @@ fn lowering_digest_is_frozen() {
         .collect();
     assert_eq!(
         digests,
-        vec![0x05ccb047c644d75e, 0x9e6240b9981c6eec],
+        vec![0xf67fdd958691dbda, 0x49b6032a6ac4b324],
         "compiled lowering drifted from the pinned digests; update them \
          only with an intentional lowering change (actual: {digests:#018x?})"
     );
