@@ -1,7 +1,7 @@
 //! The two-level memory hierarchy with a unified L2.
 
 use crate::cache::{Cache, CacheConfig};
-use crate::tlb::{Tlb, TlbConfig};
+use crate::tlb::TlbConfig;
 
 /// Geometry of the full hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,8 +99,8 @@ pub struct Hierarchy {
     l1i: Cache,
     l1d: Cache,
     l2: Cache,
-    itlb: Tlb,
-    dtlb: Tlb,
+    itlb: Cache,
+    dtlb: Cache,
     l2i: (u64, u64),   // (accesses, misses) from the instruction side
     l2d: (u64, u64),   // (accesses, misses) from the data side
     loads: (u64, u64), // (accesses, misses) from loads specifically
@@ -113,8 +113,8 @@ impl Hierarchy {
             l1i: Cache::new(config.l1i),
             l1d: Cache::new(config.l1d),
             l2: Cache::new(config.l2),
-            itlb: Tlb::new(config.itlb),
-            dtlb: Tlb::new(config.dtlb),
+            itlb: Cache::new(config.itlb.geometry()),
+            dtlb: Cache::new(config.dtlb.geometry()),
             l2i: (0, 0),
             l2d: (0, 0),
             loads: (0, 0),

@@ -2,7 +2,8 @@
 //!
 //! Implements the memory-hierarchy structures of the paper's baseline
 //! configuration (Table 2): split L1 instruction/data caches, a unified
-//! L2, and separate instruction/data TLBs. [`Hierarchy`] composes them
+//! L2, and separate instruction/data TLBs, each a [`Cache`] of pages
+//! ([`TlbConfig::geometry`]). [`Hierarchy`] composes them
 //! and reports the **six locality probabilities** the paper's
 //! statistical profile records (§2.1.2): L1 I-cache, L2-instruction,
 //! L1 D-cache, L2-data, I-TLB and D-TLB miss rates.
@@ -29,4 +30,4 @@ mod tlb;
 pub use cache::{Cache, CacheConfig};
 pub use hierarchy::{AccessOutcome, Hierarchy, HierarchyConfig, HierarchyStats};
 pub use sweep::{AssocSweep, CapacitySweep};
-pub use tlb::{Tlb, TlbConfig};
+pub use tlb::TlbConfig;

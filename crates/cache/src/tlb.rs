@@ -1,4 +1,7 @@
-//! Translation lookaside buffers.
+//! Translation lookaside buffers: a TLB is a [`Cache`](crate::Cache)
+//! whose blocks are pages.
+
+use crate::cache::CacheConfig;
 
 /// Geometry of a TLB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,6 +23,20 @@ impl TlbConfig {
             page: 4 << 10,
         }
     }
+
+    /// The TLB as a cache of pages: `entries` page-sized blocks in
+    /// `assoc`-way sets. [`Cache::access`](crate::Cache::access) on this
+    /// geometry hits when the page of its address is resident, and a
+    /// miss allocates the page's entry (LRU victim within the set).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless entries/assoc/page are positive, the page size is a
+    /// power of two, `entries % assoc == 0` and the set count is a power
+    /// of two (see [`CacheConfig::new`]).
+    pub fn geometry(&self) -> CacheConfig {
+        CacheConfig::new(self.entries * self.page, self.assoc, self.page)
+    }
 }
 
 impl Default for TlbConfig {
@@ -28,109 +45,14 @@ impl Default for TlbConfig {
     }
 }
 
-/// A set-associative TLB with LRU replacement.
-///
-/// Only translation presence is modeled; a miss allocates the page
-/// entry.
-#[derive(Debug, Clone)]
-pub struct Tlb {
-    sets: Vec<Vec<(u64, u64)>>,
-    assoc: usize,
-    set_mask: u64,
-    page_shift: u32,
-    tick: u64,
-    accesses: u64,
-    misses: u64,
-}
-
-impl Tlb {
-    /// Builds a TLB with geometry `config`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless entries/assoc/page are positive powers of two with
-    /// `entries % assoc == 0`.
-    pub fn new(config: TlbConfig) -> Self {
-        assert!(
-            config.entries > 0 && config.assoc > 0,
-            "TLB parameters must be positive"
-        );
-        assert!(
-            config.entries.is_multiple_of(config.assoc),
-            "entries must be divisible by assoc"
-        );
-        assert!(
-            config.page.is_power_of_two(),
-            "page size must be a power of two"
-        );
-        let sets = config.entries / config.assoc;
-        assert!(sets.is_power_of_two(), "set count must be a power of two");
-        Tlb {
-            sets: vec![Vec::with_capacity(config.assoc); sets],
-            assoc: config.assoc,
-            set_mask: sets as u64 - 1,
-            page_shift: config.page.trailing_zeros(),
-            tick: 0,
-            accesses: 0,
-            misses: 0,
-        }
-    }
-
-    /// Translates the page of byte address `addr`; returns `true` on a
-    /// TLB hit. Misses allocate.
-    pub fn access(&mut self, addr: u64) -> bool {
-        self.tick += 1;
-        self.accesses += 1;
-        let vpn = addr >> self.page_shift;
-        let set_index = (vpn & self.set_mask) as usize;
-        let tag = vpn >> self.set_mask.count_ones();
-        let tick = self.tick;
-        let assoc = self.assoc;
-        let set = &mut self.sets[set_index];
-        if let Some(e) = set.iter_mut().find(|(t, _)| *t == tag) {
-            e.1 = tick;
-            return true;
-        }
-        self.misses += 1;
-        if set.len() < assoc {
-            set.push((tag, tick));
-        } else {
-            let victim = set
-                .iter_mut()
-                .min_by_key(|(_, last)| *last)
-                .expect("non-empty set has an LRU victim");
-            *victim = (tag, tick);
-        }
-        false
-    }
-
-    /// Total accesses so far.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
-    }
-
-    /// Total misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Miss rate (`0.0` before any access).
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Cache;
 
     #[test]
     fn same_page_hits() {
-        let mut t = Tlb::new(TlbConfig::baseline());
+        let mut t = Cache::new(TlbConfig::baseline().geometry());
         assert!(!t.access(0x1000));
         assert!(t.access(0x1ff8), "same 4K page");
         assert!(!t.access(0x2000), "next page misses");
@@ -139,11 +61,14 @@ mod tests {
     #[test]
     fn capacity_eviction() {
         // 4 entries, fully associative within 1 set (assoc 4), 4K pages.
-        let mut t = Tlb::new(TlbConfig {
-            entries: 4,
-            assoc: 4,
-            page: 4096,
-        });
+        let mut t = Cache::new(
+            TlbConfig {
+                entries: 4,
+                assoc: 4,
+                page: 4096,
+            }
+            .geometry(),
+        );
         for p in 0..4u64 {
             t.access(p << 12);
         }
@@ -158,7 +83,7 @@ mod tests {
 
     #[test]
     fn stats() {
-        let mut t = Tlb::new(TlbConfig::baseline());
+        let mut t = Cache::new(TlbConfig::baseline().geometry());
         t.access(0);
         t.access(0);
         assert_eq!(t.accesses(), 2);

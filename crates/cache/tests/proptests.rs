@@ -1,7 +1,7 @@
 //! Property-based tests for the cache and TLB models.
 
 use proptest::prelude::*;
-use ssim_cache::{Cache, CacheConfig, Hierarchy, HierarchyConfig, Tlb, TlbConfig};
+use ssim_cache::{Cache, CacheConfig, Hierarchy, HierarchyConfig, TlbConfig};
 
 proptest! {
     /// After any access, the block is resident; miss rates stay in
@@ -52,11 +52,12 @@ proptest! {
             "16K cache much worse than 1K: {} vs {}", large.miss_rate(), small.miss_rate());
     }
 
-    /// TLB pages are position-independent: any address within a page
-    /// hits after any other address in the same page was accessed.
+    /// TLB pages are position-independent: on a cache with TLB geometry,
+    /// any address within a page hits after any other address in the
+    /// same page was accessed.
     #[test]
     fn tlb_page_granularity(pages in prop::collection::vec(0u64..64, 1..100), offset in 0u64..4096) {
-        let mut t = Tlb::new(TlbConfig { entries: 64, assoc: 8, page: 4096 });
+        let mut t = Cache::new(TlbConfig { entries: 64, assoc: 8, page: 4096 }.geometry());
         for &p in &pages {
             t.access(p << 12);
         }
