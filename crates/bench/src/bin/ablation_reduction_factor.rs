@@ -77,7 +77,6 @@ fn main() {
     }
     eprintln!();
     println!();
-    println!("expectation: error grows slowly with R while cost drops linearly —");
-    println!("the paper's 'orders of magnitude faster at a few percent error' claim");
+    println!("paper: R is typically 1,000 to 100,000 for 100M-10B instruction streams (§2.2)");
     ssim_bench::obs_finish(env!("CARGO_BIN_NAME"));
 }
