@@ -629,9 +629,10 @@ impl CompiledContext {
                 }
             }
             // step 4: dependency distances, retried so the producer is
-            // not a branch or store.
-            let srcs = usize::from(slot.src_count.min(2));
-            for (p, hist) in slot.dep[..srcs].iter().enumerate() {
+            // not a branch or store. (Indexed: iterating `slot.dep` with
+            // `enumerate()` compiled this loop measurably slower.)
+            for p in 0..usize::from(slot.src_count.min(2)) {
+                let hist = &slot.dep[p];
                 if hist.is_empty() {
                     continue;
                 }
