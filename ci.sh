@@ -30,8 +30,8 @@
 #   ./ci.sh exhibits   # every exhibits.txt line rerun at its budgets,
 #                      # stdout diffed byte for byte against
 #                      # results/<bin>.txt (not part of `all`: about
-#                      # 4 minutes with a warm profile cache, 6 cold,
-#                      # on 2 vCPUs)
+#                      # 4.5 minutes on 2 vCPUs, warm or cold profile
+#                      # cache)
 #   ./ci.sh deep       # deep bench tier (not part of `all`; manual or
 #                      # nightly): full §4.6 thread-scaling curve with
 #                      # parallel-efficiency gates and the
@@ -265,23 +265,17 @@ do_perfbench() {
   cargo test --release --offline --manifest-path perfbench/Cargo.toml
 }
 
-do_exhibits() {
-  # The paper's exhibits, regenerated and compared with the committed
-  # files: a change that moves any printed number fails here until
-  # ./run_all.sh has rewritten results/ and the docs quote the new
-  # numbers.
+# Reruns each exhibit exhibits.txt lists in a temporary directory at
+# its budgets, reading and filling the repository's profile cache as
+# bench_bin does, and diffs its stdout against results/<bin>.txt: a
+# change that moves any printed number fails here until ./run_all.sh
+# has rewritten results/ and the docs quote the new numbers. Runs them
+# all, then fails naming every exhibit that differed or failed. A
+# subshell, so the EXIT trap always removes the temp dir.
+do_exhibits() (
+  set -euo pipefail
   stage "exhibits (exhibits.txt budgets, byte-identical to results/)"
   cargo build --release -q -p ssim-bench --bins
-  exhibits_diff
-}
-
-# Runs each exhibit exhibits.txt lists in a temporary directory at its
-# budgets, reading and filling the repository's profile cache as
-# bench_bin does, and diffs its stdout against results/<bin>.txt. Runs
-# them all, then fails naming every exhibit that differed or failed. A
-# subshell, so the EXIT trap always removes the temp dir.
-exhibits_diff() (
-  set -euo pipefail
   tmp="$(mktemp -d)"
   trap 'rm -rf "$tmp"' EXIT
   cd "$tmp"
